@@ -33,8 +33,9 @@ type Config struct {
 }
 
 // DefaultConfig returns the repo's hot-path inventory: every encoder's
-// append/into entry points and the bit-packing and quantization kernels on
-// their call paths.
+// append/into entry points, the bit-packing and quantization kernels on
+// their call paths, and the reconstruction kernels the projection scores
+// each delivered frame with.
 func DefaultConfig() Config {
 	return Config{
 		Require: map[string][]string{
@@ -52,6 +53,8 @@ func DefaultConfig() Config {
 				// Precomputed quantizer/dequantizer kernels.
 				"Raw",
 			},
+			// The projection's per-record scoring kernels.
+			"repro/internal/reconstruct": {"LinearMAE", "SequenceStdDev"},
 		},
 	}
 }

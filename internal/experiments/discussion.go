@@ -214,11 +214,7 @@ func BufferedDefense(ctx context.Context, cfg Config, name string) (*BufferedRes
 			vals = append(vals, m.Values)
 		}
 		sortByIndex(idx, vals)
-		recon, err := reconstruct.Linear(idx, vals, meta.SeqLen, meta.NumFeatures)
-		if err != nil {
-			return nil, err
-		}
-		mae, err := reconstruct.MAE(recon, seq.Values)
+		mae, err := reconstruct.LinearMAE(idx, vals, seq.Values, meta.SeqLen, meta.NumFeatures)
 		if err != nil {
 			return nil, err
 		}

@@ -1,0 +1,179 @@
+package projection
+
+import (
+	"encoding/json"
+	"runtime/debug"
+	"strconv"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/staging"
+)
+
+// parkingKPI counts the records it folds, spending about as long on each
+// as a real KPI does. The first apply parks, holding the worker's lock,
+// until the test releases it.
+type parkingKPI struct {
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+	applied int
+}
+
+func (k *parkingKPI) apply(int, staging.Record) {
+	k.once.Do(func() {
+		close(k.entered)
+		<-k.release
+	})
+	for start := time.Now(); time.Since(start) < 2*time.Microsecond; {
+	}
+	k.applied++
+}
+
+func (k *parkingKPI) marshal() json.RawMessage  { return json.RawMessage(strconv.Itoa(k.applied)) }
+func (k *parkingKPI) unmarshal(json.RawMessage) {}
+
+// TestCheckpointNeverTearsFold pins the worker's fold invariant: a record's
+// fold and its cursor advance land in a checkpoint together, so the
+// checkpointed state covers exactly the checkpointed cursors. A checkpoint
+// that caught the fold without the advance would make Restore fold that
+// record a second time. Each round parks the KPI mid-fold, queues two
+// checkpointers on the worker's lock, releases the KPI, and keeps
+// checkpointing until the worker has folded every record.
+func TestCheckpointNeverTearsFold(t *testing.T) {
+	const frames = 500
+	for round := 0; round < 20 && !t.Failed(); round++ {
+		e := New(Config{T: testT, D: testD, Now: func() int64 { return 5e9 }})
+		k := &parkingKPI{entered: make(chan struct{}), release: make(chan struct{})}
+		w := e.workers[0]
+		w.mu.Lock()
+		w.kpi = k
+		w.mu.Unlock()
+		feedAll(e, 1, 0, frames)
+
+		<-k.entered
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					cp := e.Checkpoint()
+					wc := cp.Workers[w.name]
+					applied, err := strconv.Atoi(string(wc.State))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if applied != wc.Cursors[0] || cp.Sensors[0].Resume > applied {
+						t.Errorf("round %d: checkpoint folded %d records, cursor %d, resume %d",
+							round, applied, wc.Cursors[0], cp.Sensors[0].Resume)
+						return
+					}
+					if applied == frames {
+						return
+					}
+				}
+			}()
+		}
+		// Let the checkpointers queue on the parked worker's lock; the
+		// invariant holds whenever they actually run.
+		time.Sleep(time.Millisecond)
+		close(k.release)
+		wg.Wait()
+		e.Close()
+	}
+}
+
+// TestRestoreCarriesStagedCount checks that a restored engine counts the
+// records below each sensor's Resume as staged, before any refeed.
+func TestRestoreCarriesStagedCount(t *testing.T) {
+	cp := Checkpoint{Sensors: map[int]SensorCheckpoint{0: {Resume: 7}, 1: {Resume: 5, Complete: true}}}
+	e := Restore(Config{T: testT, D: testD, Now: func() int64 { return 5e9 }}, cp)
+	defer e.Close()
+	if got := e.Snapshot().StagedRecords; got != 12 {
+		t.Fatalf("restored staged records = %d, want 12", got)
+	}
+	e.Feed(0, feedRecord(0, 7))
+	if got := e.Snapshot().StagedRecords; got != 13 {
+		t.Fatalf("staged records after refeed = %d, want 13", got)
+	}
+}
+
+// TestStageFrameAllocatesOnlyOwningCopy bounds the tap's per-frame
+// allocations with an AGE decoder: the staged record's owning copy (index
+// slice, row table, one slice per row) plus the stage's subscriber signal.
+// The workers are stopped first so only the tap is counted, and GC is off
+// so a collection cannot empty the decode pool mid-run.
+func TestStageFrameAllocatesOnlyOwningCopy(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated by race instrumentation")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	cfg := testCodecConfig()
+	cfg.TargetBytes = core.TargetBytesForRate(0.5, testT, testD, cfg.Format.Width)
+	codec, err := core.NewAGE(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := codec.Encode(frameBatch(0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := codec.Decode(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(Config{T: testT, D: testD, Decode: codec, Now: func() int64 { return 5e9 }})
+	e.Close()
+	index := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		e.StageFrame(0, index, payload)
+		index++
+	})
+	rows := len(want.Values)
+	if limit := float64(rows + 3); allocs > limit {
+		t.Errorf("StageFrame allocs/frame = %v, want <= %v for %d rows", allocs, limit, rows)
+	}
+	if n := e.Snapshot().DecodeErrors; n != 0 {
+		t.Fatalf("%d decode errors", n)
+	}
+	rec, ok := e.stage.Log(0).Get(index - 1)
+	if !ok {
+		t.Fatal("last staged record missing")
+	}
+	for i := range want.Indices {
+		if rec.Indices[i] != want.Indices[i] {
+			t.Fatalf("staged index %d = %d, want %d", i, rec.Indices[i], want.Indices[i])
+		}
+		for f, v := range want.Values[i] {
+			if rec.Values[i][f] != v {
+				t.Fatalf("staged value [%d][%d] = %v, want %v", i, f, rec.Values[i][f], v)
+			}
+		}
+	}
+	// Every record owns its rows: none aliases another's storage.
+	first, _ := e.stage.Log(0).Get(index - 2)
+	if &first.Values[0][0] == &rec.Values[0][0] || &first.Indices[0] == &rec.Indices[0] {
+		t.Fatal("staged records share decode storage")
+	}
+}
+
+// TestMAEApplyAllocationFree checks the mae KPI's steady-state fold: once
+// the sensor's entry exists and the rolling window is full, scoring a
+// record allocates nothing.
+func TestMAEApplyAllocationFree(t *testing.T) {
+	k := newMAEKPI(Config{T: testT, D: testD}.withDefaults())
+	rec := feedRecord(0, 1)
+	for i := 0; i < k.window; i++ {
+		k.apply(0, rec)
+	}
+	if n := testing.AllocsPerRun(100, func() { k.apply(0, rec) }); n != 0 {
+		t.Errorf("mae apply allocs/record = %v, want 0", n)
+	}
+	if k.state.ReconErrors != 0 {
+		t.Fatalf("%d reconstruction errors", k.state.ReconErrors)
+	}
+}

@@ -74,12 +74,7 @@ func (k *maeKPI) apply(sensorID int, rec staging.Record) {
 	if rec.Truth == nil || rec.Indices == nil {
 		return
 	}
-	recon, err := reconstruct.Linear(rec.Indices, rec.Values, k.t, k.d)
-	if err != nil {
-		k.state.ReconErrors++
-		return
-	}
-	mae, err := reconstruct.MAE(recon, rec.Truth)
+	mae, err := reconstruct.LinearMAE(rec.Indices, rec.Values, rec.Truth, k.t, k.d)
 	if err != nil {
 		k.state.ReconErrors++
 		return

@@ -207,17 +207,33 @@ func TestLinearPropertyBounded(t *testing.T) {
 	}
 }
 
-func BenchmarkLinearReconstruct(b *testing.B) {
-	T, d := 206, 3
-	idx := make([]int, 0, T/2)
-	vals := make([][]float64, 0, T/2)
+// benchBatch is a 206×3 window collected at every other step.
+func benchBatch() (indices []int, values, truth [][]float64, T, d int) {
+	T, d = 206, 3
 	for t := 0; t < T; t += 2 {
-		idx = append(idx, t)
-		vals = append(vals, []float64{1, 2, 3})
+		indices = append(indices, t)
+		values = append(values, []float64{1, 2, 3})
 	}
+	truth = matrix(T, d, func(r, c int) float64 { return float64(r%7) - float64(c) })
+	return indices, values, truth, T, d
+}
+
+func BenchmarkLinearReconstruct(b *testing.B) {
+	idx, vals, _, T, d := benchBatch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Linear(idx, vals, T, d); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkLinearMAE(b *testing.B) {
+	indices, values, truth, T, d := benchBatch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LinearMAE(indices, values, truth, T, d); err != nil {
 			b.Fatal(err)
 		}
 	}

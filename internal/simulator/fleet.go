@@ -656,11 +656,7 @@ func (s *fleetSession) Frame(fi int, msg []byte) error {
 		return fmt.Errorf("frame %d: %w", fi, err)
 	}
 	meta := h.cfg.Base.Dataset.Meta
-	recon, err := reconstruct.Linear(batch.Indices, batch.Values, meta.SeqLen, meta.NumFeatures)
-	if err != nil {
-		return fmt.Errorf("frame %d: %w", fi, err)
-	}
-	mae, err := reconstruct.MAE(recon, seq.Values)
+	mae, err := reconstruct.LinearMAE(batch.Indices, batch.Values, seq.Values, meta.SeqLen, meta.NumFeatures)
 	if err != nil {
 		return fmt.Errorf("frame %d: %w", fi, err)
 	}
