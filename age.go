@@ -489,8 +489,9 @@ type ProtocolError = ingest.ProtocolError
 // to the gateway's single address and speak the unmodified ingest wire
 // protocol; the gateway reads each connection's hello, routes the sensor to
 // a node by consistent hash (bounded-load variant) with affinity to
-// wherever the sensor's session already lives, and splices bytes for the
-// rest of the connection. Sessions migrate between nodes on resume, drain,
+// wherever the sensor's session already lives, and hands the connection
+// itself to that in-process node, which serves the rest of the session on
+// it. Sessions migrate between nodes on resume, drain,
 // and rebalance, so a sensor that reconnects after a node change continues
 // from its delivered index. Lifecycle: NewCluster, Start, then Drain or
 // Close; AddNode/DrainNode/KillNode reshape the node set live.

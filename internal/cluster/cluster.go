@@ -1,7 +1,7 @@
-// The gateway proxies client conns to node conns: everything here touches
-// the wire, so the whole file is transport scope for ctxdeadline and
-// leaktaint (belt and braces with the package-level scoping in their
-// default configs).
+// The gateway reads client hellos and hands the conns to nodes: everything
+// here touches the wire, so the whole file is transport scope for
+// ctxdeadline and leaktaint (belt and braces with the package-level scoping
+// in their default configs).
 //
 //age:transport
 package cluster
@@ -31,10 +31,6 @@ const (
 	// cluster pushes one TTL into every node so the locator and the node
 	// registries expire entries on the same schedule.
 	defaultSessionTTL = time.Minute
-	// spliceBufSize is the per-direction copy buffer. Sealed frames are
-	// hundreds of bytes; 4 KiB keeps per-connection memory modest at the
-	// gateway's connection bound.
-	spliceBufSize = 4 << 10
 )
 
 // ErrClosed is returned for operations on a closed cluster.
@@ -77,14 +73,13 @@ type Config struct {
 	// ceil(c * (total+1) / liveNodes) (default 1.25; <1 disables the
 	// bound, falling back to plain consistent hashing).
 	LoadFactor float64
-	// MaxConns bounds concurrently proxied connections (default 4096);
+	// MaxConns bounds concurrently routed connections (default 4096);
 	// beyond it new connections are shed with StatusOverloaded, the same
 	// transient reject the nodes use, so clients back off and retry.
 	MaxConns int
-	// IOTimeout is the gateway's hello/reject deadline and the splice
-	// loops' per-read deadline refresh interval (default 5s). A silent
-	// proxied link is not killed by the gateway — the node's own read
-	// deadline owns liveness — the refresh only bounds each blocking wait.
+	// IOTimeout is the gateway's deadline for reading a hello and writing
+	// its own rejects (default 5s). Once a connection is handed to a node,
+	// the node's IOTimeout owns it.
 	IOTimeout time.Duration
 	// SessionTTL is the idle lifetime of completed sessions, pushed into
 	// every node registry and used by the locator map (default 1 minute;
@@ -160,7 +155,7 @@ type node struct {
 }
 
 // locEntry is the locator map's per-sensor record: which node holds the
-// sensor's session state, how many proxied connections currently carry it,
+// sensor's session state, how many routed connections currently carry it,
 // and the eviction bookkeeping mirroring the node registry's.
 type locEntry struct {
 	node      int
@@ -174,9 +169,11 @@ type clusterMetrics struct {
 	routed     *metrics.Counter
 	rejected   *metrics.Counter
 	migrations *metrics.Counter
-	dialFails  *metrics.Counter
-	proxyBytes *metrics.Counter
-	evicted    *metrics.Counter
+	// dialFails counts handoffs a stopping or closed node refused. It
+	// keeps the name cluster.node_dial_failures because ageload and
+	// perfbench read it under that name.
+	dialFails *metrics.Counter
+	evicted   *metrics.Counter
 }
 
 func newClusterMetrics(reg *metrics.Registry) clusterMetrics {
@@ -185,7 +182,6 @@ func newClusterMetrics(reg *metrics.Registry) clusterMetrics {
 		rejected:   reg.Counter("cluster.rejected"),
 		migrations: reg.Counter("cluster.migrations"),
 		dialFails:  reg.Counter("cluster.node_dial_failures"),
-		proxyBytes: reg.Counter("cluster.proxy_bytes"),
 		evicted:    reg.Counter("cluster.locator_evicted"),
 	}
 }
@@ -194,7 +190,8 @@ func newClusterMetrics(reg *metrics.Registry) clusterMetrics {
 // to the gateway address and speak the unmodified ingest protocol; the
 // gateway reads each connection's hello, routes the sensor to a node by
 // consistent hash (bounded-load variant) with stickiness to wherever the
-// sensor's session state lives, and splices bytes until either side closes.
+// sensor's session state lives, and hands the connection itself to that
+// node (ingest.Server.Handoff), which serves the rest of the session.
 type Cluster struct {
 	cfg Config
 	m   clusterMetrics
@@ -470,8 +467,9 @@ func (c *Cluster) rejectConn(conn net.Conn, st ingest.Status) {
 	ingest.WriteReject(conn, st, timeout)
 }
 
-// serveConn proxies one sensor connection: read the hello, route, dial the
-// node, replay the hello, splice until either side closes.
+// serveConn routes one sensor connection: read the hello, route, hand the
+// conn to the node, and wait until the node is done with it so the locator
+// claim and the connection bound cover the whole session.
 func (c *Cluster) serveConn(conn net.Conn) {
 	defer func() {
 		c.untrack(conn)
@@ -490,72 +488,16 @@ func (c *Cluster) serveConn(conn net.Conn) {
 	c.m.routed.Inc()
 	defer c.connEnd(sensorID, n)
 
-	nodeConn, err := net.DialTimeout("tcp", n.addr, c.cfg.IOTimeout)
+	done, err := n.srv.Handoff(conn, sensorID)
 	if err != nil {
-		// The node died between routing and dialing. Soft-reject: the
-		// client backs off and its next hello re-routes over the updated
-		// ring.
+		// The node began stopping between routing and the handoff.
+		// Soft-reject: the client backs off and its next hello re-routes
+		// over the updated ring.
 		c.m.dialFails.Inc()
 		ingest.WriteReject(conn, ingest.StatusOverloaded, c.cfg.IOTimeout)
 		return
 	}
-	defer nodeConn.Close()
-	if err := ingest.WriteHello(nodeConn, sensorID, c.cfg.IOTimeout); err != nil {
-		return
-	}
-	c.splice(conn, nodeConn)
-}
-
-// splice copies both directions until each closes, refreshing per-read
-// deadlines so every blocking wait stays bounded. Liveness is the node's
-// job (its read deadline kills silent sessions); the gateway only follows.
-func (c *Cluster) splice(client, node net.Conn) {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		c.copyHalf(node, client)
-	}()
-	c.copyHalf(client, node)
-	wg.Wait()
-}
-
-// copyHalf streams src→dst until EOF or a hard error, then half-closes dst
-// so its reader sees EOF while the reverse direction finishes.
-func (c *Cluster) copyHalf(src, dst net.Conn) {
-	buf := make([]byte, spliceBufSize)
-	idle := 2 * c.cfg.IOTimeout
-	for {
-		src.SetReadDeadline(time.Now().Add(idle))
-		n, err := src.Read(buf)
-		if n > 0 {
-			dst.SetWriteDeadline(time.Now().Add(c.cfg.IOTimeout))
-			if _, werr := dst.Write(buf[:n]); werr != nil {
-				return
-			}
-			c.m.proxyBytes.Add(int64(n))
-		}
-		if err != nil {
-			if isTimeout(err) && !c.isClosed() {
-				continue // bounded wait expired; the link itself is fine
-			}
-			if tc, ok := dst.(*net.TCPConn); ok {
-				tc.CloseWrite()
-			}
-			return
-		}
-	}
-}
-
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
-
-func (c *Cluster) isClosed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed
+	<-done
 }
 
 // route picks the node for a sensor's new connection and bumps the
@@ -665,7 +607,7 @@ func (c *Cluster) migrateLocked(sensorID int, src, dst *node) bool {
 	return true
 }
 
-// connEnd retires one proxied connection's locator claim, deriving the
+// connEnd retires one routed connection's locator claim, deriving the
 // entry's eviction state from the node registry — the single source of
 // truth — so the two tiers cannot disagree.
 func (c *Cluster) connEnd(sensorID int, n *node) {
@@ -862,7 +804,7 @@ type NodeInfo struct {
 	Addr     string
 	State    string
 	Sessions int // locator entries assigned to the node
-	Active   int // proxied connections currently routed to it
+	Active   int // connections currently routed to it
 }
 
 // Stats is a point-in-time cluster snapshot.
@@ -901,7 +843,7 @@ func (c *Cluster) Stats() Stats {
 }
 
 // Drain gracefully stops the whole cluster: the gateway stops accepting,
-// in-flight proxied connections run to completion (ctx expiry severs
+// in-flight routed connections run to completion (ctx expiry severs
 // them), then every live node drains. Safe to call once.
 func (c *Cluster) Drain(ctx context.Context) error {
 	c.mu.Lock()
@@ -914,18 +856,18 @@ func (c *Cluster) Drain(ctx context.Context) error {
 	}
 	c.acceptWG.Wait()
 
-	proxied := make(chan struct{})
+	routed := make(chan struct{})
 	go func() {
 		c.connWG.Wait()
-		close(proxied)
+		close(routed)
 	}()
 	var err error
 	select {
-	case <-proxied:
+	case <-routed:
 	case <-ctx.Done():
 		err = ctx.Err()
 		c.severConns()
-		<-proxied
+		<-routed
 	}
 	for _, n := range nodes {
 		c.mu.Lock()
@@ -949,7 +891,7 @@ func (c *Cluster) Drain(ctx context.Context) error {
 	return err
 }
 
-// Close hard-stops everything: gateway listener, proxied connections, and
+// Close hard-stops everything: gateway listener, routed connections, and
 // every node. Idempotent.
 func (c *Cluster) Close() error {
 	c.mu.Lock()

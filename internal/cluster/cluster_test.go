@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/ingest"
+	"repro/internal/metrics"
 )
 
 // frameBytes is the deterministic per-(sensor, index) frame payload the
@@ -44,7 +48,7 @@ func (h *recHandler) Open(sensorID, delivered int) (ingest.Session, error) {
 }
 
 func (h *recHandler) Rejected(sensorID int, status ingest.Status) {}
-func (h *recHandler) Unattributed(err error)                     {}
+func (h *recHandler) Unattributed(err error)                      {}
 
 func (h *recHandler) sensorOpens(sensorID int) []int {
 	h.mu.Lock()
@@ -160,7 +164,7 @@ func testCluster(t *testing.T, n, total int, clock func() time.Time) (*Cluster, 
 	t.Helper()
 	handlers := make([]*recHandler, 0, n+4)
 	var hmu sync.Mutex
-	c, err := New(Config{
+	c := startCluster(t, Config{
 		Nodes: n,
 		NewNode: func(i int) NodeSpec {
 			h := newRecHandler(i, total)
@@ -171,13 +175,6 @@ func testCluster(t *testing.T, n, total int, clock func() time.Time) (*Cluster, 
 		},
 		Clock: clock,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
 	return c, handlers
 }
 
@@ -444,14 +441,7 @@ func TestClusterDrainUnderLoadNoLeaks(t *testing.T) {
 			t.Fatalf("cluster drain: %v", err)
 		}
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines leaked: %d before, %d after drain", before, runtime.NumGoroutine())
+	waitGoroutines(t, before)
 }
 
 func TestClusterAddNodeRebalancesOnlyAffected(t *testing.T) {
@@ -610,4 +600,289 @@ func TestClusterEvictionAgreement(t *testing.T) {
 		t.Fatalf("locator after re-admission = %+v, want node %d", e, other)
 	}
 	verifyStreams(t, handlers, seqIDs(id+1), total)
+}
+
+// startCluster starts a cluster built from cfg and closes it at test end.
+func startCluster(t testing.TB, cfg Config) *Cluster {
+	t.Helper()
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// rawHello dials addr, sends sensorID's hello, and returns the conn with
+// the status of the first ack.
+func rawHello(t *testing.T, addr string, sensorID int) (net.Conn, ingest.Status) {
+	t.Helper()
+	conn := rawDialHello(t, addr, sensorID)
+	var ack [5]byte
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadFull(conn, ack[:]); err != nil {
+		conn.Close()
+		t.Fatalf("sensor %d ack: %v", sensorID, err)
+	}
+	return conn, ingest.Status(ack[0])
+}
+
+// rawDialHello dials addr and sends sensorID's hello without reading the ack.
+func rawDialHello(t *testing.T, addr string, sensorID int) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ingest.WriteHello(conn, sensorID, 5*time.Second); err != nil {
+		conn.Close()
+		t.Fatal(err)
+	}
+	return conn
+}
+
+// waitFor polls cond until it holds or the deadline passes.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// waitGoroutines fails unless the goroutine count settles back to base.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("goroutines leaked: %d before, %d after\n%s", base, runtime.NumGoroutine(), buf[:n])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestHandoffRacesNodeTeardown keeps hellos flowing through the gateway
+// while nodes stop under it: DrainNode(1), then KillNode(2), then Close.
+// A hello routed just before its node leaves the ring reaches Handoff while
+// that node tears down; a handoff that slipped into a closed shard queue
+// would panic with a send on a closed channel. Every sensor must still
+// complete — directly, after a typed-reject retry, or after a reconnect —
+// and no goroutine may outlive Close.
+func TestHandoffRacesNodeTeardown(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for round := 0; round < 3; round++ {
+		handoffTeardownRound(t)
+	}
+	waitGoroutines(t, base)
+}
+
+func handoffTeardownRound(t *testing.T) {
+	const workers, perWorker, total = 16, 24, 3
+	const sensors = workers * perWorker
+	reg := metrics.NewRegistry()
+	handlers := make([]*recHandler, 3)
+	c := startCluster(t, Config{
+		Nodes: 3,
+		NewNode: func(i int) NodeSpec {
+			handlers[i] = newRecHandler(i, total)
+			return NodeSpec{Server: ingest.ServerConfig{Handler: handlers[i]}}
+		},
+		Metrics: reg,
+	})
+	addr := c.Addr().String()
+
+	var completed atomic.Int64
+	var softRejects, reconnects atomic.Int64
+	errs := make([]error, sensors)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < perWorker; k++ {
+				id := w + k*workers
+				cfg := clientCfg(addr, id)
+				cfg.RejectAttempts = 64
+				cfg.RejectBackoff = time.Millisecond
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+				st, err := ingest.NewClient(cfg).Run(ctx, &gateSource{
+					sensorID: id, total: total, gateAt: -1, failAt: -1,
+				})
+				cancel()
+				errs[id] = err
+				softRejects.Add(int64(st.SoftRejects))
+				reconnects.Add(int64(st.Reconnects))
+				completed.Add(1)
+			}
+		}(w)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	waitFor(t, "a quarter of the fleet", func() bool { return completed.Load() >= sensors/4 })
+	if err := c.DrainNode(ctx, 1); err != nil {
+		t.Fatalf("drain node 1: %v", err)
+	}
+	waitFor(t, "half of the fleet", func() bool { return completed.Load() >= sensors/2 })
+	if err := c.KillNode(2); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	for id, err := range errs {
+		if err != nil {
+			t.Fatalf("sensor %d: %v", id, err)
+		}
+	}
+	verifyStreams(t, handlers, seqIDs(sensors), total)
+	waitQuiet(t, c)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	refused := reg.Counter("cluster.node_dial_failures").Value()
+	t.Logf("%d sensors: %d soft rejects, %d reconnects, %d refused handoffs",
+		sensors, softRejects.Load(), reconnects.Load(), refused)
+}
+
+// TestHandoffRefusedByStoppingNode: a node that stopped while the gateway
+// still routes to it refuses the handoff, and the gateway answers the
+// hello with StatusOverloaded, counting cluster.node_dial_failures.
+func TestHandoffRefusedByStoppingNode(t *testing.T) {
+	reg := metrics.NewRegistry()
+	c := startCluster(t, Config{
+		Nodes:   1,
+		Node:    NodeSpec{Server: ingest.ServerConfig{Handler: newRecHandler(0, 2)}},
+		Metrics: reg,
+	})
+	// Stop the node's server behind the gateway's back: the ring still
+	// routes to it, exactly the window between routing and handoff.
+	c.nodes[0].srv.Close()
+
+	conn, st := rawHello(t, c.Addr().String(), 5)
+	conn.Close()
+	if st != ingest.StatusOverloaded {
+		t.Fatalf("status = %v, want overloaded", st)
+	}
+	if got := reg.Counter("cluster.node_dial_failures").Value(); got != 1 {
+		t.Errorf("cluster.node_dial_failures = %d, want 1", got)
+	}
+	if got := reg.Counter("cluster.rejected").Value(); got != 0 {
+		t.Errorf("cluster.rejected = %d, want 0 (the gateway routed the hello)", got)
+	}
+	waitQuiet(t, c)
+	if st := c.Stats(); st.LocatorSize != 0 {
+		t.Errorf("refused handoff left %d locator entries", st.LocatorSize)
+	}
+}
+
+// TestKillNodeSeversHandedOffConn: the node owns a handed-off conn, so
+// killing the node severs the sensor's link itself. The sensor reconnects
+// through the gateway, lands on the surviving node, and resumes from the
+// index that node hands it — 0, since the state died with the killed node.
+func TestKillNodeSeversHandedOffConn(t *testing.T) {
+	const id, total, gateAt = 4, 8, 4
+	c, handlers := testCluster(t, 2, total, nil)
+	gate := make(chan struct{})
+	type result struct {
+		st  ingest.ClientStats
+		err error
+	}
+	res := make(chan result, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		st, err := ingest.NewClient(clientCfg(c.Addr().String(), id)).Run(ctx, &gateSource{
+			sensorID: id, total: total, gateAt: gateAt, gate: gate, failAt: -1,
+		})
+		res <- result{st, err}
+	}()
+	waitForActive(t, c, 1)
+	c.mu.Lock()
+	origin := c.locator[id].node
+	c.mu.Unlock()
+	waitFor(t, "the parked prefix", func() bool {
+		st, ok := c.nodes[origin].srv.PeekSession(id)
+		return ok && st.Delivered == gateAt
+	})
+
+	if err := c.KillNode(origin); err != nil {
+		t.Fatal(err)
+	}
+	// The gateway forgot the sensor and no longer counts the conn: the
+	// node's Close severed it and the gateway's wait ended.
+	waitQuiet(t, c)
+	close(gate)
+	r := <-res
+	if r.err != nil {
+		t.Fatalf("sensor after kill: %v", r.err)
+	}
+	if r.st.Reconnects != 1 {
+		t.Errorf("reconnects = %d, want 1", r.st.Reconnects)
+	}
+	other := 1 - origin
+	if opens := handlers[other].sensorOpens(id); len(opens) != 1 || opens[0] != 0 {
+		t.Fatalf("surviving node opens = %v, want one fresh admission [0]", opens)
+	}
+	verifyStreams(t, handlers, []int{id}, total)
+}
+
+// TestHandoffShedAtQueueBound: a node whose workers are busy and whose
+// queue is full sheds a handed-off conn with StatusOverloaded, exactly as
+// it sheds a conn its own listener accepted.
+func TestHandoffShedAtQueueBound(t *testing.T) {
+	reg := metrics.NewRegistry()
+	c := startCluster(t, Config{
+		Nodes: 1,
+		Node: NodeSpec{Server: ingest.ServerConfig{
+			Handler: newRecHandler(0, 2),
+			Shards:  1, WorkersPerShard: 1, QueueDepth: 1,
+			IOTimeout: 5 * time.Second,
+		}},
+		Metrics: reg,
+	})
+	gw, node := c.Addr().String(), c.nodes[0].addr
+
+	// A holds the only worker: accepted, then silent.
+	a, st := rawHello(t, gw, 1)
+	defer a.Close()
+	if st != ingest.StatusAccept {
+		t.Fatalf("A status = %v, want accept", st)
+	}
+	// B fills the only queue slot.
+	b := rawDialHello(t, gw, 2)
+	defer b.Close()
+	waitFor(t, "B to queue", func() bool {
+		return reg.Snapshot().Gauges["ingest.queue_depth"] == 1
+	})
+
+	// C through the gateway and D straight at the node's own listener
+	// meet the same full queue and get the same typed reject.
+	for _, tc := range []struct {
+		name, addr string
+		id         int
+	}{{"handoff", gw, 3}, {"listener", node, 4}} {
+		conn, st := rawHello(t, tc.addr, tc.id)
+		conn.Close()
+		if st != ingest.StatusOverloaded {
+			t.Errorf("%s: status = %v, want overloaded", tc.name, st)
+		}
+	}
+	snap := reg.Snapshot().Counters
+	if got := snap["ingest.shed_overload"]; got != 2 {
+		t.Errorf("ingest.shed_overload = %d, want 2", got)
+	}
+	if got := snap["ingest.accepted"]; got != 4 {
+		t.Errorf("ingest.accepted = %d, want 4 (handoffs count like accepts)", got)
+	}
+	if got := snap["cluster.node_dial_failures"]; got != 0 {
+		t.Errorf("cluster.node_dial_failures = %d, want 0: shedding is not refusing", got)
+	}
 }

@@ -322,7 +322,7 @@ type Server struct {
 	cfg ServerConfig
 	m   serverMetrics
 
-	queues   []chan net.Conn
+	queues   []chan queued
 	sessions sessionRegistry
 
 	rejectSem chan struct{}
@@ -336,14 +336,29 @@ type Server struct {
 	acceptErr error // first fatal accept failure
 
 	acceptWG sync.WaitGroup
-	workerWG sync.WaitGroup
-	rejectWG sync.WaitGroup
+	// handoffWG counts Handoff calls between their admission check and
+	// their enqueue; teardown waits on it before closing the queues.
+	handoffWG sync.WaitGroup
+	workerWG  sync.WaitGroup
+	rejectWG  sync.WaitGroup
 
-	// finished closes when teardown is complete: accept loops joined,
-	// queues drained, workers and rejecters exited.
+	// finished closes when teardown is complete: accept loops and
+	// handoffs joined, queues drained, workers and rejecters exited.
 	finished   chan struct{}
 	finishOnce sync.Once
 }
+
+// queued is one admitted connection awaiting a worker. A connection the
+// server's own listener accepted still has its hello unread. A gateway
+// handoff arrives with the hello already read (sensorID) and a done
+// channel, closed once the server has closed the connection.
+type queued struct {
+	conn     net.Conn
+	sensorID int
+	done     chan struct{}
+}
+
+func (it queued) handedOff() bool { return it.done != nil }
 
 // NewServer validates cfg, fills defaults, and returns an unbound Server.
 func NewServer(cfg ServerConfig) (*Server, error) {
@@ -354,7 +369,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		m:         newServerMetrics(cfg.Metrics),
-		queues:    make([]chan net.Conn, cfg.Shards),
+		queues:    make([]chan queued, cfg.Shards),
 		sessions:  sessionRegistry{s: map[int]*sessionEntry{}, ttl: cfg.SessionTTL, now: cfg.Clock},
 		rejectSem: make(chan struct{}, defaultRejecters),
 		conns:     map[net.Conn]struct{}{},
@@ -362,7 +377,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	s.sessions.evicted = s.m.sessionsEvicted
 	for i := range s.queues {
-		s.queues[i] = make(chan net.Conn, cfg.QueueDepth)
+		s.queues[i] = make(chan queued, cfg.QueueDepth)
 	}
 	if reg := cfg.Metrics; reg != nil {
 		reg.GaugeFunc("ingest.queue_depth", func() int64 {
@@ -426,7 +441,7 @@ func (s *Server) Serve() error {
 	}
 	if s.stopping || s.closed {
 		s.mu.Unlock()
-		s.finishOnce.Do(func() { close(s.finished) })
+		s.stopUnserved()
 		return ErrClosed
 	}
 	s.serving = true
@@ -442,17 +457,7 @@ func (s *Server) Serve() error {
 		s.acceptWG.Add(1)
 		go s.acceptLoop(i, ln)
 	}
-
-	// Teardown runs here, exactly once, whatever triggered the stop: join
-	// the accept loops (listener closed), close the queues so workers
-	// drain and exit, then join workers and in-flight rejecters.
-	s.acceptWG.Wait()
-	for _, q := range s.queues {
-		close(q)
-	}
-	s.workerWG.Wait()
-	s.rejectWG.Wait()
-	s.finishOnce.Do(func() { close(s.finished) })
+	s.finishOnce.Do(s.teardown)
 
 	s.mu.Lock()
 	err := s.acceptErr
@@ -461,6 +466,35 @@ func (s *Server) Serve() error {
 		return err
 	}
 	return ErrClosed
+}
+
+// teardown runs exactly once, whatever triggered the stop: join the accept
+// loops (listener closed) and the in-flight handoffs, close the queues so
+// workers drain and exit, then join workers and in-flight rejecters. No
+// send can follow the close: accept loops exit, and Handoff refuses, only
+// once stopping is set.
+func (s *Server) teardown() {
+	s.acceptWG.Wait()
+	s.handoffWG.Wait()
+	for _, q := range s.queues {
+		close(q)
+	}
+	s.workerWG.Wait()
+	s.rejectWG.Wait()
+	close(s.finished)
+}
+
+// stopUnserved tears down a server that stopped before Serve ran. Handoffs
+// may have queued connections meanwhile, so one worker per queue answers
+// them the way a stopping server's workers would.
+func (s *Server) stopUnserved() {
+	s.finishOnce.Do(func() {
+		for _, q := range s.queues {
+			s.workerWG.Add(1)
+			go s.worker(q)
+		}
+		s.teardown()
+	})
 }
 
 // Drain gracefully stops the server: the listener closes, queued
@@ -509,7 +543,7 @@ func (s *Server) beginStop(kill bool) {
 	serving := s.serving
 	s.mu.Unlock()
 	if !serving {
-		s.finishOnce.Do(func() { close(s.finished) })
+		s.stopUnserved()
 	}
 }
 
@@ -525,17 +559,15 @@ func (s *Server) isClosed() bool {
 	return s.closed
 }
 
-// track registers a live connection for Close to sever; it reports false —
-// and closes the connection — when the server is already closed.
+// track registers a live connection for Close to sever; it reports false
+// when the server is already closed.
 func (s *Server) track(c net.Conn) bool {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
-		c.Close()
 		return false
 	}
 	s.conns[c] = struct{}{}
-	s.mu.Unlock()
 	return true
 }
 
@@ -545,9 +577,38 @@ func (s *Server) untrack(c net.Conn) {
 	s.mu.Unlock()
 }
 
-// acceptLoop accepts into this shard's queue, sweeping the other shards
-// when it is full; with every queue full the connection is shed with a
-// typed reject instead of an unbounded goroutine.
+// finish retires an admitted connection: untrack and close it, and for a
+// handoff tell the gateway the server is done with it.
+func (s *Server) finish(it queued) {
+	s.untrack(it.conn)
+	it.conn.Close()
+	if it.done != nil {
+		close(it.done)
+	}
+}
+
+// Handoff gives the server a connection whose hello a gateway has already
+// read, identifying sensorID. It takes the same admission path as a
+// connection the server's own listener accepted (see admit), and the
+// worker that serves it skips the hello read. On success the server owns
+// conn and closes the returned channel once it has closed conn. A stopping
+// or closed server refuses with ErrClosed and leaves conn to the caller.
+func (s *Server) Handoff(conn net.Conn, sensorID int) (<-chan struct{}, error) {
+	s.mu.Lock()
+	if s.stopping {
+		s.mu.Unlock()
+		return nil, ErrClosed
+	}
+	s.handoffWG.Add(1)
+	s.mu.Unlock()
+	defer s.handoffWG.Done()
+	done := make(chan struct{})
+	shard := int(uint(sensorID) % uint(len(s.queues)))
+	s.admit(shard, queued{conn: conn, sensorID: sensorID, done: done})
+	return done, nil
+}
+
+// acceptLoop admits every accepted connection until the listener closes.
 func (s *Server) acceptLoop(shard int, ln net.Listener) {
 	defer s.acceptWG.Done()
 	for {
@@ -564,23 +625,35 @@ func (s *Server) acceptLoop(shard int, ln net.Listener) {
 			s.beginStop(false)
 			return
 		}
-		s.m.accepted.Inc()
-		if !s.track(conn) {
+		if !s.admit(shard, queued{conn: conn}) {
 			return
 		}
-		if s.enqueue(shard, conn) {
-			continue
-		}
-		s.shed(conn)
 	}
 }
 
-// enqueue offers conn to this shard's queue first, then sweeps the others.
-func (s *Server) enqueue(shard int, conn net.Conn) bool {
+// admit is the one admission path for listener-accepted and handed-off
+// connections alike: count it, track it for Close, then queue it — this
+// shard first, sweeping the others when it is full — or, with every queue
+// full, shed it with a typed reject instead of an unbounded goroutine. It
+// reports false, closing the connection, when the server is closed.
+func (s *Server) admit(shard int, it queued) bool {
+	s.m.accepted.Inc()
+	if !s.track(it.conn) {
+		s.finish(it)
+		return false
+	}
+	if !s.enqueue(shard, it) {
+		s.shed(it)
+	}
+	return true
+}
+
+// enqueue offers it to this shard's queue first, then sweeps the others.
+func (s *Server) enqueue(shard int, it queued) bool {
 	n := len(s.queues)
 	for off := 0; off < n; off++ {
 		select {
-		case s.queues[(shard+off)%n] <- conn:
+		case s.queues[(shard+off)%n] <- it:
 			return true
 		default:
 		}
@@ -593,7 +666,7 @@ func (s *Server) enqueue(shard int, conn net.Conn) bool {
 // answering — closing with the hello unread would send a TCP reset that
 // can destroy the in-flight reject bytes); past the rejecter bound the
 // connection is dropped outright.
-func (s *Server) shed(conn net.Conn) {
+func (s *Server) shed(it queued) {
 	s.m.shedOverload.Inc()
 	select {
 	case s.rejectSem <- struct{}{}:
@@ -601,72 +674,68 @@ func (s *Server) shed(conn net.Conn) {
 		go func() {
 			defer s.rejectWG.Done()
 			defer func() { <-s.rejectSem }()
-			s.rejectConn(conn, StatusOverloaded)
+			s.rejectConn(it, StatusOverloaded)
 		}()
 	default:
 		s.m.shedDropped.Inc()
-		s.untrack(conn)
-		conn.Close()
+		s.finish(it)
 	}
 }
 
-// rejectConn consumes the peer's hello (best effort, short deadline) and
-// answers with a typed reject status before closing.
-func (s *Server) rejectConn(conn net.Conn, st Status) {
-	defer func() {
-		s.untrack(conn)
-		conn.Close()
-	}()
-	timeout := s.cfg.IOTimeout
-	if timeout > time.Second {
-		timeout = time.Second
+// rejectConn consumes the peer's hello (best effort, short deadline) unless
+// a gateway already read it, and answers with a typed reject status before
+// closing.
+func (s *Server) rejectConn(it queued, st Status) {
+	defer s.finish(it)
+	timeout := min(s.cfg.IOTimeout, time.Second)
+	if !it.handedOff() {
+		var hello [helloLen]byte
+		if err := seccomm.ReadFullDeadline(it.conn, hello[:], timeout); err != nil {
+			return
+		}
 	}
-	var hello [helloLen]byte
-	if err := seccomm.ReadFullDeadline(conn, hello[:], timeout); err != nil {
-		return
-	}
-	writeAck(conn, st, 0, timeout)
+	writeAck(it.conn, st, 0, timeout)
 }
 
 // worker serves queued connections until the queue closes. During a drain,
 // connections that never started a session are refused with StatusDraining;
 // after a hard close they are dropped (Close already severed them).
-func (s *Server) worker(q chan net.Conn) {
+func (s *Server) worker(q chan queued) {
 	defer s.workerWG.Done()
-	for conn := range q {
+	for it := range q {
 		switch {
 		case s.isClosed():
-			s.untrack(conn)
-			conn.Close()
+			s.finish(it)
 		case s.isStopping():
 			s.m.rejectedDraining.Inc()
-			s.rejectConn(conn, StatusDraining)
+			s.rejectConn(it, StatusDraining)
 		default:
-			s.serveConn(conn)
+			s.serveConn(it)
 		}
 	}
 }
 
-// serveConn runs one connection's full lifecycle: hello, claim, session
-// open, resume ack, frame loop, final ack.
-func (s *Server) serveConn(conn net.Conn) {
-	defer func() {
-		s.untrack(conn)
-		conn.Close()
-	}()
+// serveConn runs one connection's full lifecycle: hello (unless handed
+// off), claim, session open, resume ack, frame loop, final ack.
+func (s *Server) serveConn(it queued) {
+	defer s.finish(it)
+	conn := it.conn
 	timeout := s.cfg.IOTimeout
-	var hello [helloLen]byte
-	if err := seccomm.ReadFullDeadline(conn, hello[:], timeout); err != nil {
-		s.m.unattributed.Inc()
-		s.cfg.Handler.Unattributed(fmt.Errorf("hello: %w", err))
-		return
+	sensorID := it.sensorID
+	if !it.handedOff() {
+		var hello [helloLen]byte
+		if err := seccomm.ReadFullDeadline(conn, hello[:], timeout); err != nil {
+			s.m.unattributed.Inc()
+			s.cfg.Handler.Unattributed(fmt.Errorf("hello: %w", err))
+			return
+		}
+		if hello[0] != helloMagic {
+			s.m.unattributed.Inc()
+			s.cfg.Handler.Unattributed(fmt.Errorf("hello: bad magic 0x%02x", hello[0]))
+			return
+		}
+		sensorID = int(binary.BigEndian.Uint32(hello[1:]))
 	}
-	if hello[0] != helloMagic {
-		s.m.unattributed.Inc()
-		s.cfg.Handler.Unattributed(fmt.Errorf("hello: bad magic 0x%02x", hello[0]))
-		return
-	}
-	sensorID := int(binary.BigEndian.Uint32(hello[1:]))
 	delivered, ok := s.sessions.claim(sensorID, s.cfg.ClaimWait, s.isClosed)
 	if !ok {
 		s.m.rejectedDuplicate.Inc()

@@ -693,6 +693,18 @@ func TestStagerTapObservesDeliveryPath(t *testing.T) {
 	if got := h.delivered(5); got != 4 {
 		t.Fatalf("delivery changed under the tap: %d frames", got)
 	}
+	// SessionEnd runs as the server retires the connection, after the final
+	// ack the client returned on; wait for it rather than racing it.
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		tap.mu.Lock()
+		ended := tap.endings > 0
+		tap.mu.Unlock()
+		if ended || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
 	tap.mu.Lock()
 	defer tap.mu.Unlock()
 	if len(tap.admits) != 1 || tap.admits[0] != [3]int{5, 0, 4} {
