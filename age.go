@@ -324,10 +324,11 @@ func SimulateContext(ctx context.Context, cfg SimulationConfig) (*SimulationResu
 }
 
 // SimulateOverSocket runs the pipeline through a real TCP loopback
-// connection (sensor and server as separate actors).
+// connection as a one-sensor fleet: the sensor streams through an ingest
+// Client to an ingest Server.
 //
 // Deprecated: Use SimulateOverSocketContext, which takes a caller context
-// that closes the listener and both live connections on cancellation.
+// that closes the listener and the live connection on cancellation.
 // SimulateOverSocket remains as a thin wrapper over it with
 // context.Background() and will not be removed.
 func SimulateOverSocket(cfg SimulationConfig) (*SocketResult, error) {
@@ -335,8 +336,8 @@ func SimulateOverSocket(cfg SimulationConfig) (*SocketResult, error) {
 }
 
 // SimulateOverSocketContext is SimulateOverSocket under a caller context,
-// mirroring SimulateFleetContext: cancellation closes the listener and both
-// live connections and reports the cancellation as the run's error.
+// mirroring SimulateFleetContext: cancellation closes the listener and the
+// live connection and reports the cancellation as the run's error.
 func SimulateOverSocketContext(ctx context.Context, cfg SimulationConfig) (*SocketResult, error) {
 	return simulator.RunOverSocketContext(ctx, cfg)
 }
@@ -411,7 +412,9 @@ type Client = ingest.Client
 // ClientConfig configures a Client: the server address, the sensor ID sent
 // in the hello, dial/write/reconnect/reject budgets, and an optional
 // metrics registry for the ingest.client.* instrument family. Zero values
-// select the fleet simulator's historical defaults.
+// select the client defaults documented on each field; the fleet simulator
+// passes its transport knobs through unchanged, so it runs on the same
+// defaults.
 type ClientConfig = ingest.ClientConfig
 
 // ClientStats counts one Run's transport work, for callers that fold
@@ -424,32 +427,6 @@ type FrameSource = ingest.FrameSource
 
 // NewClient returns a Client for cfg (defaults applied).
 func NewClient(cfg ClientConfig) *Client { return ingest.NewClient(cfg) }
-
-// ClientOptions is the grouped form of ClientConfig: the same fields
-// organized by concern (Dial, Write, Retry, Pace) so call sites read as
-// policy rather than a flat knob list. Config and Options convert between
-// the two surfaces losslessly; existing ClientConfig callers need not move.
-type ClientOptions = ingest.ClientOptions
-
-// DialOptions groups a client's connection-establishment policy: per-attempt
-// timeout, attempt budget, and the jittered backoff between attempts.
-type DialOptions = ingest.DialOptions
-
-// WriteOptions groups a client's frame-write policy: the per-frame I/O
-// deadline, the retry budget for short writes, and the batching factor.
-type WriteOptions = ingest.WriteOptions
-
-// RetryOptions groups a client's recovery budgets: reconnect-and-resume
-// attempts after a dropped link and retry attempts/backoff for typed
-// transient rejects.
-type RetryOptions = ingest.RetryOptions
-
-// PaceOptions is the release-pacing discipline inside ClientOptions; it is
-// the same type as PacerConfig under the grouped naming convention.
-type PaceOptions = ingest.PaceOptions
-
-// NewClientFromOptions is NewClient for the grouped options surface.
-func NewClientFromOptions(opts ClientOptions) *Client { return ingest.NewClientFromOptions(opts) }
 
 // IngestHandler is the server-side application: it opens a Session per
 // accepted sensor connection and hears about rejected and unattributable

@@ -335,33 +335,6 @@ func TestFacadeSkipRNN(t *testing.T) {
 	}
 }
 
-// TestFacadeClientOptionsRoundTrip pins the grouped/flat client-config
-// equivalence at the facade: downstream users can adopt ClientOptions (or
-// stay on ClientConfig) with identical behavior.
-func TestFacadeClientOptionsRoundTrip(t *testing.T) {
-	opts := age.ClientOptions{
-		Addr:     "127.0.0.1:9",
-		SensorID: 5,
-		Dial:     age.DialOptions{Attempts: 3},
-		Write:    age.WriteOptions{Batch: 4},
-		Retry:    age.RetryOptions{ReconnectAttempts: 7},
-		Pace:     age.PaceOptions{Mode: age.PaceConstant},
-	}
-	cfg := opts.Config()
-	if cfg.DialAttempts != 3 || cfg.WriteBatch != 4 || cfg.ReconnectAttempts != 7 ||
-		cfg.Pacer.Mode != age.PaceConstant {
-		t.Fatalf("grouped options flattened wrong: %+v", cfg)
-	}
-	back := cfg.Options()
-	if back.Dial.Attempts != 3 || back.Write.Batch != 4 || back.Retry.ReconnectAttempts != 7 ||
-		back.Pace.Mode != age.PaceConstant {
-		t.Fatalf("flat config regrouped wrong: %+v", back)
-	}
-	if cl := age.NewClientFromOptions(opts); cl == nil {
-		t.Fatal("NewClientFromOptions returned nil")
-	}
-}
-
 // clusterCountSession counts frames per sensor through the facade's cluster.
 type clusterCountSession struct {
 	total  int

@@ -97,12 +97,14 @@ func main() {
 
 	switch {
 	case *fleet > 0:
-		runFleet(cfg, *fleet, *dsName, *encName, fleetTransport{
-			dialTimeout:  *dialTimeout,
-			dialAttempts: *dialAttempts,
-			ioTimeout:    *ioTimeout,
-			runTimeout:   *runTimeout,
-		})
+		runFleet(simulator.FleetConfig{
+			Base:         cfg,
+			Sensors:      *fleet,
+			DialTimeout:  *dialTimeout,
+			DialAttempts: *dialAttempts,
+			IOTimeout:    *ioTimeout,
+			Timeout:      *runTimeout,
+		}, *dsName, *encName)
 	case *socket:
 		res, err := simulator.RunOverSocket(cfg)
 		if err != nil {
@@ -138,27 +140,11 @@ func main() {
 	}
 }
 
-// fleetTransport carries the command-line transport knobs into a FleetConfig.
-type fleetTransport struct {
-	dialTimeout  time.Duration
-	dialAttempts int
-	ioTimeout    time.Duration
-	runTimeout   time.Duration
-}
-
 // runFleet drives N concurrent sensors against one server over real TCP
 // loopback connections and reports per-sensor delivery alongside the pooled
 // attacker view. Per-sensor failures degrade the run; only setup errors,
 // full-fleet failure, or a run timeout abort it.
-func runFleet(base simulator.RunConfig, sensors int, dsName, encName string, tr fleetTransport) {
-	fcfg := simulator.FleetConfig{
-		Base:         base,
-		Sensors:      sensors,
-		DialTimeout:  tr.dialTimeout,
-		DialAttempts: tr.dialAttempts,
-		IOTimeout:    tr.ioTimeout,
-		Timeout:      tr.runTimeout,
-	}
+func runFleet(fcfg simulator.FleetConfig, dsName, encName string) {
 	res, err := simulator.RunFleet(fcfg)
 	if err != nil {
 		if res == nil {
@@ -169,7 +155,7 @@ func runFleet(base simulator.RunConfig, sensors int, dsName, encName string, tr 
 		defer log.Fatal(err)
 	}
 	fmt.Printf("fleet run: %s / %s, %d sensors, %d frames delivered, %d sensors failed\n",
-		dsName, encName, sensors, res.Messages, res.Failed)
+		dsName, encName, fcfg.Sensors, res.Messages, res.Failed)
 	for _, st := range res.Sensors {
 		line := fmt.Sprintf("  sensor %3d: %d/%d frames, %d dial attempt(s), MAE %.4f",
 			st.Sensor, st.Delivered, st.Assigned, st.DialAttempts, res.PerSensorMAE[st.Sensor])

@@ -191,18 +191,3 @@ func ExampleNewCluster() {
 	fmt.Println(len(received), stats.LocatorSize, len(stats.Nodes))
 	// Output: 8 4 3
 }
-
-func ExampleNewClientFromOptions() {
-	// The grouped options surface reads as policy; Config/Options convert
-	// losslessly to and from the flat ClientConfig.
-	opts := age.ClientOptions{
-		Addr:     "127.0.0.1:4040",
-		SensorID: 12,
-		Dial:     age.DialOptions{Attempts: 4},
-		Retry:    age.RetryOptions{ReconnectAttempts: 2},
-	}
-	cfg := opts.Config()
-	back := cfg.Options()
-	fmt.Println(cfg.SensorID, cfg.DialAttempts, back.Dial.Attempts, back.Retry.ReconnectAttempts)
-	// Output: 12 4 4 2
-}

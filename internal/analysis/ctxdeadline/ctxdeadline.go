@@ -27,7 +27,8 @@ type Config struct {
 }
 
 // DefaultConfig covers the frame transport, the ingest server/client, the
-// fleet/socket simulators, and the cluster gateway's proxy path.
+// fleet simulator (which the socket path runs as a one-sensor fleet), and
+// the cluster gateway's accept and handoff path.
 func DefaultConfig() Config {
 	return Config{Packages: []string{
 		"repro/internal/seccomm",

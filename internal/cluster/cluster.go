@@ -502,10 +502,11 @@ func (c *Cluster) serveConn(conn net.Conn) {
 
 // route picks the node for a sensor's new connection and bumps the
 // locator. Stickiness first: a sensor whose session state lives on a live
-// node goes back to it, unless the ring (bounded-load variant) has since
-// reassigned the sensor and the state is idle — then the state migrates to
-// the ring target before the connection is admitted. Sensors with no
-// usable state are placed fresh by the ring.
+// node goes back to it, unless the state is idle, the ring (bounded-load
+// variant) has since reassigned the sensor, and the holder is over its
+// load ceiling — then the state migrates to the ring target before the
+// connection is admitted. Idle state on a draining node always migrates.
+// Sensors with no usable state are placed fresh by the ring.
 func (c *Cluster) route(sensorID int) (*node, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -525,12 +526,17 @@ func (c *Cluster) route(sensorID int) (*node, bool) {
 			// registry serializes the claim. State cannot move mid-flight.
 			e.active++
 			return old, true
-		case old.state == nodeLive && (!ok || target == e.node):
+		case old.state == nodeLive && (!ok || target == e.node || c.withinBoundLocked(e.node)):
+			// The holder is live and within its ceiling: stay. The bounded
+			// ring target drifts as loads shift, and drift alone is no
+			// reason to move state. A join moves its ring-affected idle
+			// sessions eagerly (rebalanceTo); a drain takes the holder out
+			// of the live set.
 			e.active++
 			return old, true
 		default:
-			// Idle state on a live-but-reassigned or draining node:
-			// migrate it to the ring target, then admit.
+			// Idle state on an overloaded or draining node: migrate it to
+			// the ring target, then admit.
 			if !ok {
 				return nil, false
 			}
@@ -560,17 +566,24 @@ func (c *Cluster) route(sensorID int) (*node, bool) {
 	return c.nodes[target], true
 }
 
-// ringTargetLocked is the bounded-load ring lookup over live nodes. It runs
-// on every routed hello, so it must stay O(nodes): the per-node loads come
-// from the incrementally maintained counters, never a locator scan.
-func (c *Cluster) ringTargetLocked(sensorID int) (int, bool) {
-	live, total := 0, 0
+// liveLoadLocked returns the live node count and the sessions they carry.
+// It runs on every routed hello, so it must stay O(nodes): the per-node
+// loads come from the incrementally maintained counters, never a locator
+// scan.
+func (c *Cluster) liveLoadLocked() (live, total int) {
 	for _, n := range c.nodes {
 		if n.state == nodeLive {
 			live++
 			total += c.loads[n.id]
 		}
 	}
+	return live, total
+}
+
+// ringTargetLocked is the bounded-load ring lookup over live nodes for a
+// sensor about to add one session.
+func (c *Cluster) ringTargetLocked(sensorID int) (int, bool) {
+	live, total := c.liveLoadLocked()
 	if live == 0 {
 		return 0, false
 	}
@@ -582,6 +595,17 @@ func (c *Cluster) ringTargetLocked(sensorID int) (int, bool) {
 	// live nodes alone — entries parked on draining/dead nodes never count
 	// against the bound, matching the pre-counter semantics.
 	return c.ring.lookupBounded(sensorID, func(n int) int { return c.loads[n] }, cap)
+}
+
+// withinBoundLocked reports whether a live node's load, which already
+// counts the sensor being routed, is within the bounded-load ceiling
+// ceil(LoadFactor·total/live). False when the bound is disabled.
+func (c *Cluster) withinBoundLocked(id int) bool {
+	live, total := c.liveLoadLocked()
+	if live == 0 || c.cfg.LoadFactor < 1 {
+		return false
+	}
+	return c.loads[id] <= int(math.Ceil(c.cfg.LoadFactor*float64(total)/float64(live)))
 }
 
 // migrateLocked hands a sensor's session off src to dst: ingest registry

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -524,6 +525,81 @@ func TestClusterAddNodeRebalancesOnlyAffected(t *testing.T) {
 		t.Error("no idle session moved to the joined node; rebalance did nothing")
 	}
 	t.Logf("join rebalance: %d moved, %d untouched", moved, kept)
+}
+
+// errSleep ends a sleepSource's wake period.
+var errSleep = errors.New("sensor asleep")
+
+// sleepSource is one wake period of a duty-cycled sensor: it streams
+// frameBytes frames from the resume index up to stopAt, then ends the run
+// with a terminal error, which leaves its session open (not done) on the
+// node. With stopAt == total the stream completes instead.
+type sleepSource struct {
+	sensorID, total, stopAt, next int
+}
+
+func (s *sleepSource) Total() int { return s.total }
+
+func (s *sleepSource) Seek(resume int) error {
+	s.next = resume
+	return nil
+}
+
+func (s *sleepSource) Next(ctx context.Context) ([]byte, error) {
+	if s.next == s.stopAt {
+		return nil, ingest.Terminal(errSleep)
+	}
+	msg := frameBytes(s.sensorID, s.next)
+	s.next++
+	return msg, nil
+}
+
+// TestClusterIdleReconnectsDoNotMigrate runs duty-cycled sensors that
+// disconnect mid-stream and reconnect, one connection at a time, while no
+// node joins, drains or dies. With no membership change and every holder
+// within its load ceiling, each reconnect must go back to the node holding
+// the sensor's state: a migration would be pure state churn, and every
+// state transfer is one more step that can fail.
+func TestClusterIdleReconnectsDoNotMigrate(t *testing.T) {
+	const sensors, total = 60, 4
+	reg := metrics.NewRegistry()
+	var handlers []*recHandler
+	c := startCluster(t, Config{
+		Nodes: 3,
+		NewNode: func(i int) NodeSpec {
+			h := newRecHandler(i, total)
+			handlers = append(handlers, h)
+			return NodeSpec{Server: ingest.ServerConfig{Handler: h}}
+		},
+		Metrics: reg,
+	})
+	addr := c.Addr().String()
+	wake := func(stopAt int) {
+		for id := 0; id < sensors; id++ {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			_, err := ingest.NewClient(clientCfg(addr, id)).Run(ctx, &sleepSource{sensorID: id, total: total, stopAt: stopAt})
+			cancel()
+			if stopAt < total && !errors.Is(err, errSleep) || stopAt == total && err != nil {
+				t.Fatalf("wake to frame %d, sensor %d: run error %v", stopAt, id, err)
+			}
+			// The gateway retires the connection after the client returns;
+			// wait so the next route sees settled loads.
+			waitQuiet(t, c)
+		}
+	}
+	// Every sensor stays mid-stream through these wakes, so the total
+	// load, and each node's share of it, never changes.
+	for stopAt := 1; stopAt < total; stopAt++ {
+		wake(stopAt)
+	}
+	if got := reg.Counter("cluster.migrations").Value(); got != 0 {
+		t.Errorf("cluster.migrations = %d with no membership change, want 0", got)
+	}
+	// The last wake completes every stream. As sessions complete the total
+	// shrinks, which can leave a holder over its ceiling, a legitimate
+	// reason to move; only delivery is checked here.
+	wake(total)
+	verifyStreams(t, handlers, seqIDs(sensors), total)
 }
 
 // fakeClock is a settable shared clock for TTL tests: no sleeping.

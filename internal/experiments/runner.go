@@ -26,13 +26,14 @@ import (
 //   - Results are merged in cell-enumeration order, so the rendered tables
 //     are byte-identical for any worker count, including Workers=1.
 //   - On failure, the error from the lowest-numbered failing cell is
-//     reported (cancellation aborts the remaining cells), keeping even the
-//     failure mode schedule-independent.
+//     reported, keeping even the failure mode schedule-independent. A
+//     failure cancels and skips only the cells above it; every cell below
+//     it runs to completion, since one of them may fail too and win.
 
 // sweep runs n cells (labels[i] names cell i) across the configured worker
 // pool. run must confine its writes to cell i's result slot. The first
-// error — by cell order, not completion order — cancels the sweep and is
-// returned. A canceled parent context returns ctx.Err().
+// error — by cell order, not completion order — cancels the cells above it
+// and is returned. A canceled parent context returns ctx.Err().
 func (c Config) sweep(ctx context.Context, labels []string, run func(ctx context.Context, cell int) error) error {
 	n := len(labels)
 	if n == 0 {
@@ -45,8 +46,6 @@ func (c Config) sweep(ctx context.Context, labels []string, run func(ctx context
 	if workers > n {
 		workers = n
 	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	// Sweep instrumentation (all instruments are nil-safe no-ops without a
 	// registry). exp.workers_busy tracks utilization: its value at any
 	// instant is the number of workers inside run().
@@ -66,6 +65,9 @@ func (c Config) sweep(ctx context.Context, labels []string, run func(ctx context
 		done     int
 		firstErr error
 		firstIdx = n
+		// cancels[i] is in-flight cell i's cancel func (nil otherwise), so a
+		// failure can abort the cells above it and no others.
+		cancels = make([]context.CancelFunc, n)
 	)
 	for wk := 0; wk < workers; wk++ {
 		wg.Add(1)
@@ -73,16 +75,34 @@ func (c Config) sweep(ctx context.Context, labels []string, run func(ctx context
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= n || cctx.Err() != nil {
+				if sweepClaimHook != nil {
+					sweepClaimHook(i)
+				}
+				if i >= n || ctx.Err() != nil {
 					return
 				}
+				mu.Lock()
+				if i > firstIdx {
+					// A lower cell already failed, and claims only grow:
+					// nothing this worker could still run can matter.
+					mu.Unlock()
+					return
+				}
+				// Only the parent, or a failure in a lower cell, cancels a
+				// cell: cells below the lowest failure run to completion,
+				// so the reported error cannot depend on the schedule.
+				cellCtx, cellCancel := context.WithCancel(ctx)
+				cancels[i] = cellCancel
+				mu.Unlock()
 				busy.Add(1)
 				//age:allow detrand cell-latency observability (PR-3 metrics); never feeds experiment results
 				start := time.Now()
-				err := run(cctx, i)
+				err := run(cellCtx, i)
 				cellNs.ObserveSince(start)
 				busy.Add(-1)
 				mu.Lock()
+				cancels[i] = nil
+				cellCancel()
 				if err != nil {
 					// Cancellation fallout from another cell's failure is
 					// not this cell's error; real errors keep the lowest
@@ -92,10 +112,14 @@ func (c Config) sweep(ctx context.Context, labels []string, run func(ctx context
 						cellsFailed.Inc()
 						if i < firstIdx {
 							firstErr, firstIdx = err, i
+							for _, cancelCell := range cancels[i+1:] {
+								if cancelCell != nil {
+									cancelCell()
+								}
+							}
 						}
 					}
 					mu.Unlock()
-					cancel()
 					continue
 				}
 				done++
@@ -115,6 +139,12 @@ func (c Config) sweep(ctx context.Context, labels []string, run func(ctx context
 	}
 	return ctx.Err()
 }
+
+// sweepClaimHook, when non-nil, is called by a sweep worker right after it
+// claims cell index i (i may be past the last cell). Tests use it to force
+// interleavings; it must be set before the sweep starts and not mutated
+// during it.
+var sweepClaimHook func(i int)
 
 // prepareWorkloads loads and fits one workload per dataset, in parallel (a
 // workload's policy fitting is the expensive per-dataset setup). When

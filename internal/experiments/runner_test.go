@@ -78,6 +78,40 @@ func TestSweepLowestCellError(t *testing.T) {
 	}
 }
 
+// TestSweepLowestCellErrorWhenHigherCellFailsFirst forces the interleaving
+// in which a higher cell fails while a lower cell is claimed but not yet
+// started: the worker that claimed cell 0 is held between claim and start
+// until the other worker has run and failed cell 1 and claimed cell 2.
+// Cell 0 must still run, and its error must win.
+func TestSweepLowestCellErrorWhenHigherCellFailsFirst(t *testing.T) {
+	labels := []string{"cell-0", "cell-1", "cell-2"}
+	claimed2 := make(chan struct{})
+	sweepClaimHook = func(i int) {
+		switch i {
+		case 0:
+			<-claimed2
+		case 2:
+			close(claimed2)
+		}
+	}
+	defer func() { sweepClaimHook = nil }()
+	var mu sync.Mutex
+	var ran []int
+	cfg := Config{Workers: 2}
+	err := cfg.sweep(context.Background(), labels, func(ctx context.Context, i int) error {
+		mu.Lock()
+		ran = append(ran, i)
+		mu.Unlock()
+		return fmt.Errorf("cell %d failed", i)
+	})
+	if err == nil || err.Error() != "cell 0 failed" {
+		t.Errorf("err = %v, want cell 0's error", err)
+	}
+	if fmt.Sprint(ran) != "[1 0]" {
+		t.Errorf("ran cells %v, want [1 0]: cell 2 is above the failure, cell 0 below it", ran)
+	}
+}
+
 // TestSweepErrorCancelsRemaining checks a failing cell stops the sweep: with
 // one worker, cells after the failure never run.
 func TestSweepErrorCancelsRemaining(t *testing.T) {

@@ -14,15 +14,14 @@ import (
 )
 
 // Client transport defaults, applied when the corresponding ClientConfig
-// knob is zero. They match the fleet simulator's historical defaults.
+// knob is zero (the IO deadline default is DefaultIOTimeout).
 const (
-	defaultDialTimeout     = 2 * time.Second
-	defaultDialAttempts    = 4
-	defaultDialBackoff     = 25 * time.Millisecond
-	defaultDialBackoffMax  = 2 * time.Second
-	defaultClientIOTimeout = 5 * time.Second
-	defaultWriteAttempts   = 2
-	defaultRejectAttempts  = 8
+	defaultDialTimeout    = 2 * time.Second
+	defaultDialAttempts   = 4
+	defaultDialBackoff    = 25 * time.Millisecond
+	defaultDialBackoffMax = 2 * time.Second
+	defaultWriteAttempts  = 2
+	defaultRejectAttempts = 8
 )
 
 // ClientConfig configures one sensor's Client.
@@ -102,7 +101,7 @@ func (cfg ClientConfig) withDefaults() ClientConfig {
 		cfg.DialBackoffMax = cfg.DialBackoff
 	}
 	if cfg.IOTimeout <= 0 {
-		cfg.IOTimeout = defaultClientIOTimeout
+		cfg.IOTimeout = DefaultIOTimeout
 	}
 	if cfg.WriteAttempts <= 0 {
 		cfg.WriteAttempts = defaultWriteAttempts

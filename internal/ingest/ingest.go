@@ -70,6 +70,10 @@ const (
 	ackLen     = 5 // [1B status][4B index]
 )
 
+// DefaultIOTimeout is the per-frame read/write deadline the Client and the
+// Server apply when their IOTimeout is zero.
+const DefaultIOTimeout = 5 * time.Second
+
 // ErrClosed is returned by Serve after Drain or Close stops the server, in
 // the manner of http.ErrServerClosed.
 var ErrClosed = errors.New("ingest: server closed")

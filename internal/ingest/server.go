@@ -18,7 +18,6 @@ const (
 	defaultShards          = 4
 	defaultWorkersPerShard = 8
 	defaultQueueDepth      = 32
-	defaultServerIOTimeout = 5 * time.Second
 	// defaultRejecters bounds the goroutines that write typed rejects to
 	// shed connections; past that, shed connections are dropped outright.
 	defaultRejecters = 32
@@ -88,7 +87,7 @@ func (cfg ServerConfig) withDefaults() ServerConfig {
 		cfg.QueueDepth = defaultQueueDepth
 	}
 	if cfg.IOTimeout <= 0 {
-		cfg.IOTimeout = defaultServerIOTimeout
+		cfg.IOTimeout = DefaultIOTimeout
 	}
 	if cfg.ClaimWait <= 0 {
 		cfg.ClaimWait = cfg.IOTimeout

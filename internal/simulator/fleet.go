@@ -42,17 +42,6 @@ import (
 // connection would perturb delivery. Overload behavior is exercised by
 // cmd/ageload and the ingest package's own tests, not here.
 
-// Transport defaults, applied when the corresponding FleetConfig knob is
-// zero. They are deliberately generous: tests that exercise failure paths
-// set much tighter values.
-const (
-	defaultDialTimeout   = 2 * time.Second
-	defaultDialAttempts  = 4
-	defaultDialBackoff   = 25 * time.Millisecond
-	defaultIOTimeout     = 5 * time.Second
-	defaultWriteAttempts = 2
-)
-
 // FleetConfig drives a multi-sensor run. All sensors share the task shape
 // (T, d, format) and encoder kind but hold distinct keys.
 type FleetConfig struct {
@@ -63,6 +52,10 @@ type FleetConfig struct {
 	// Sensors is the fleet size; the Base dataset's sequences are dealt
 	// round-robin across sensors.
 	Sensors int
+
+	// The transport knobs below are passed to each sensor's
+	// ingest.ClientConfig (IOTimeout also to the ingest.ServerConfig);
+	// zero values select the ingest defaults, quoted here.
 
 	// DialTimeout bounds a single TCP connect attempt (default 2s).
 	DialTimeout time.Duration
@@ -141,26 +134,6 @@ const (
 	PaceConstant = ingest.PaceConstant
 	PaceJitter   = ingest.PaceJitter
 )
-
-// withTransportDefaults fills zero-valued transport knobs.
-func (cfg FleetConfig) withTransportDefaults() FleetConfig {
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = defaultDialTimeout
-	}
-	if cfg.DialAttempts <= 0 {
-		cfg.DialAttempts = defaultDialAttempts
-	}
-	if cfg.DialBackoff <= 0 {
-		cfg.DialBackoff = defaultDialBackoff
-	}
-	if cfg.IOTimeout <= 0 {
-		cfg.IOTimeout = defaultIOTimeout
-	}
-	if cfg.WriteAttempts <= 0 {
-		cfg.WriteAttempts = defaultWriteAttempts
-	}
-	return cfg
-}
 
 // FleetFaults injects transport faults by sensor id, modelling the failure
 // modes of a lossy deployment: a node that dies mid-stream, a node that
@@ -352,7 +325,12 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	if cfg.Base.Dataset == nil || len(cfg.Base.Dataset.Sequences) < n {
 		return nil, fmt.Errorf("simulator: dataset too small for %d sensors", n)
 	}
-	cfg = cfg.withTransportDefaults()
+	// Zero transport knobs fall through to the ingest client and server
+	// defaults; only the IO deadline is resolved here, because the drain
+	// and stall bounds below are multiples of it.
+	if cfg.IOTimeout <= 0 {
+		cfg.IOTimeout = ingest.DefaultIOTimeout
+	}
 	meta := cfg.Base.Dataset.Meta
 	coreCfg := core.Config{
 		T: meta.SeqLen, D: meta.NumFeatures, Format: meta.Format,
@@ -400,7 +378,6 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 		WorkersPerShard: (2*n+shards-1)/shards + 1,
 		QueueDepth:      2 * n,
 		IOTimeout:       cfg.IOTimeout,
-		ClaimWait:       cfg.IOTimeout,
 		Metrics:         cfg.Base.Metrics,
 	})
 	if err != nil {

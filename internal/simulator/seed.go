@@ -2,6 +2,8 @@ package simulator
 
 import "math/rand"
 
-// newSeededRand returns a deterministic rand for per-sequence sampling in
-// socket mode, so the sensor's choices are reproducible across runs.
+// newSeededRand returns the deterministic sampling RNG a fleet sensor
+// replays from its seed on every (re)connection, so resume is invisible in
+// the sampled data. It is the same source Run draws from, which makes a
+// one-sensor fleet (RunOverSocket) sample exactly as Run does.
 func newSeededRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

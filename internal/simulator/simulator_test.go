@@ -1,6 +1,8 @@
 package simulator
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -284,6 +286,29 @@ func TestRunOverSocketMatchesInProcess(t *testing.T) {
 				t.Fatalf("socket sizes differ: %d vs %d", s, size)
 			}
 		}
+	}
+
+	// Under a random policy the sampling stream decides the result, so this
+	// case pins that the socket sensor draws from the same replayable
+	// stream as Run: equal MAE bit for bit and equal attacker views.
+	rcfg := baseConfig(d, policy.NewRandom(0.6), EncAGE, 0.7)
+	rcfg.Mode = ModeMCU
+	run, err := Run(rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.Violations != 0 {
+		t.Fatalf("in-process run has %d budget violations; the comparison needs 0", run.Violations)
+	}
+	rsock, err := RunOverSocket(rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(rsock.MAE) != math.Float64bits(run.MAE) {
+		t.Errorf("random policy: socket MAE %.17g, in-process MAE %.17g", rsock.MAE, run.MAE)
+	}
+	if !reflect.DeepEqual(rsock.SizesByLabel, run.SizesByLabel) {
+		t.Errorf("random policy: socket sizes %v, in-process sizes %v", rsock.SizesByLabel, run.SizesByLabel)
 	}
 }
 

@@ -1,129 +1,6 @@
 package simulator
 
-import (
-	"context"
-	"errors"
-	"fmt"
-	"net"
-	"sync"
-	"time"
-
-	"repro/internal/core"
-	"repro/internal/dataset"
-	"repro/internal/metrics"
-	"repro/internal/reconstruct"
-	"repro/internal/seccomm"
-)
-
-// This file implements the artifact's process topology: the sensor and the
-// server run as separate actors connected by a local (encrypted) socket. The
-// in-process Run is the fast path for parameter sweeps; RunOverSocket drives
-// the identical pipeline through a real TCP loopback connection, which the
-// integration tests and examples use.
-
-// Sensor samples sequences, encodes batches, seals them, and writes frames
-// to the connection.
-type Sensor struct {
-	cfg     RunConfig
-	enc     core.Encoder
-	sealer  seccomm.Sealer
-	timeout time.Duration
-	// nil-safe instruments (RunConfig.Metrics).
-	frames *metrics.Counter
-	bytes  *metrics.Counter
-}
-
-// Server reads frames, opens and decodes them, and reconstructs sequences.
-type Server struct {
-	meta    dataset.Meta
-	dec     core.Decoder
-	opener  seccomm.Sealer
-	timeout time.Duration
-	frames  *metrics.Counter
-	bytes   *metrics.Counter
-}
-
-// ServerResult is what the server learns about one received batch.
-type ServerResult struct {
-	WireBytes int
-	Recon     [][]float64
-}
-
-// NewSensorServer builds a matched sensor/server pair for a run
-// configuration.
-func NewSensorServer(cfg RunConfig) (*Sensor, *Server, error) {
-	meta := cfg.Dataset.Meta
-	coreCfg := core.Config{
-		T: meta.SeqLen, D: meta.NumFeatures, Format: meta.Format,
-		TargetBytes: core.TargetBytesForRate(cfg.Rate, meta.SeqLen, meta.NumFeatures, meta.Format.Width),
-	}
-	encs, err := buildInstrumentedEncoder(cfg.Encoder, coreCfg, cfg.Cipher, cfg.Metrics)
-	if err != nil {
-		return nil, nil, err
-	}
-	sealer, opener, err := sealerPair(cfg.Cipher)
-	if err != nil {
-		return nil, nil, err
-	}
-	timeout := cfg.IOTimeout
-	if timeout <= 0 {
-		timeout = defaultIOTimeout
-	}
-	reg := cfg.Metrics
-	return &Sensor{cfg: cfg, enc: encs.enc, sealer: sealer, timeout: timeout,
-			frames: reg.Counter("socket.frames_sent"), bytes: reg.Counter("socket.wire_bytes_sent")},
-		&Server{meta: meta, dec: encs.dec, opener: opener, timeout: timeout,
-			frames: reg.Counter("socket.frames_received"), bytes: reg.Counter("socket.wire_bytes_received")}, nil
-}
-
-// SendSequence samples one sequence with the sensor's policy, encodes and
-// seals the batch, and writes it as one frame. It returns the collected
-// count and the wire size.
-func (s *Sensor) SendSequence(conn net.Conn, seq [][]float64, seed int64) (collected, wireBytes int, err error) {
-	idx := s.cfg.Policy.Sample(seq, newSeededRand(seed))
-	vals := make([][]float64, len(idx))
-	for i, t := range idx {
-		vals[i] = seq[t]
-	}
-	payload, err := s.enc.Encode(core.Batch{Indices: idx, Values: vals})
-	if err != nil {
-		return 0, 0, fmt.Errorf("sensor: encode: %w", err)
-	}
-	msg, err := s.sealer.Seal(payload)
-	if err != nil {
-		return 0, 0, fmt.Errorf("sensor: seal: %w", err)
-	}
-	if err := seccomm.WriteFrameDeadline(conn, msg, s.timeout); err != nil {
-		return 0, 0, fmt.Errorf("sensor: write: %w", err)
-	}
-	s.frames.Inc()
-	s.bytes.Add(int64(len(msg)))
-	return len(idx), len(msg), nil
-}
-
-// ReceiveSequence reads one frame, opens and decodes it, and reconstructs
-// the full sequence.
-func (s *Server) ReceiveSequence(conn net.Conn) (*ServerResult, error) {
-	msg, err := seccomm.ReadFrameDeadline(conn, s.timeout)
-	if err != nil {
-		return nil, fmt.Errorf("server: read: %w", err)
-	}
-	s.frames.Inc()
-	s.bytes.Add(int64(len(msg)))
-	payload, err := s.opener.Open(msg)
-	if err != nil {
-		return nil, fmt.Errorf("server: open: %w", err)
-	}
-	batch, err := s.dec.Decode(payload)
-	if err != nil {
-		return nil, fmt.Errorf("server: decode: %w", err)
-	}
-	recon, err := reconstruct.Linear(batch.Indices, batch.Values, s.meta.SeqLen, s.meta.NumFeatures)
-	if err != nil {
-		return nil, fmt.Errorf("server: reconstruct: %w", err)
-	}
-	return &ServerResult{WireBytes: len(msg), Recon: recon}, nil
-}
+import "context"
 
 // SocketResult aggregates a socket-mode run.
 type SocketResult struct {
@@ -131,132 +8,24 @@ type SocketResult struct {
 	SizesByLabel map[int][]int
 }
 
-// RunOverSocket executes the pipeline over a real TCP loopback connection:
-// the sensor goroutine streams every sequence; the server (caller goroutine)
-// receives, reconstructs, and scores. Energy/budget accounting is the
-// in-process Run's job; this path validates the transport stack end to end.
-// Every frame carries the RunConfig.IOTimeout read/write deadline, and a
-// server-side failure closes the connection and waits for the sensor
-// goroutine before returning, so neither side can leak or hang the caller.
+// RunOverSocket executes the pipeline over a real TCP loopback connection.
+// It is a one-sensor fleet: the sensor streams through an ingest.Client to
+// an ingest.Server, sampling from the same replayable RNG stream as the
+// in-process Run, so a fixed-seed socket run reconstructs exactly what Run
+// does. Energy/budget accounting is Run's job; this path validates the
+// transport stack end to end under the RunConfig.IOTimeout deadlines.
 func RunOverSocket(cfg RunConfig) (*SocketResult, error) {
 	return RunOverSocketContext(context.Background(), cfg)
 }
 
-// RunOverSocketContext is RunOverSocket under a caller context, mirroring
-// RunFleetContext: cancellation closes the listener and both live
-// connections, joins the sensor goroutine, and reports the cancellation as
-// the run's error.
+// RunOverSocketContext is RunOverSocket under a caller context, with
+// RunFleetContext's cancellation contract: the server and the client
+// connection are closed and the cancellation is reported as the run's
+// error.
 func RunOverSocketContext(ctx context.Context, cfg RunConfig) (*SocketResult, error) {
-	sensor, server, err := NewSensorServer(cfg)
+	res, err := RunFleetContext(ctx, FleetConfig{Base: cfg, Sensors: 1, IOTimeout: cfg.IOTimeout})
 	if err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	defer ln.Close()
-
-	// Both live connections register here so cancellation and abort can
-	// sever them without racing their setup.
-	var connMu sync.Mutex
-	var conns []net.Conn
-	track := func(c net.Conn) {
-		connMu.Lock()
-		conns = append(conns, c)
-		connMu.Unlock()
-	}
-	sever := func() {
-		ln.Close()
-		connMu.Lock()
-		for _, c := range conns {
-			c.Close()
-		}
-		connMu.Unlock()
-	}
-	watchDone := make(chan struct{})
-	var watchOnce sync.Once
-	var watchWG sync.WaitGroup
-	watchWG.Add(1)
-	go func() {
-		defer watchWG.Done()
-		select {
-		case <-ctx.Done():
-			sever()
-		case <-watchDone:
-		}
-	}()
-	stopWatch := func() {
-		watchOnce.Do(func() { close(watchDone) })
-		watchWG.Wait()
-	}
-	defer stopWatch()
-
-	var wg sync.WaitGroup
-	var sensorErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		conn, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			sensorErr = err
-			return
-		}
-		track(conn)
-		defer conn.Close()
-		for i, seq := range cfg.Dataset.Sequences {
-			if _, _, err := sensor.SendSequence(conn, seq.Values, cfg.Seed+int64(i)); err != nil {
-				sensorErr = err
-				return
-			}
-		}
-	}()
-	// abort tears the transport down and joins the sensor goroutine so a
-	// server-side failure cannot leak it mid-write. A cancelled context wins
-	// the error report: the transport errors are its consequence.
-	abort := func(serverErr error) error {
-		sever()
-		wg.Wait()
-		if cause := ctx.Err(); cause != nil {
-			return fmt.Errorf("simulator: socket run cancelled: %w", cause)
-		}
-		if sensorErr != nil {
-			return errors.Join(
-				fmt.Errorf("simulator: server: %w", serverErr),
-				fmt.Errorf("simulator: sensor: %w", sensorErr),
-			)
-		}
-		return fmt.Errorf("simulator: server: %w", serverErr)
-	}
-
-	conn, err := ln.Accept()
-	if err != nil {
-		return nil, abort(err)
-	}
-	track(conn)
-	defer conn.Close()
-
-	res := &SocketResult{SizesByLabel: map[int][]int{}}
-	var acc reconstruct.Accumulator
-	for _, seq := range cfg.Dataset.Sequences {
-		sr, err := server.ReceiveSequence(conn)
-		if err != nil {
-			return nil, abort(err)
-		}
-		mae, err := reconstruct.MAE(sr.Recon, seq.Values)
-		if err != nil {
-			return nil, abort(err)
-		}
-		acc.Add(mae, 1)
-		res.SizesByLabel[seq.Label] = append(res.SizesByLabel[seq.Label], sr.WireBytes)
-	}
-	wg.Wait()
-	if sensorErr != nil {
-		if cause := ctx.Err(); cause != nil {
-			return nil, fmt.Errorf("simulator: socket run cancelled: %w", cause)
-		}
-		return nil, fmt.Errorf("simulator: sensor: %w", sensorErr)
-	}
-	res.MAE = acc.MAE()
-	return res, nil
+	return &SocketResult{MAE: res.PerSensorMAE[0], SizesByLabel: res.SizesByLabel}, nil
 }
