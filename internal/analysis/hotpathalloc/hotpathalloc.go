@@ -34,8 +34,9 @@ type Config struct {
 
 // DefaultConfig returns the repo's hot-path inventory: every encoder's
 // append/into entry points, the bit-packing and quantization kernels on
-// their call paths, and the reconstruction kernels the projection scores
-// each delivered frame with.
+// their call paths, the reconstruction kernels the projection scores each
+// delivered frame with, and the cipher and staging kernels on the server's
+// frame path.
 func DefaultConfig() Config {
 	return Config{
 		Require: map[string][]string{
@@ -55,6 +56,10 @@ func DefaultConfig() Config {
 			},
 			// The projection's per-record scoring kernels.
 			"repro/internal/reconstruct": {"LinearMAE", "SequenceStdDev"},
+			// The server's per-frame open and the staged copy of each
+			// decoded batch.
+			"repro/internal/chacha":  {"Reset", "XORKeyStream"},
+			"repro/internal/staging": {"carve"},
 		},
 	}
 }

@@ -36,13 +36,26 @@ type Cipher struct {
 // starting at the given initial block counter (RFC 7539 uses 1 for the cipher
 // proper and 0 for deriving a Poly1305 key).
 func New(key, nonce []byte, counter uint32) (*Cipher, error) {
+	c := new(Cipher)
+	if err := c.Reset(key, nonce, counter); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Reset rebinds c to the key and nonce at the given initial block counter,
+// discarding any buffered keystream; the result is the cipher New returns.
+// A Cipher value reset in place can live on the stack.
+//
+//age:hotpath
+func (c *Cipher) Reset(key, nonce []byte, counter uint32) error {
 	if len(key) != KeySize {
-		return nil, fmt.Errorf("chacha: key must be %d bytes, got %d", KeySize, len(key))
+		return fmt.Errorf("chacha: key must be %d bytes, got %d", KeySize, len(key))
 	}
 	if len(nonce) != NonceSize {
-		return nil, fmt.Errorf("chacha: nonce must be %d bytes, got %d", NonceSize, len(nonce))
+		return fmt.Errorf("chacha: nonce must be %d bytes, got %d", NonceSize, len(nonce))
 	}
-	c := &Cipher{counter: counter, bufUsed: blockSize}
+	c.counter, c.bufUsed = counter, blockSize
 	// "expand 32-byte k" constants.
 	c.state[0] = 0x61707865
 	c.state[1] = 0x3320646e
@@ -54,7 +67,7 @@ func New(key, nonce []byte, counter uint32) (*Cipher, error) {
 	for i := 0; i < 3; i++ {
 		c.state[13+i] = binary.LittleEndian.Uint32(nonce[4*i:])
 	}
-	return c, nil
+	return nil
 }
 
 func quarterRound(a, b, c, d uint32) (uint32, uint32, uint32, uint32) {
@@ -99,6 +112,8 @@ func (c *Cipher) block(counter uint32, out *[blockSize]byte) {
 // XORKeyStream XORs src with the keystream into dst. dst and src may overlap
 // exactly or not at all; dst must be at least len(src) bytes. The keystream
 // position advances by len(src).
+//
+//age:hotpath
 func (c *Cipher) XORKeyStream(dst, src []byte) {
 	if len(dst) < len(src) {
 		panic("chacha: dst shorter than src")
@@ -116,10 +131,11 @@ func (c *Cipher) XORKeyStream(dst, src []byte) {
 
 // Encrypt is a convenience one-shot: it encrypts plaintext with the key and
 // nonce starting at counter 1 (the RFC convention) and returns the
-// ciphertext. Decryption is the same call.
+// ciphertext. Decryption is the same call. The cipher stays on the stack,
+// so the ciphertext is the only allocation.
 func Encrypt(key, nonce, plaintext []byte) ([]byte, error) {
-	c, err := New(key, nonce, 1)
-	if err != nil {
+	var c Cipher
+	if err := c.Reset(key, nonce, 1); err != nil {
 		return nil, err
 	}
 	out := make([]byte, len(plaintext))

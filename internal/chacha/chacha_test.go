@@ -173,3 +173,66 @@ func BenchmarkXORKeyStream1K(b *testing.B) {
 		c.XORKeyStream(buf, buf)
 	}
 }
+
+// TestResetMatchesNew pins Reset as New's replacement: a cipher reset
+// mid-stream to a fresh key, nonce and counter produces exactly the
+// keystream a new cipher with those parameters does.
+func TestResetMatchesNew(t *testing.T) {
+	key := make([]byte, KeySize)
+	nonce := make([]byte, NonceSize)
+	key[3], nonce[7] = 9, 4
+	c, err := New(make([]byte, KeySize), make([]byte, NonceSize), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.XORKeyStream(make([]byte, 37), make([]byte, 37)) // leave keystream buffered
+	if err := c.Reset(key, nonce, 1); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(key, nonce, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := make([]byte, 150), make([]byte, 150)
+	c.XORKeyStream(got, got)
+	fresh.XORKeyStream(want, want)
+	if !bytes.Equal(got, want) {
+		t.Error("reset cipher's keystream differs from a new cipher's")
+	}
+	if err := c.Reset(key[:16], nonce, 1); err == nil {
+		t.Error("Reset accepted a short key")
+	}
+	if err := c.Reset(key, nonce[:8], 1); err == nil {
+		t.Error("Reset accepted a short nonce")
+	}
+}
+
+// TestEncryptAllocsOnlyCiphertext pins the one-shot's cost: the cipher
+// stays on the stack, so the ciphertext is the only allocation.
+func TestEncryptAllocsOnlyCiphertext(t *testing.T) {
+	key := make([]byte, KeySize)
+	nonce := make([]byte, NonceSize)
+	msg := make([]byte, 64)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Encrypt(key, nonce, msg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("Encrypt allocs = %v, want exactly 1", allocs)
+	}
+}
+
+func BenchmarkEncrypt64(b *testing.B) {
+	key := make([]byte, KeySize)
+	nonce := make([]byte, NonceSize)
+	msg := make([]byte, 64)
+	b.SetBytes(64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Encrypt(key, nonce, msg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

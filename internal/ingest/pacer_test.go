@@ -396,3 +396,14 @@ func TestPacerStatsConcurrencySafety(t *testing.T) {
 		}
 	}
 }
+
+func BenchmarkUnmark(b *testing.B) {
+	marked := MarkReal(make([]byte, 64))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, dummy, err := Unmark(marked); err != nil || dummy {
+			b.Fatal(dummy, err)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package projection
 
 import (
 	"encoding/json"
+	"runtime"
 	"runtime/debug"
 	"strconv"
 	"sync"
@@ -175,5 +176,68 @@ func TestMAEApplyAllocationFree(t *testing.T) {
 	}
 	if k.state.ReconErrors != 0 {
 		t.Fatalf("%d reconstruction errors", k.state.ReconErrors)
+	}
+}
+
+// stageFrameFixture returns a stopped engine with an AGE decoder and one
+// encoded payload: only the tap runs, so its allocations are all counted.
+func stageFrameFixture(t testing.TB) (*Engine, []byte) {
+	cfg := testCodecConfig()
+	cfg.TargetBytes = core.TargetBytesForRate(0.5, testT, testD, cfg.Format.Width)
+	codec, err := core.NewAGE(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := codec.Encode(frameBatch(0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(Config{T: testT, D: testD, Decode: codec, Now: func() int64 { return 5e9 }})
+	e.Close()
+	return e, payload
+}
+
+// TestStageFrameAllocsAmortized gates the tap's steady state: the staged
+// copy is carved from segment arenas, so a segment's worth of frames costs
+// a handful of allocations and 256 frames (4 segments) average at most
+// 0.25 per frame. testing.AllocsPerRun rounds down to whole allocations,
+// so the count comes from the runtime's malloc counter. GC is off so a
+// collection cannot empty the decode pool.
+func TestStageFrameAllocsAmortized(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated by race instrumentation")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	e, payload := stageFrameFixture(t)
+	e.StageFrame(0, 0, payload) // creates the sensor's log and tap entry
+	const frames = 4 * 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= frames; i++ {
+		e.StageFrame(0, i, payload)
+	}
+	runtime.ReadMemStats(&after)
+	perFrame := float64(after.Mallocs-before.Mallocs) / frames
+	t.Logf("StageFrame allocs/frame = %.3f over %d frames", perFrame, frames)
+	if perFrame > 0.25 {
+		t.Errorf("StageFrame allocs/frame = %.3f, want <= 0.25", perFrame)
+	}
+	if n := e.Snapshot().DecodeErrors; n != 0 {
+		t.Fatalf("%d decode errors", n)
+	}
+}
+
+func BenchmarkStageFrame(b *testing.B) {
+	e, payload := stageFrameFixture(b)
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.StageFrame(0, i, payload)
+		// Trim as the stopped workers would, keeping the default retention.
+		if i%64 == 63 {
+			e.stage.TrimBelow(0, i, 256)
+		}
 	}
 }

@@ -154,8 +154,9 @@ func newEngine(cfg Config, stage *staging.Stage, cp Checkpoint) *Engine {
 	}
 	e.staged.Store(resumed)
 	e.lastCp.Store(resumed)
-	for id := range stage.Checkpoint().Sensors {
-		e.nextIndex[id] = stage.Log(id).Head()
+	ids, logs := stage.Logs()
+	for i, l := range logs {
+		e.nextIndex[ids[i]] = l.Head()
 	}
 	e.workers = []*worker{
 		newWorker("mae", false, newMAEKPI(cfg)),
@@ -205,10 +206,14 @@ func (e *Engine) StageFrame(sensorID, index int, msg []byte) {
 		Label:        -1,
 		RecvUnixNano: e.cfg.Now(),
 	}
-	if batch, err := e.decode(msg); err != nil {
+	scratch := decodeScratch.Get().(*core.Batch)
+	if batch, err := e.decode(scratch, msg); err != nil {
 		e.decodeErr.Add(1)
 	} else {
-		rec.Indices = batch.Indices
+		// An empty batch stages without indices, which the mae KPI skips.
+		if len(batch.Indices) > 0 {
+			rec.Indices = batch.Indices
+		}
 		rec.Values = batch.Values
 	}
 	if e.cfg.Truth != nil {
@@ -217,13 +222,18 @@ func (e *Engine) StageFrame(sensorID, index int, msg []byte) {
 			rec.Label = label
 		}
 	}
+	// Append copies the batch into the stage's own storage, so the
+	// scratch goes back to the pool straight after.
 	e.stage.Append(sensorID, rec)
+	decodeScratch.Put(scratch)
 	e.staged.Add(1)
 }
 
-// decode runs the open → unmark → decode chain on one wire payload,
-// copying the result so nothing aliases the server's frame buffer.
-func (e *Engine) decode(msg []byte) (core.Batch, error) {
+// decode runs the open → unmark → decode chain on one wire payload. An
+// IntoDecoder decodes into scratch. The result may alias scratch or the
+// decoder's own storage, so the caller copies it (Append does) before it
+// returns scratch to the pool.
+func (e *Engine) decode(scratch *core.Batch, msg []byte) (core.Batch, error) {
 	payload := msg
 	if e.cfg.Open != nil {
 		var err error
@@ -245,35 +255,17 @@ func (e *Engine) decode(msg []byte) (core.Batch, error) {
 		return core.Batch{}, nil
 	}
 	if into, ok := e.cfg.Decode.(core.IntoDecoder); ok {
-		scratch := decodeScratch.Get().(*core.Batch)
-		defer decodeScratch.Put(scratch)
 		if err := into.DecodeInto(scratch, payload); err != nil {
 			return core.Batch{}, err
 		}
-		return ownedCopy(*scratch), nil
+		return *scratch, nil
 	}
-	b, err := e.cfg.Decode.Decode(payload)
-	if err != nil {
-		return core.Batch{}, err
-	}
-	// Copy here too: a Decoder may reuse its storage across calls.
-	return ownedCopy(b), nil
+	return e.cfg.Decode.Decode(payload)
 }
 
-// decodeScratch holds the batches IntoDecoder configs decode into; only
-// the owning copy of each one outlives the StageFrame call.
+// decodeScratch holds the batches IntoDecoder configs decode into; the
+// stage copies each one before it goes back.
 var decodeScratch = sync.Pool{New: func() any { return new(core.Batch) }}
-
-// ownedCopy returns b with storage of its own, one slice per value row:
-// the staged record outlives the decode storage by design.
-func ownedCopy(b core.Batch) core.Batch {
-	cp := core.Batch{Indices: append([]int(nil), b.Indices...)}
-	cp.Values = make([][]float64, len(b.Values))
-	for i, row := range b.Values {
-		cp.Values[i] = append([]float64(nil), row...)
-	}
-	return cp
-}
 
 // SessionEnd implements ingest.Stager: the connection retired. A
 // completed stream releases the sensor from the visibility watermark.
@@ -338,33 +330,34 @@ func (e *Engine) drainOnce(w *worker) bool {
 	if w.watermark {
 		bound = e.stage.Watermark()
 	}
-	progressed := false
-	for _, id := range e.stage.Sensors() {
-		l := e.stage.Log(id)
+	w.moved = w.moved[:0]
+	ids, logs := e.stage.Logs()
+	for i, l := range logs {
+		id := ids[i]
 		limit := l.Head()
 		if bound >= 0 && bound < limit {
 			limit = bound
 		}
-		for {
-			cur := w.cursor(id)
-			if cur >= limit {
-				break
-			}
+		cur := w.cursor(id)
+		if cur >= limit {
+			continue
+		}
+		for ; cur < limit; cur++ {
 			rec, ok := l.Get(cur)
 			w.fold(id, cur, rec, ok)
-			progressed = true
 		}
+		w.moved = append(w.moved, id)
 	}
-	if progressed {
-		e.trim()
-	}
-	return progressed
+	e.trim(w.moved)
+	return len(w.moved) > 0
 }
 
-// trim releases staged storage below the slowest worker on each sensor,
-// keeping cfg.Retain records for late observers.
-func (e *Engine) trim() {
-	for _, id := range e.stage.Sensors() {
+// trim releases staged storage below the slowest worker on each of the
+// given sensors, keeping cfg.Retain records for late observers. Only
+// sensors where some cursor just moved need it: the slowest cursor cannot
+// move anywhere else.
+func (e *Engine) trim(ids []int) {
+	for _, id := range ids {
 		min := -1
 		for _, w := range e.workers {
 			c := w.cursor(id)
@@ -551,6 +544,8 @@ type worker struct {
 	mu      sync.Mutex
 	cursors map[int]int
 	kpi     kpi
+
+	moved []int // sensors the last drain advanced; drain goroutine only
 }
 
 // kpi folds records into an aggregate and serializes it for checkpoints.

@@ -364,6 +364,7 @@ func WriteFrameDeadline(conn net.Conn, msg []byte, timeout time.Duration) error 
 type FrameReader struct {
 	conn net.Conn
 	br   *bufio.Reader
+	hdr  [2]byte // length prefix scratch; a local would escape through io.ReadFull
 }
 
 // NewFrameReader wraps conn with a read buffer of the given size (<= 0
@@ -379,24 +380,35 @@ func NewFrameReader(conn net.Conn, size int) *FrameReader {
 
 // ReadFrame reads one frame, failing with a net timeout error if the whole
 // frame has not arrived within timeout (<= 0 reads without a deadline). The
-// deadline governs the underlying socket reads; frames already buffered are
-// returned without touching the socket.
+// deadline governs the underlying socket reads; a frame already buffered
+// whole, header and body, is returned without touching the socket, not
+// even to set or clear the deadline.
 func (fr *FrameReader) ReadFrame(timeout time.Duration) ([]byte, error) {
-	if timeout > 0 {
+	if timeout > 0 && !fr.frameBuffered() {
 		if err := fr.conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
 			return nil, err
 		}
 		defer fr.conn.SetReadDeadline(time.Time{})
 	}
-	var hdr [2]byte
-	if _, err := io.ReadFull(fr.br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(fr.br, fr.hdr[:]); err != nil {
 		return nil, err
 	}
-	msg := make([]byte, binary.BigEndian.Uint16(hdr[:]))
+	msg := make([]byte, binary.BigEndian.Uint16(fr.hdr[:]))
 	if _, err := io.ReadFull(fr.br, msg); err != nil {
 		return nil, err
 	}
 	return msg, nil
+}
+
+// frameBuffered reports whether the read buffer holds the next frame
+// whole, so reading it cannot block on the socket.
+func (fr *FrameReader) frameBuffered() bool {
+	n := fr.br.Buffered()
+	if n < 2 {
+		return false
+	}
+	hdr, _ := fr.br.Peek(2) // served from the buffer: n >= 2
+	return n >= 2+int(binary.BigEndian.Uint16(hdr))
 }
 
 // IsTimeout reports whether err is a network timeout (a deadline expiry) —

@@ -35,6 +35,16 @@
 // Trimming releases segment memory but never moves sequence numbers:
 // Get on a trimmed sequence reports ok=false rather than shifting data.
 //
+// # Segment arenas
+//
+// A segment owns the storage of its records' batches: three arenas, one
+// each for indices, value rows and row headers, from which Append carves
+// every record's copy. A chunk is sized to undershoot the segment's use —
+// the first at 90% of what the previous segment used, each overflow at
+// half the estimate for the records still to come — so a segment costs a
+// handful of allocations instead of a few per record, and the storage is
+// freed with the segment.
+//
 // # Checkpoint / restore
 //
 // Checkpoint captures per-sensor heads and completion flags. Restore
@@ -45,8 +55,9 @@
 package staging
 
 import (
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // Record is one decoded, staged batch from a sensor — the unit projection
@@ -67,7 +78,8 @@ type Record struct {
 	// RecvUnixNano is the server-side arrival time.
 	RecvUnixNano int64
 	// Indices and Values are the decoded batch (collected time steps and
-	// their measurement rows).
+	// their measurement rows). Once staged they live in the segment's
+	// arenas and are read-only.
 	Indices []int
 	Values  [][]float64
 	// Truth is the full ground-truth window when a harness supplies one.
@@ -78,10 +90,95 @@ type Record struct {
 // segment and chain a new one when full; TrimBelow frees whole segments.
 const segSize = 64
 
-// segment is one fixed-capacity run of consecutive records.
+// segment is one fixed-capacity run of consecutive records, plus the
+// arenas their batches are copied into.
 type segment struct {
 	base int // sequence number of recs[0]
 	recs []Record
+	ints arena[int]
+	vals arena[float64]
+	rows arena[[]float64]
+}
+
+// newSegment starts the segment after prev (nil for a log's first
+// segment, or after a trim emptied it). Each arena's first chunk is 90%
+// of what prev used, so a segment shaped like its predecessor undershoots
+// and tops up with small overflow chunks instead of wasting a tail.
+func newSegment(base int, prev *segment) *segment {
+	sg := &segment{base: base, recs: make([]Record, 0, segSize)}
+	if prev != nil {
+		sg.ints.first = prev.ints.used * 9 / 10
+		sg.vals.first = prev.vals.used * 9 / 10
+		sg.rows.first = prev.rows.used * 9 / 10
+	}
+	return sg
+}
+
+// own replaces rec's batch with a copy carved from the segment's arenas,
+// so the caller's batch can be reused once Append returns. A zero-length
+// slice is not copied: it keeps its nil-ness (the mae KPI skips records
+// without indices) and loses its capacity, so nothing aliases the caller.
+//
+//age:hotpath
+func (sg *segment) own(rec *Record) {
+	n := len(sg.recs)
+	if len(rec.Indices) == 0 {
+		rec.Indices = rec.Indices[:0:0]
+	} else {
+		idx := sg.ints.carve(len(rec.Indices), n)
+		copy(idx, rec.Indices)
+		rec.Indices = idx
+	}
+	if len(rec.Values) == 0 {
+		rec.Values = rec.Values[:0:0]
+		return
+	}
+	total := 0
+	for _, row := range rec.Values {
+		total += len(row)
+	}
+	flat := sg.vals.carve(total, n)
+	rows := sg.rows.carve(len(rec.Values), n)
+	for i, row := range rec.Values {
+		rows[i] = flat[:len(row):len(row)]
+		copy(rows[i], row)
+		flat = flat[len(row):]
+	}
+	rec.Values = rows
+}
+
+// arena is one segment's storage of T for its records' batches.
+type arena[T any] struct {
+	chunk []T // current chunk; len is the carved prefix
+	used  int // elements carved in this segment, over all its chunks
+	first int // first chunk's size; 0 sizes it from the first record
+}
+
+// carve returns n fresh elements for the segment's record number rec
+// (0-based), starting a new chunk when the current one cannot hold them.
+// The segment's first chunk is a.first, or without a usable hint a
+// segment's worth of records the size of this one. An overflow chunk is
+// half the records left, this one included, at the segment's mean use so
+// far.
+//
+//age:hotpath
+func (a *arena[T]) carve(n, rec int) []T {
+	if n > cap(a.chunk)-len(a.chunk) {
+		size := a.first
+		if cap(a.chunk) > 0 {
+			size = (a.used + n) / (rec + 1) * ((segSize - rec + 1) / 2)
+		} else if size < n {
+			size = n * (segSize - rec)
+		}
+		// Growing from nil, as slices.Grow does, rounds the chunk up to the
+		// allocator's size class: the rounding becomes room, not waste.
+		//age:allow hotpathalloc one chunk serves many records and is freed with its segment; sizing undershoots, so a segment makes a few of these, not one per record
+		a.chunk = append([]T(nil), make([]T, max(n, size))...)[:0]
+	}
+	start := len(a.chunk)
+	a.chunk = a.chunk[:start+n]
+	a.used += n
+	return a.chunk[start : start+n : start+n]
 }
 
 // Log is one sensor's append-only staged log. A Log is safe for one
@@ -96,38 +193,71 @@ type Log struct {
 
 // Stage is the set of per-sensor logs plus subscriber plumbing.
 type Stage struct {
-	mu   sync.Mutex
-	logs map[int]*Log
-	subs []chan struct{}
+	mu sync.Mutex // serializes changes to the set of logs and subscribers
+	// view is the sorted snapshot of the logs, replaced under mu whenever
+	// a log is created or exported and read without a lock.
+	view atomic.Pointer[view]
+	// subs is the subscriber list, copied on write under mu so notify
+	// reads it without a lock.
+	subs atomic.Pointer[[]chan struct{}]
+}
+
+// view is a sorted snapshot of a stage's logs: logs[i] is sensor ids[i].
+type view struct {
+	ids  []int
+	logs []*Log
 }
 
 // New creates an empty Stage.
 func New() *Stage {
-	return &Stage{logs: map[int]*Log{}}
+	s := &Stage{}
+	s.view.Store(&view{})
+	return s
 }
 
-// Log returns the sensor's log, creating it on first use.
+// Log returns the sensor's log, or nil when the sensor has none. It never
+// creates one: only Append, Complete, Reopen and ImportCursor do, so a
+// read, a trim or a worker scan cannot bring back a log ExportCursor took.
 func (s *Stage) Log(sensorID int) *Log {
-	s.mu.Lock()
-	l := s.logs[sensorID]
-	if l == nil {
-		l = &Log{}
-		s.logs[sensorID] = l
+	v := s.view.Load()
+	if i, ok := slices.BinarySearch(v.ids, sensorID); ok {
+		return v.logs[i]
 	}
-	s.mu.Unlock()
+	return nil
+}
+
+// logFor returns the sensor's log, creating it on first use.
+func (s *Stage) logFor(sensorID int) *Log {
+	if l := s.Log(sensorID); l != nil {
+		return l
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	v := s.view.Load()
+	i, ok := slices.BinarySearch(v.ids, sensorID)
+	if ok {
+		return v.logs[i]
+	}
+	l := &Log{}
+	s.view.Store(&view{
+		ids:  slices.Insert(slices.Clip(v.ids), i, sensorID),
+		logs: slices.Insert(slices.Clip(v.logs), i, l),
+	})
 	return l
 }
 
-// Sensors returns the ids of every known log, sorted.
+// Logs returns every known log and its sensor id, sorted by id: logs[i]
+// belongs to ids[i]. Both slices are a shared snapshot, replaced only when
+// a log is created or exported; callers must not modify them.
+func (s *Stage) Logs() (ids []int, logs []*Log) {
+	v := s.view.Load()
+	return v.ids, v.logs
+}
+
+// Sensors returns the ids of every known log, sorted. The slice is the
+// shared snapshot Logs returns; callers must not modify it.
 func (s *Stage) Sensors() []int {
-	s.mu.Lock()
-	ids := make([]int, 0, len(s.logs))
-	for id := range s.logs {
-		ids = append(ids, id)
-	}
-	s.mu.Unlock()
-	sort.Ints(ids)
-	return ids
+	return s.view.Load().ids
 }
 
 // Subscribe returns a channel that receives a (coalesced) signal after
@@ -135,19 +265,25 @@ func (s *Stage) Sensors() []int {
 func (s *Stage) Subscribe() <-chan struct{} {
 	ch := make(chan struct{}, 1)
 	s.mu.Lock()
-	s.subs = append(s.subs, ch)
+	var subs []chan struct{}
+	if p := s.subs.Load(); p != nil {
+		subs = *p
+	}
+	subs = append(subs[:len(subs):len(subs)], ch)
+	s.subs.Store(&subs)
 	s.mu.Unlock()
 	return ch
 }
 
-// notify pokes every subscriber without blocking. Called with no Stage or
-// Log lock held — channel sends under a mutex are forbidden here
-// (internal/agevet lockedblock).
+// notify pokes every subscriber without blocking. It takes no lock —
+// the subscriber list is a copy-on-write snapshot — and channel sends
+// under a mutex are forbidden here anyway (internal/agevet lockedblock).
 func (s *Stage) notify() {
-	s.mu.Lock()
-	subs := append([]chan struct{}(nil), s.subs...)
-	s.mu.Unlock()
-	for _, ch := range subs {
+	p := s.subs.Load()
+	if p == nil {
+		return
+	}
+	for _, ch := range *p {
 		select {
 		case ch <- struct{}{}:
 		default:
@@ -156,16 +292,19 @@ func (s *Stage) notify() {
 }
 
 // Append assigns the next sequence number to rec, stores it, signals
-// subscribers, and returns the assigned sequence.
+// subscribers, and returns the assigned sequence. It copies rec.Indices
+// and rec.Values into storage the log owns, so the caller may reuse its
+// batch as soon as Append returns; rec.Truth is kept as given.
 func (s *Stage) Append(sensorID int, rec Record) int {
-	l := s.Log(sensorID)
+	l := s.logFor(sensorID)
 	l.mu.Lock()
 	rec.Seq = l.next
 	tail := l.tailLocked()
 	if tail == nil || len(tail.recs) == cap(tail.recs) {
-		tail = &segment{base: l.next, recs: make([]Record, 0, segSize)}
+		tail = newSegment(l.next, tail)
 		l.segs = append(l.segs, tail)
 	}
+	tail.own(&rec)
 	tail.recs = append(tail.recs, rec)
 	l.next++
 	seq := rec.Seq
@@ -178,7 +317,7 @@ func (s *Stage) Append(sensorID int, rec Record) int {
 // watermark stops bounding on it, and subscribers are woken so workers
 // can re-evaluate visibility.
 func (s *Stage) Complete(sensorID int) {
-	l := s.Log(sensorID)
+	l := s.logFor(sensorID)
 	l.mu.Lock()
 	l.complete = true
 	l.mu.Unlock()
@@ -189,7 +328,7 @@ func (s *Stage) Complete(sensorID int) {
 // ack has reconnected and is streaming again, so the watermark must bound
 // on it once more.
 func (s *Stage) Reopen(sensorID int) {
-	l := s.Log(sensorID)
+	l := s.logFor(sensorID)
 	l.mu.Lock()
 	l.complete = false
 	l.mu.Unlock()
@@ -199,14 +338,8 @@ func (s *Stage) Reopen(sensorID int) {
 // over incomplete logs, or the maximum head when every log is complete.
 // An empty stage has watermark 0.
 func (s *Stage) Watermark() int {
-	s.mu.Lock()
-	logs := make([]*Log, 0, len(s.logs))
-	for _, l := range s.logs {
-		logs = append(logs, l)
-	}
-	s.mu.Unlock()
 	minIncomplete, maxHead := -1, 0
-	for _, l := range logs {
+	for _, l := range s.view.Load().logs {
 		head, complete := l.state()
 		if head > maxHead {
 			maxHead = head
@@ -223,21 +356,28 @@ func (s *Stage) Watermark() int {
 
 // TrimBelow releases record storage below seq on the sensor's log, keeping
 // at least retain records below the head. Sequence numbers are unaffected.
+// A sensor without a log is left alone.
 func (s *Stage) TrimBelow(sensorID, seq, retain int) {
 	l := s.Log(sensorID)
+	if l == nil {
+		return
+	}
 	l.mu.Lock()
 	if floor := l.next - retain; seq > floor {
 		seq = floor
 	}
 	if seq > l.trimmed {
 		l.trimmed = seq
-		// Drop whole segments that lie entirely below the trim point.
+		// Drop whole segments that lie entirely below the trim point,
+		// shifting the survivors down in place.
 		drop := 0
 		for drop < len(l.segs) && l.segs[drop].base+len(l.segs[drop].recs) <= seq {
 			drop++
 		}
 		if drop > 0 {
-			l.segs = append([]*segment(nil), l.segs[drop:]...)
+			n := copy(l.segs, l.segs[drop:])
+			clear(l.segs[n:])
+			l.segs = l.segs[:n]
 		}
 	}
 	l.mu.Unlock()
@@ -258,15 +398,10 @@ type LogCheckpoint struct {
 // Checkpoint snapshots every log's head and completion flag.
 func (s *Stage) Checkpoint() Checkpoint {
 	cp := Checkpoint{Sensors: map[int]LogCheckpoint{}}
-	s.mu.Lock()
-	logs := make(map[int]*Log, len(s.logs))
-	for id, l := range s.logs {
-		logs[id] = l
-	}
-	s.mu.Unlock()
-	for id, l := range logs {
+	v := s.view.Load()
+	for i, l := range v.logs {
 		head, complete := l.state()
-		cp.Sensors[id] = LogCheckpoint{Head: head, Complete: complete}
+		cp.Sensors[v.ids[i]] = LogCheckpoint{Head: head, Complete: complete}
 	}
 	return cp
 }
@@ -276,13 +411,17 @@ func (s *Stage) Checkpoint() Checkpoint {
 // sequence cp.Sensors[i].Head, and Get on any earlier sequence reports
 // ok=false.
 func Restore(cp Checkpoint) *Stage {
-	s := New()
-	for id, lc := range cp.Sensors {
-		l := &Log{next: lc.Head, trimmed: lc.Head, complete: lc.Complete}
-		s.mu.Lock()
-		s.logs[id] = l
-		s.mu.Unlock()
+	v := &view{}
+	for id := range cp.Sensors {
+		v.ids = append(v.ids, id)
 	}
+	slices.Sort(v.ids)
+	for _, id := range v.ids {
+		lc := cp.Sensors[id]
+		v.logs = append(v.logs, &Log{next: lc.Head, trimmed: lc.Head, complete: lc.Complete})
+	}
+	s := &Stage{}
+	s.view.Store(v)
 	return s
 }
 
@@ -300,16 +439,23 @@ type Cursor struct {
 // ExportCursor captures and removes sensorID's log for migration to
 // another node's stage. ok is false when the sensor has no log. After
 // export the watermark no longer bounds on the sensor here; the importing
-// stage takes over. The exporting node must have severed the sensor's
-// connection first — a racing append would recreate an empty log.
+// stage takes over. Trims and worker scans never recreate the log, but
+// the exporting node must have severed the sensor's connection first — a
+// racing append would recreate an empty one.
 func (s *Stage) ExportCursor(sensorID int) (Cursor, bool) {
 	s.mu.Lock()
-	l := s.logs[sensorID]
-	delete(s.logs, sensorID)
-	s.mu.Unlock()
-	if l == nil {
+	v := s.view.Load()
+	i, ok := slices.BinarySearch(v.ids, sensorID)
+	if !ok {
+		s.mu.Unlock()
 		return Cursor{}, false
 	}
+	l := v.logs[i]
+	s.view.Store(&view{
+		ids:  slices.Delete(slices.Clone(v.ids), i, i+1),
+		logs: slices.Delete(slices.Clone(v.logs), i, i+1),
+	})
+	s.mu.Unlock()
 	head, complete := l.state()
 	return Cursor{SensorID: sensorID, Head: head, Complete: complete}, true
 }
@@ -324,7 +470,7 @@ func (s *Stage) ImportCursor(c Cursor) {
 	if c.Head < 0 {
 		return
 	}
-	l := s.Log(c.SensorID)
+	l := s.logFor(c.SensorID)
 	l.mu.Lock()
 	if c.Head > l.next {
 		l.next = c.Head

@@ -349,3 +349,186 @@ func TestCursorRoundTripAcrossStages(t *testing.T) {
 		t.Fatalf("importing stage watermark = %d, want 10", got)
 	}
 }
+
+// TestTrimAfterExportKeepsLogGone pins that only appends, completions,
+// reopens and imports create logs: a trim that races an export must not
+// bring the exported log back as an empty, incomplete one that drags the
+// watermark to 0.
+func TestTrimAfterExportKeepsLogGone(t *testing.T) {
+	s := New()
+	for i := 0; i < 5; i++ {
+		s.Append(1, rec(i, 10))
+	}
+	for i := 0; i < 3; i++ {
+		s.Append(2, rec(i, 10))
+	}
+	s.Complete(2)
+	if _, ok := s.ExportCursor(1); !ok {
+		t.Fatal("export failed")
+	}
+	if got := s.Watermark(); got != 3 {
+		t.Fatalf("watermark after export = %d, want 3", got)
+	}
+	s.TrimBelow(1, 2, 0)
+	if got := s.Watermark(); got != 3 {
+		t.Fatalf("watermark after trimming the exported sensor = %d, want 3", got)
+	}
+	if ids := s.Sensors(); len(ids) != 1 || ids[0] != 2 {
+		t.Fatalf("sensors after trimming the exported sensor = %v, want [2]", ids)
+	}
+	if s.Log(1) != nil {
+		t.Fatal("lookup of the exported sensor returned a log")
+	}
+}
+
+// batchRecord returns a record whose batch has rows rows of width d, the
+// values derived from (index, row, column) so every copy is checkable.
+func batchRecord(index, rows, d int) Record {
+	r := rec(index, 64)
+	for i := 0; i < rows; i++ {
+		r.Indices = append(r.Indices, 3*i+index%3)
+		row := make([]float64, d)
+		for f := range row {
+			row[f] = float64(index*1000 + i*10 + f)
+		}
+		r.Values = append(r.Values, row)
+	}
+	return r
+}
+
+func sameBatch(a, b Record) bool {
+	if len(a.Indices) != len(b.Indices) || len(a.Values) != len(b.Values) ||
+		(a.Indices == nil) != (b.Indices == nil) || (a.Values == nil) != (b.Values == nil) {
+		return false
+	}
+	for i := range a.Indices {
+		if a.Indices[i] != b.Indices[i] {
+			return false
+		}
+	}
+	for i := range a.Values {
+		if len(a.Values[i]) != len(b.Values[i]) {
+			return false
+		}
+		for f := range a.Values[i] {
+			if a.Values[i][f] != b.Values[i][f] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestAppendCopiesBatch checks Append's ownership contract across segments
+// whose records vary in size, so the arenas go through first chunks sized
+// from a hint, from a first record, and overflow chunks: each staged batch
+// equals what was appended even after the caller overwrites its own, no
+// two records share storage, and nil or empty slices keep their nil-ness.
+func TestAppendCopiesBatch(t *testing.T) {
+	shaped := func(i int) Record {
+		r := batchRecord(i, 1+(i*7)%13, 1+i%4)
+		switch i % 50 {
+		case 7:
+			r.Indices, r.Values = nil, nil
+		case 8:
+			r.Indices, r.Values = []int{}, [][]float64{}
+		}
+		return r
+	}
+	s := New()
+	const n = 5 * segSize
+	for i := 0; i < n; i++ {
+		r := shaped(i)
+		s.Append(4, r)
+		// The caller reuses its batch: scribble over it.
+		for k := range r.Indices {
+			r.Indices[k] = -1
+		}
+		for _, row := range r.Values {
+			for f := range row {
+				row[f] = -1
+			}
+		}
+	}
+	l := s.Log(4)
+	seen := map[*float64]int{}
+	for i := 0; i < n; i++ {
+		got, ok := l.Get(i)
+		if !ok {
+			t.Fatalf("record %d missing", i)
+		}
+		if want := shaped(i); !sameBatch(got, want) {
+			t.Fatalf("record %d = %v %v, want %v %v", i, got.Indices, got.Values, want.Indices, want.Values)
+		}
+		if cap(got.Indices) != len(got.Indices) || cap(got.Values) != len(got.Values) {
+			t.Fatalf("record %d has spare capacity an append could write through", i)
+		}
+		for _, row := range got.Values {
+			if len(row) == 0 {
+				continue
+			}
+			if j, dup := seen[&row[0]]; dup {
+				t.Fatalf("records %d and %d share a row", j, i)
+			}
+			seen[&row[0]] = i
+		}
+	}
+}
+
+// TestArenaChunksUndershoot checks the arena sizing: with records all the
+// same size, a log's first segment is carved from one chunk per arena, and
+// later segments start at 90% of the previous one's use.
+func TestArenaChunksUndershoot(t *testing.T) {
+	s := New()
+	const rows, d = 10, 6
+	for i := 0; i < 4*segSize; i++ {
+		s.Append(1, batchRecord(i, rows, d))
+	}
+	for k, sg := range s.Log(1).segs {
+		if sg.ints.used != rows*segSize || sg.vals.used != rows*d*segSize || sg.rows.used != rows*segSize {
+			t.Fatalf("segment %d used %d/%d/%d", k, sg.ints.used, sg.vals.used, sg.rows.used)
+		}
+		if k == 0 && (sg.vals.first != 0 || len(sg.vals.chunk) != sg.vals.used) {
+			t.Fatalf("first segment: hint %d, last chunk holds %d of %d, want no hint and one chunk",
+				sg.vals.first, len(sg.vals.chunk), sg.vals.used)
+		}
+		if k > 0 && sg.vals.first != rows*d*segSize*9/10 {
+			t.Fatalf("segment %d: first chunk %d, want 90%% of %d", k, sg.vals.first, rows*d*segSize)
+		}
+	}
+}
+
+// BenchmarkAppend stages stream-shaped records (12 rows of 6) on one
+// sensor, trimming to the projection's default retention as its workers
+// would.
+func BenchmarkAppend(b *testing.B) {
+	r := batchRecord(0, 12, 6)
+	s := New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Append(0, r)
+		if i%segSize == segSize-1 {
+			s.TrimBelow(0, i, 256)
+		}
+	}
+}
+
+// BenchmarkTrimBelow advances the trim point one record per call, as a
+// drain does, so one call in segSize frees a segment.
+func BenchmarkTrimBelow(b *testing.B) {
+	r := batchRecord(0, 12, 6)
+	s := New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%segSize == 0 {
+			b.StopTimer()
+			for k := 0; k < segSize; k++ {
+				s.Append(0, r)
+			}
+			b.StartTimer()
+		}
+		s.TrimBelow(0, i+1, 0)
+	}
+}
