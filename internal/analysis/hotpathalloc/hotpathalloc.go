@@ -28,15 +28,17 @@ import (
 // Config parameterizes the analyzer.
 type Config struct {
 	// Require maps package import paths to function/method names that must
-	// carry the //age:hotpath annotation.
+	// carry the //age:hotpath annotation. A plain name matches every
+	// function and method so named; "Type.Method" matches only that
+	// method.
 	Require map[string][]string
 }
 
 // DefaultConfig returns the repo's hot-path inventory: every encoder's
 // append/into entry points, the bit-packing and quantization kernels on
 // their call paths, the reconstruction kernels the projection scores each
-// delivered frame with, and the cipher and staging kernels on the server's
-// frame path.
+// delivered frame with, the cipher and staging kernels on the server's
+// frame path, and the GRU step under the Skip RNN's sampling walk.
 func DefaultConfig() Config {
 	return Config{
 		Require: map[string][]string{
@@ -60,6 +62,8 @@ func DefaultConfig() Config {
 			// decoded batch.
 			"repro/internal/chacha":  {"Reset", "XORKeyStream"},
 			"repro/internal/staging": {"carve"},
+			// The GRU inference step every Skip RNN decision loop runs.
+			"repro/internal/rnn": {"GRU.Step"},
 		},
 	}
 }
@@ -89,7 +93,7 @@ func run(pass *analysis.Pass, cfg Config) error {
 				continue
 			}
 			marked := pass.Dirs.FuncMarked(fn, analysis.MarkHotpath)
-			if required[fn.Name.Name] && !marked {
+			if (required[fn.Name.Name] || required[methodName(fn)]) && !marked {
 				pass.Reportf(fn.Name.Pos(),
 					"%s is a known hot path and must be annotated //age:hotpath", fn.Name.Name)
 			}
@@ -99,6 +103,22 @@ func run(pass *analysis.Pass, cfg Config) error {
 		}
 	}
 	return nil
+}
+
+// methodName returns "Type.Method" for a method declaration and "" for a
+// function.
+func methodName(fn *ast.FuncDecl) string {
+	if fn.Recv == nil || len(fn.Recv.List) != 1 {
+		return ""
+	}
+	t := fn.Recv.List[0].Type
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	if id, ok := t.(*ast.Ident); ok {
+		return id.Name + "." + fn.Name.Name
+	}
+	return ""
 }
 
 // checkBody walks fn's statements, skipping cold (error-path) blocks.

@@ -9,7 +9,7 @@ import (
 
 func TestAnalyzer(t *testing.T) {
 	a := hotpathalloc.New(hotpathalloc.Config{
-		Require: map[string][]string{"a": {"MustBeHot"}},
+		Require: map[string][]string{"a": {"MustBeHot", "Cell.Step"}},
 	})
 	analysistest.Run(t, a, "testdata/src/a")
 }

@@ -23,3 +23,12 @@ func Hot(dst []byte, n int) []byte {
 
 // MustBeHot is on the required list but carries no annotation.
 func MustBeHot() {} // want `MustBeHot is a known hot path and must be annotated`
+
+type Cell struct{}
+
+func (*Cell) Step() {} // want `Step is a known hot path and must be annotated`
+
+// Optimizer.Step shares the name but is not the required method.
+type Optimizer struct{}
+
+func (Optimizer) Step() {}

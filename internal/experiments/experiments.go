@@ -100,7 +100,17 @@ type Workload struct {
 	skipOnce  sync.Once
 	skipModel *policy.SkipRNNModel
 	skipErr   error
-	cfg       Config
+	// skipMu guards only the map; each entry fits once, outside the lock.
+	skipMu   sync.Mutex
+	skipFits map[float64]*skipFit
+	cfg      Config
+}
+
+// skipFit is one rate's memoized Skip RNN bias fit.
+type skipFit struct {
+	once sync.Once
+	p    *policy.SkipRNN
+	err  error
 }
 
 // PrepareWorkload loads a dataset and fits the Linear and Deviation
@@ -114,6 +124,7 @@ func PrepareWorkload(name string, cfg Config) (*Workload, error) {
 		Name: name, Data: d, cfg: cfg,
 		LinearFit:    map[float64]policy.FitResult{},
 		DeviationFit: map[float64]policy.FitResult{},
+		skipFits:     map[float64]*skipFit{},
 	}
 	n := cfg.TrainSequences
 	if n <= 0 || n > len(d.Sequences) {
@@ -165,12 +176,7 @@ func (w *Workload) PolicyAt(kind string, rate float64) (policy.Policy, error) {
 		}
 		return policy.NewDeviation(fit.Threshold), nil
 	case "skiprnn":
-		model, err := w.SkipModel()
-		if err != nil {
-			return nil, err
-		}
-		p, _ := model.FitBias(w.Train, rate)
-		return p, nil
+		return w.skipPolicy(rate)
 	default:
 		return nil, fmt.Errorf("experiments: unknown policy %q", kind)
 	}
@@ -183,6 +189,29 @@ func (w *Workload) SkipModel() (*policy.SkipRNNModel, error) {
 		w.skipModel, w.skipErr = policy.TrainSkipRNN(w.Train, w.cfg.SkipRNN)
 	})
 	return w.skipModel, w.skipErr
+}
+
+// skipPolicy returns the Skip RNN fitted to rate, fitting it on first use.
+// The memo is keyed by the exact rate, so every caller gets the fit it would
+// have computed itself; concurrent callers fit different rates in parallel
+// and a shared rate once.
+func (w *Workload) skipPolicy(rate float64) (*policy.SkipRNN, error) {
+	w.skipMu.Lock()
+	f := w.skipFits[rate]
+	if f == nil {
+		f = &skipFit{}
+		w.skipFits[rate] = f
+	}
+	w.skipMu.Unlock()
+	f.once.Do(func() {
+		model, err := w.SkipModel()
+		if err != nil {
+			f.err = err
+			return
+		}
+		f.p, _ = model.FitBias(w.Train, rate)
+	})
+	return f.p, f.err
 }
 
 // RunCell executes one (policy, encoder, rate) simulation on the workload.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/policy"
@@ -298,5 +299,52 @@ func TestTable7SingleDataset(t *testing.T) {
 	}
 	if !strings.Contains(Table7String(rows), "epilepsy") {
 		t.Error("render missing dataset")
+	}
+}
+
+// TestSkipPolicyMemo: concurrent callers share one fit per exact rate, the
+// fit is the one FitBias returns, and distinct rates fit separately, even
+// rates that key() would merge.
+func TestSkipPolicyMemo(t *testing.T) {
+	w, err := PrepareWorkload("epilepsy", tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rates := []float64{0.4, 0.7, 0.41}
+	got := make([][]policy.Policy, 4)
+	var wg sync.WaitGroup
+	for g := range got {
+		got[g] = make([]policy.Policy, len(rates))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range rates {
+				r := (i + g) % len(rates)
+				p, err := w.PolicyAt("skiprnn", rates[r])
+				if err != nil {
+					t.Error(err)
+				}
+				got[g][r] = p
+			}
+		}()
+	}
+	wg.Wait()
+	model, err := w.SkipModel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, rate := range rates {
+		p := got[0][r].(*policy.SkipRNN)
+		for g := range got {
+			if got[g][r] != p {
+				t.Errorf("rate %g: caller %d got a different fit", rate, g)
+			}
+		}
+		if _, fit := model.FitBias(w.Train, rate); p.Bias() != fit.Threshold {
+			t.Errorf("rate %g: memoized bias %g, FitBias %g", rate, p.Bias(), fit.Threshold)
+		}
+	}
+	if got[0][0] == got[0][2] {
+		t.Error("rates 0.4 and 0.41 share a fit")
 	}
 }

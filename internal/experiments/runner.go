@@ -150,8 +150,8 @@ var sweepClaimHook func(i int)
 // workload's policy fitting is the expensive per-dataset setup). When
 // needSkip is set the Skip RNN is trained eagerly here rather than lazily
 // inside simulation cells, keeping the heavy training step visible in
-// progress output. The returned map is read-only after this call and safe to
-// share across sweep workers.
+// progress output. The returned map is read-only after this call, and its
+// workloads are safe to share across sweep workers.
 func prepareWorkloads(ctx context.Context, cfg Config, datasets []string, needSkip bool) (map[string]*Workload, error) {
 	out := make([]*Workload, len(datasets))
 	labels := make([]string, len(datasets))

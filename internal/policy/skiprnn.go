@@ -41,26 +41,88 @@ func (s *SkipRNN) WithBias(bias float64) *SkipRNN {
 
 // Sample implements Policy. The policy is causal: the GRU state only
 // advances on measurements the policy chose to collect, so skipped values
-// are never observed.
-func (s *SkipRNN) Sample(seq [][]float64, rng *rand.Rand) []int {
-	T := len(seq)
-	if T == 0 {
+// are never observed. It never reads rng.
+func (s *SkipRNN) Sample(seq [][]float64, _ *rand.Rand) []int {
+	if len(seq) == 0 {
 		return nil
 	}
-	h := make([]float64, s.pred.GRU.Hidden)
-	// Always collect the first element (the interpolation anchor).
-	h, _ = s.pred.GRU.Forward(s.pred.Normalize(seq[0]), h)
-	idx := []int{0}
-	last := 0
-	for t := 1; t < T; t++ {
-		gap := t - last
-		if s.gate.Logit(h, gap)+s.bias >= 0 {
-			h, _ = s.pred.GRU.Forward(s.pred.Normalize(seq[t]), h)
-			idx = append(idx, t)
-			last = t
+	w := newSkipWalk(s.pred, seq)
+	w.replay(s.gate, s.bias)
+	return w.idx
+}
+
+// skipWalk is the Skip RNN's walk over one sequence at the last bias it was
+// replayed at: the gate logit every step saw and the GRU state after every
+// collection. Bias enters the walk only through logit + bias >= 0, and the
+// logit at step t depends only on the decisions before t, so the walk at a
+// new bias is the stored walk up to the first step whose decision flips.
+type skipWalk struct {
+	pred *rnn.Predictor
+	seq  [][]float64
+	// logit[t] is the gate logit step t saw (t >= 1).
+	logit []float64
+	// idx lists the collected steps; idx[0] is the anchor step 0.
+	idx []int
+	// states[k*H:(k+1)*H] is the GRU state after k collections, so
+	// states[:H] is the zero initial state.
+	states []float64
+	x      []float64
+	sc     *rnn.GRUScratch
+}
+
+// newSkipWalk returns an empty walk over a non-empty seq with room for every
+// step, so replays never allocate.
+func newSkipWalk(pred *rnn.Predictor, seq [][]float64) *skipWalk {
+	T := len(seq)
+	return &skipWalk{
+		pred:   pred,
+		seq:    seq,
+		logit:  make([]float64, T),
+		idx:    make([]int, 0, T),
+		states: make([]float64, (T+1)*pred.GRU.Hidden),
+		x:      make([]float64, len(pred.Mean)),
+		sc:     pred.GRU.NewScratch(),
+	}
+}
+
+// replay moves the walk to bias. It re-checks the stored decisions with the
+// decision expression and reruns the GRU only from the first one that
+// flips; an empty walk is a cold start that always collects step 0 (the
+// interpolation anchor). The result is exactly the walk a cold start at bias
+// would take: the steps before the first flip see the same states, by
+// induction over t.
+func (w *skipWalk) replay(gate *rnn.Gate, bias float64) {
+	H := w.pred.GRU.Hidden
+	t, k := 1, 1 // next step, collections so far
+	if len(w.idx) == 0 {
+		w.collect(0, 0)
+	} else {
+		for ; t < len(w.seq); t++ {
+			taken := k < len(w.idx) && w.idx[k] == t
+			if (w.logit[t]+bias >= 0) != taken {
+				break
+			}
+			if taken {
+				k++
+			}
+		}
+		w.idx = w.idx[:k]
+	}
+	for ; t < len(w.seq); t++ {
+		w.logit[t] = gate.Logit(w.states[k*H:(k+1)*H], t-w.idx[k-1])
+		if w.logit[t]+bias >= 0 {
+			w.collect(t, k)
+			k++
 		}
 	}
-	return idx
+}
+
+// collect advances the GRU state after k collections by step t.
+func (w *skipWalk) collect(t, k int) {
+	H := w.pred.GRU.Hidden
+	w.pred.NormalizeInto(w.x, w.seq[t])
+	w.pred.GRU.Step(w.x, w.states[k*H:(k+1)*H], w.states[(k+1)*H:(k+2)*H], w.sc)
+	w.idx = append(w.idx, t)
 }
 
 // SkipRNNModel bundles a trained Skip RNN so one training run serves every
@@ -107,18 +169,11 @@ func TrainSkipRNN(train [][][]float64, cfg SkipRNNTrainConfig) (*SkipRNNModel, e
 
 // FitBias bisects for the gate bias at which the Skip RNN's mean collection
 // rate over train matches targetRate. The rate is monotone non-decreasing in
-// the bias.
+// the bias. Each midpoint replays the previous midpoint's walks rather than
+// rerunning Sample, with the same result (see skipWalk).
 func (m *SkipRNNModel) FitBias(train [][][]float64, targetRate float64) (*SkipRNN, FitResult) {
-	rate := func(bias float64) float64 {
-		p := NewSkipRNN(m.Pred, m.Gate, bias)
-		rng := rand.New(rand.NewSource(1))
-		var collected, total int
-		for _, seq := range train {
-			collected += len(p.Sample(seq, rng))
-			total += len(seq)
-		}
-		return float64(collected) / float64(total)
-	}
+	r := m.newReplay(train)
+	rate := r.rate
 	lo, hi := -30.0, 30.0
 	if rate(lo) >= targetRate {
 		return NewSkipRNN(m.Pred, m.Gate, lo), FitResult{Threshold: lo, AchievedRate: rate(lo)}
@@ -136,4 +191,33 @@ func (m *SkipRNNModel) FitBias(train [][][]float64, targetRate float64) (*SkipRN
 	}
 	bias := (lo + hi) / 2
 	return NewSkipRNN(m.Pred, m.Gate, bias), FitResult{Threshold: bias, AchievedRate: rate(bias)}
+}
+
+// skipReplay holds one walk per training sequence for the span of one
+// FitBias call, so the model itself stays immutable and shareable.
+type skipReplay struct {
+	gate  *rnn.Gate
+	walks []*skipWalk
+	total int
+}
+
+func (m *SkipRNNModel) newReplay(train [][][]float64) *skipReplay {
+	r := &skipReplay{gate: m.Gate}
+	for _, seq := range train {
+		r.total += len(seq)
+		if len(seq) > 0 {
+			r.walks = append(r.walks, newSkipWalk(m.Pred, seq))
+		}
+	}
+	return r
+}
+
+// rate returns the mean collection rate over the training set at bias.
+func (r *skipReplay) rate(bias float64) float64 {
+	var collected int
+	for _, w := range r.walks {
+		w.replay(r.gate, bias)
+		collected += len(w.idx)
+	}
+	return float64(collected) / float64(r.total)
 }

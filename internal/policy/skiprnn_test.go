@@ -9,9 +9,15 @@ import (
 )
 
 // trainedModel trains a small Skip RNN on an Epilepsy slice once per test.
-func trainedModel(t *testing.T) (*SkipRNNModel, [][][]float64, *dataset.Dataset) {
+func trainedModel(t testing.TB) (*SkipRNNModel, [][][]float64, *dataset.Dataset) {
+	return trainedOn(t, "epilepsy")
+}
+
+// trainedOn trains a small Skip RNN on the first 16 sequences of a
+// 32-sequence slice of the named dataset.
+func trainedOn(t testing.TB, name string) (*SkipRNNModel, [][][]float64, *dataset.Dataset) {
 	t.Helper()
-	d := dataset.MustLoad("epilepsy", dataset.Options{Seed: 13, MaxSequences: 32})
+	d := dataset.MustLoad(name, dataset.Options{Seed: 13, MaxSequences: 32})
 	var train [][][]float64
 	for _, s := range d.Sequences[:16] {
 		train = append(train, s.Values)

@@ -31,57 +31,69 @@ func NewGRU(in, hidden int, rng *rand.Rand) *GRU {
 	}
 }
 
+// GRUScratch holds one step's gate activations. Step overwrites it, so an
+// inference loop reuses one scratch for every step.
+type GRUScratch struct {
+	Z, R, C []float64
+	RH      []float64 // r .* hPrev
+	tmp     []float64 // U * (hPrev or RH), before it joins the gate sum
+}
+
+// NewScratch returns a scratch sized for g, carved from one backing array.
+func (g *GRU) NewScratch() *GRUScratch {
+	H := g.Hidden
+	buf := zeros(5 * H)
+	return &GRUScratch{
+		Z: buf[:H:H], R: buf[H : 2*H : 2*H], C: buf[2*H : 3*H : 3*H],
+		RH: buf[3*H : 4*H : 4*H], tmp: buf[4*H:],
+	}
+}
+
 // GRUCache stores one step's intermediates for the backward pass.
 type GRUCache struct {
-	X, HPrev   []float64
-	Z, R, C, H []float64
-	RH         []float64 // r .* hPrev
+	X, HPrev []float64
+	H        []float64
+	GRUScratch
+}
+
+// Step computes h_t from x and hPrev into h without allocating, leaving the
+// gate activations in s. h may alias hPrev: hPrev is read in full before h
+// is written.
+//
+//age:hotpath
+func (g *GRU) Step(x, hPrev, h []float64, s *GRUScratch) {
+	g.Wz.MulVec(x, s.Z)
+	g.Uz.MulVec(hPrev, s.tmp)
+	addVec(s.Z, s.tmp)
+	addVec(s.Z, g.Bz)
+	sigmoidVec(s.Z)
+
+	g.Wr.MulVec(x, s.R)
+	g.Ur.MulVec(hPrev, s.tmp)
+	addVec(s.R, s.tmp)
+	addVec(s.R, g.Br)
+	sigmoidVec(s.R)
+
+	for i := range s.RH {
+		s.RH[i] = s.R[i] * hPrev[i]
+	}
+	g.Wc.MulVec(x, s.C)
+	g.Uc.MulVec(s.RH, s.tmp)
+	addVec(s.C, s.tmp)
+	addVec(s.C, g.Bc)
+	tanhVec(s.C)
+
+	for i := range h {
+		h[i] = (1-s.Z[i])*hPrev[i] + s.Z[i]*s.C[i]
+	}
 }
 
 // Forward computes h_t from x and hPrev, returning the new state and the
 // cache needed to backpropagate through this step.
 func (g *GRU) Forward(x, hPrev []float64) ([]float64, *GRUCache) {
-	H := g.Hidden
-	z := zeros(H)
-	r := zeros(H)
-	c := zeros(H)
-	g.Wz.MulVec(x, z)
-	tmp := zeros(H)
-	g.Uz.MulVec(hPrev, tmp)
-	addVec(z, tmp)
-	addVec(z, g.Bz)
-	sigmoidVec(z)
-
-	g.Wr.MulVec(x, r)
-	for i := range tmp {
-		tmp[i] = 0
-	}
-	g.Ur.MulVec(hPrev, tmp)
-	addVec(r, tmp)
-	addVec(r, g.Br)
-	sigmoidVec(r)
-
-	rh := zeros(H)
-	for i := range rh {
-		rh[i] = r[i] * hPrev[i]
-	}
-	g.Wc.MulVec(x, c)
-	for i := range tmp {
-		tmp[i] = 0
-	}
-	g.Uc.MulVec(rh, tmp)
-	addVec(c, tmp)
-	addVec(c, g.Bc)
-	tanhVec(c)
-
-	h := zeros(H)
-	for i := range h {
-		h[i] = (1-z[i])*hPrev[i] + z[i]*c[i]
-	}
-	return h, &GRUCache{
-		X: cloneVec(x), HPrev: cloneVec(hPrev),
-		Z: z, R: r, C: c, H: h, RH: rh,
-	}
+	c := &GRUCache{X: cloneVec(x), HPrev: cloneVec(hPrev), H: zeros(g.Hidden), GRUScratch: *g.NewScratch()}
+	g.Step(x, hPrev, c.H, &c.GRUScratch)
+	return c.H, c
 }
 
 // GRUGrads accumulates parameter gradients across steps, mirroring the GRU's

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Predictor is a next-step sequence model: a GRU over normalized
@@ -66,18 +67,28 @@ func (p *Predictor) FitNormalizer(seqs [][][]float64) {
 // Normalize maps a raw measurement into model space.
 func (p *Predictor) Normalize(x []float64) []float64 {
 	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = (x[i] - p.Mean[i]) / p.Std[i]
-	}
+	p.NormalizeInto(out, x)
 	return out
+}
+
+// NormalizeInto writes Normalize(x) into dst, which must be as long as x.
+func (p *Predictor) NormalizeInto(dst, x []float64) {
+	for i := range x {
+		dst[i] = (x[i] - p.Mean[i]) / p.Std[i]
+	}
 }
 
 // predict computes the readout from a hidden state (normalized space).
 func (p *Predictor) predict(h []float64) []float64 {
 	out := zeros(p.Wo.Rows)
+	p.predictInto(out, h)
+	return out
+}
+
+// predictInto writes predict(h) into out.
+func (p *Predictor) predictInto(out, h []float64) {
 	p.Wo.MulVec(h, out)
 	addVec(out, p.Bo)
-	return out
 }
 
 // TrainConfig controls predictor training.
@@ -180,18 +191,23 @@ func (p *Predictor) sequenceGrads(seq [][]float64) (float64, [][]float64) {
 // consuming seq[t]; errs[t] is the error predicting seq[t+1] from states[t]
 // (errs has length len(seq)-1).
 func (p *Predictor) HiddenStates(seq [][]float64) (states [][]float64, errs []float64) {
-	h := zeros(p.GRU.Hidden)
 	states = make([][]float64, len(seq))
 	if len(seq) == 0 {
 		return states, nil
 	}
 	errs = make([]float64, len(seq)-1)
+	d := len(p.Mean)
+	x, next, yhat := zeros(d), zeros(d), zeros(d)
+	sc := p.GRU.NewScratch()
+	h := zeros(p.GRU.Hidden)
 	for t := 0; t < len(seq); t++ {
-		h, _ = p.GRU.Forward(p.Normalize(seq[t]), h)
-		states[t] = cloneVec(h)
+		p.NormalizeInto(x, seq[t])
+		states[t] = zeros(p.GRU.Hidden)
+		p.GRU.Step(x, h, states[t], sc)
+		h = states[t]
 		if t < len(seq)-1 {
-			yhat := p.predict(h)
-			next := p.Normalize(seq[t+1])
+			p.predictInto(yhat, h)
+			p.NormalizeInto(next, seq[t+1])
 			var e float64
 			for f := range yhat {
 				e += math.Abs(yhat[f] - next[f])
@@ -262,12 +278,10 @@ func TrainGate(p *Predictor, seqs [][][]float64, epochs int, lr float64, seed in
 	return g
 }
 
+// medianOf returns the upper median of xs. Its inputs are finite and
+// non-negative with no -0, so any sort order puts the same value there.
 func medianOf(xs []float64) float64 {
 	s := cloneVec(xs)
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+	slices.Sort(s)
 	return s[len(s)/2]
 }

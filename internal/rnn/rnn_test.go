@@ -3,6 +3,7 @@ package rnn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -392,5 +393,139 @@ func BenchmarkPredictorTrainEpoch(b *testing.B) {
 		if _, err := p.Train(seqs, cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// referenceForward is the GRU step as Forward computed it before Step
+// existed, allocating every intermediate. Step must match it bit for bit.
+func referenceForward(g *GRU, x, hPrev []float64) []float64 {
+	H := g.Hidden
+	z, r, c, tmp := zeros(H), zeros(H), zeros(H), zeros(H)
+	g.Wz.MulVec(x, z)
+	g.Uz.MulVec(hPrev, tmp)
+	addVec(z, tmp)
+	addVec(z, g.Bz)
+	sigmoidVec(z)
+	g.Wr.MulVec(x, r)
+	g.Ur.MulVec(hPrev, tmp)
+	addVec(r, tmp)
+	addVec(r, g.Br)
+	sigmoidVec(r)
+	rh := zeros(H)
+	for i := range rh {
+		rh[i] = r[i] * hPrev[i]
+	}
+	g.Wc.MulVec(x, c)
+	g.Uc.MulVec(rh, tmp)
+	addVec(c, tmp)
+	addVec(c, g.Bc)
+	tanhVec(c)
+	h := zeros(H)
+	for i := range h {
+		h[i] = (1-z[i])*hPrev[i] + z[i]*c[i]
+	}
+	return h
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestGRUStepMatchesForward: Step, Forward and the pre-Step arithmetic give
+// the same h bit for bit along a 40-step trajectory, including when Step
+// writes h over hPrev.
+func TestGRUStepMatchesForward(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	g := NewGRU(3, 7, rng)
+	for i := range g.Bz {
+		g.Bz[i], g.Br[i], g.Bc[i] = rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
+	}
+	sc := g.NewScratch()
+	hRef, hFwd, hStep, hAlias := zeros(7), zeros(7), zeros(7), zeros(7)
+	next := zeros(7)
+	for step := 0; step < 40; step++ {
+		x := []float64{rng.NormFloat64(), 3 * rng.NormFloat64(), rng.Float64()}
+		hRef = referenceForward(g, x, hRef)
+		var cache *GRUCache
+		hFwd, cache = g.Forward(x, hFwd)
+		g.Step(x, hStep, next, sc)
+		hStep, next = next, hStep
+		g.Step(x, hAlias, hAlias, sc)
+		if !sameBits(hFwd, hRef) || !sameBits(hStep, hRef) || !sameBits(hAlias, hRef) {
+			t.Fatalf("step %d: reference %v, Forward %v, Step %v, aliased Step %v", step, hRef, hFwd, hStep, hAlias)
+		}
+		if !sameBits(cache.Z, sc.Z) || !sameBits(cache.R, sc.R) || !sameBits(cache.C, sc.C) || !sameBits(cache.RH, sc.RH) {
+			t.Fatalf("step %d: Forward's cache and Step's scratch differ", step)
+		}
+	}
+}
+
+func TestGRUStepAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	g := NewGRU(6, 12, rng)
+	sc := g.NewScratch()
+	x, h := make([]float64, 6), make([]float64, 12)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	if n := testing.AllocsPerRun(100, func() { g.Step(x, h, h, sc) }); n != 0 {
+		t.Errorf("Step allocates %v times per call, want 0", n)
+	}
+}
+
+// TestTrainGatePinned pins TrainGate's W, B and Kappa bit for bit on a
+// seeded model, so changes to HiddenStates and medianOf stay exact.
+func TestTrainGatePinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	var seqs [][][]float64
+	for s := 0; s < 6; s++ {
+		seq := make([][]float64, 40)
+		for t := range seq {
+			a := 0.1 * rng.NormFloat64()
+			if t >= 20 {
+				a = math.Sin(1.7 * float64(t+s))
+			}
+			seq[t] = []float64{a, 5 + rng.NormFloat64()}
+		}
+		seqs = append(seqs, seq)
+	}
+	p := NewPredictor(2, 5, rng)
+	cfg := DefaultTrainConfig()
+	cfg.Epochs = 2
+	if _, err := p.Train(seqs, cfg); err != nil {
+		t.Fatal(err)
+	}
+	g := TrainGate(p, seqs, 2, 0.05, 3)
+	got := []uint64{math.Float64bits(g.B), math.Float64bits(g.Kappa)}
+	for _, w := range g.W {
+		got = append(got, math.Float64bits(w))
+	}
+	// Recorded from the allocating HiddenStates and insertion-sort median.
+	want := []uint64{
+		0xbfa6edb92a4ee694, 0x3fd0000000000000, 0x3fc125bfcb939111, 0x3fd3495b337298c7,
+		0x3fe2f8c12a2c795b, 0xbfdf3bb35816dd31, 0x3fda9daa993cd713,
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("TrainGate bits = %#x, want %#x", got, want)
+	}
+}
+
+func BenchmarkGRUStep(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	g := NewGRU(6, 12, rng)
+	sc := g.NewScratch()
+	x := make([]float64, 6)
+	h := make([]float64, 12)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g.Step(x, h, h, sc)
 	}
 }
