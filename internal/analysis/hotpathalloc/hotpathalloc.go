@@ -38,7 +38,8 @@ type Config struct {
 // append/into entry points, the bit-packing and quantization kernels on
 // their call paths, the reconstruction kernels the projection scores each
 // delivered frame with, the cipher and staging kernels on the server's
-// frame path, and the GRU step under the Skip RNN's sampling walk.
+// frame path, the GRU step under the Skip RNN's sampling walk, and the
+// threshold policies' replayed walks.
 func DefaultConfig() Config {
 	return Config{
 		Require: map[string][]string{
@@ -64,6 +65,9 @@ func DefaultConfig() Config {
 			"repro/internal/staging": {"carve"},
 			// The GRU inference step every Skip RNN decision loop runs.
 			"repro/internal/rnn": {"GRU.Step"},
+			// The threshold policies' decision loops, replayed at every
+			// bisection midpoint of a budget fit.
+			"repro/internal/policy": {"Linear.replay", "Deviation.replay"},
 		},
 	}
 }

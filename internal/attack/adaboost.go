@@ -43,8 +43,11 @@ func TrainAdaBoost(X [][]float64, y []int, numClasses int, cfg AdaBoostConfig) (
 		w[i] = 1 / float64(n)
 	}
 	model := &AdaBoost{numClasses: numClasses}
+	// X is fixed across rounds, so every round's trees share one trie of
+	// per-path sort orders (see sortNode).
+	sorts := newSortNode(n)
 	for round := 0; round < cfg.Rounds; round++ {
-		tree := TrainTree(X, y, w, numClasses, cfg.MaxDepth)
+		tree := trainTree(X, y, w, numClasses, cfg.MaxDepth, sorts)
 		var err float64
 		miss := make([]bool, n)
 		for i := range X {

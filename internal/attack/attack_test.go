@@ -352,6 +352,7 @@ func BenchmarkAdaBoostTrain(b *testing.B) {
 	for i, s := range samples {
 		X[i], y[i] = s.Features, s.Label
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := TrainAdaBoost(X, y, 4, DefaultAdaBoostConfig()); err != nil {

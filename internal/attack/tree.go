@@ -32,34 +32,30 @@ type Tree struct {
 // Gini impurity. X is row-major samples, y the class labels, w the sample
 // weights (need not be normalized).
 func TrainTree(X [][]float64, y []int, w []float64, numClasses, maxDepth int) *Tree {
-	idx := make([]int, len(X))
-	for i := range idx {
-		idx[i] = i
-	}
+	return trainTree(X, y, w, numClasses, maxDepth, newSortNode(len(X)))
+}
+
+// trainTree fits a tree whose root samples are root.idx, reusing whatever
+// sort orders root's trie already holds from earlier trees over the same X.
+func trainTree(X [][]float64, y []int, w []float64, numClasses, maxDepth int, root *sortNode) *Tree {
 	t := &Tree{numClasses: numClasses}
-	t.root = t.build(X, y, w, idx, maxDepth)
+	t.root = t.build(X, y, w, root, maxDepth)
 	return t
 }
 
-// build recursively grows the tree over the samples in idx.
-func (t *Tree) build(X [][]float64, y []int, w []float64, idx []int, depth int) *treeNode {
+// build recursively grows the tree over the samples of node.
+func (t *Tree) build(X [][]float64, y []int, w []float64, node *sortNode, depth int) *treeNode {
+	idx := node.idx
 	major, pure := weightedMajority(y, w, idx, t.numClasses)
 	if depth == 0 || pure || len(idx) < 2 {
 		return &treeNode{leaf: true, class: major}
 	}
-	feature, threshold, ok := bestSplit(X, y, w, idx, t.numClasses)
+	feature, threshold, ok := bestSplit(X, y, w, idx, node.sorted(X), t.numClasses)
 	if !ok {
 		return &treeNode{leaf: true, class: major}
 	}
-	var left, right []int
-	for _, i := range idx {
-		if X[i][feature] <= threshold {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
-		}
-	}
-	if len(left) == 0 || len(right) == 0 {
+	left, right := node.split(X, feature, threshold)
+	if len(left.idx) == 0 || len(right.idx) == 0 {
 		return &treeNode{leaf: true, class: major}
 	}
 	return &treeNode{
@@ -68,6 +64,74 @@ func (t *Tree) build(X [][]float64, y []int, w []float64, idx []int, depth int) 
 		left:      t.build(X, y, w, left, depth-1),
 		right:     t.build(X, y, w, right, depth-1),
 	}
+}
+
+// sortNode memoizes, for one node of a tree over a fixed X, its samples and
+// their per-feature sorted orders. The root's samples are 0..n-1 in order,
+// and a child keeps its parent's order when filtered, so a node's samples
+// are a pure function of its path of splits from the root. sort.Slice
+// returns the same permutation for the same input and comparison, so a
+// cached order is exactly the order a fresh sort would give, ties included.
+// Boosting rounds that revisit a path therefore skip its sorts.
+type sortNode struct {
+	idx []int
+	// orders[f] is idx sorted by feature f; nil until first needed.
+	orders [][]int
+	// kids maps a split to its left and right children.
+	kids map[splitKey][2]*sortNode
+}
+
+// splitKey names a split by feature and threshold bits.
+type splitKey struct {
+	feature   int
+	threshold uint64
+}
+
+// newSortNode returns the root node over samples 0..n-1.
+func newSortNode(n int) *sortNode {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return &sortNode{idx: idx}
+}
+
+// sorted returns the node's per-feature sorted orders, sorting on first use.
+func (s *sortNode) sorted(X [][]float64) [][]int {
+	if s.orders != nil {
+		return s.orders
+	}
+	nf := len(X[s.idx[0]])
+	s.orders = make([][]int, nf)
+	buf := make([]int, nf*len(s.idx))
+	for f := range s.orders {
+		order := buf[f*len(s.idx) : (f+1)*len(s.idx)]
+		copy(order, s.idx)
+		sort.Slice(order, func(a, b int) bool { return X[order[a]][f] < X[order[b]][f] })
+		s.orders[f] = order
+	}
+	return s.orders
+}
+
+// split returns the children of the split X[i][feature] <= threshold.
+func (s *sortNode) split(X [][]float64, feature int, threshold float64) (left, right *sortNode) {
+	key := splitKey{feature, math.Float64bits(threshold)}
+	if kids, ok := s.kids[key]; ok {
+		return kids[0], kids[1]
+	}
+	left, right = &sortNode{}, &sortNode{}
+	for _, i := range s.idx {
+		if X[i][feature] <= threshold {
+			left.idx = append(left.idx, i)
+		} else {
+			right.idx = append(right.idx, i)
+		}
+	}
+	if s.kids == nil {
+		s.kids = map[splitKey][2]*sortNode{}
+	}
+	s.kids[key] = [2]*sortNode{left, right}
+	return left, right
 }
 
 // weightedMajority returns the weight-heaviest class among idx and whether
@@ -94,7 +158,8 @@ func weightedMajority(y []int, w []float64, idx []int, numClasses int) (int, boo
 }
 
 // bestSplit scans every feature for the weighted-Gini-optimal threshold.
-func bestSplit(X [][]float64, y []int, w []float64, idx []int, numClasses int) (feature int, threshold float64, ok bool) {
+// orders[f] holds idx sorted by feature f.
+func bestSplit(X [][]float64, y []int, w []float64, idx []int, orders [][]int, numClasses int) (feature int, threshold float64, ok bool) {
 	if len(idx) == 0 {
 		return 0, 0, false
 	}
@@ -104,14 +169,12 @@ func bestSplit(X [][]float64, y []int, w []float64, idx []int, numClasses int) (
 	for _, i := range idx {
 		total += w[i]
 	}
-	nf := len(X[idx[0]])
-	order := make([]int, len(idx))
-	for f := 0; f < nf; f++ {
-		copy(order, idx)
-		sort.Slice(order, func(a, b int) bool { return X[order[a]][f] < X[order[b]][f] })
-		// Incremental class-weight tallies for the left partition.
-		leftCounts := make([]float64, numClasses)
-		rightCounts := make([]float64, numClasses)
+	// Incremental class-weight tallies for the left partition.
+	leftCounts := make([]float64, numClasses)
+	rightCounts := make([]float64, numClasses)
+	for f, order := range orders {
+		clear(leftCounts)
+		clear(rightCounts)
 		for _, i := range order {
 			rightCounts[y[i]] += w[i]
 		}

@@ -223,7 +223,28 @@ type Client struct {
 	// rng drives dial-backoff jitter. Seeded from cfg.Seed, so a fixed
 	// config reproduces the same backoff schedule run after run while
 	// distinct sensors spread their redials.
-	rng *rand.Rand
+	rng lazyRand
+}
+
+// jitterSource draws backoff jitter; *rand.Rand and *lazyRand implement it.
+type jitterSource interface {
+	Int63n(n int64) int64
+}
+
+// lazyRand is a *rand.Rand seeded on its first draw. Seeding costs far more
+// than a short sensor session, and only a failed dial draws, so most
+// clients never seed; the draws for a seed are those of the eager RNG.
+type lazyRand struct {
+	seed int64
+	rng  *rand.Rand
+}
+
+// Int63n implements jitterSource.
+func (l *lazyRand) Int63n(n int64) int64 {
+	if l.rng == nil {
+		l.rng = rand.New(rand.NewSource(l.seed))
+	}
+	return l.rng.Int63n(n)
 }
 
 // NewClient returns a Client for cfg (defaults applied).
@@ -232,7 +253,7 @@ func NewClient(cfg ClientConfig) *Client {
 	return &Client{
 		cfg: cfg,
 		m:   newClientMetrics(cfg.Metrics),
-		rng: rand.New(rand.NewSource(cfg.Seed)),
+		rng: lazyRand{seed: cfg.Seed},
 	}
 }
 
@@ -282,7 +303,7 @@ func (c *Client) Run(ctx context.Context, src FrameSource) (ClientStats, error) 
 // loop from the server's resume index, final delivery confirmation.
 func (c *Client) stream(ctx context.Context, src FrameSource, st *ClientStats) error {
 	cfg := c.cfg
-	conn, dials, err := dialWithBackoff(ctx, cfg, c.rng)
+	conn, dials, err := dialWithBackoff(ctx, cfg, &c.rng)
 	st.DialAttempts += dials
 	c.m.dialAttempts.Add(int64(dials))
 	if err != nil {
@@ -443,7 +464,7 @@ func (c *Client) writeGather(ctx context.Context, conn net.Conn, gather []byte, 
 // an uncapped, unjittered fleet redials its fallen server in lockstep and
 // thunders it straight back down. It returns the connection and the number
 // of attempts made.
-func dialWithBackoff(ctx context.Context, cfg ClientConfig, rng *rand.Rand) (net.Conn, int, error) {
+func dialWithBackoff(ctx context.Context, cfg ClientConfig, rng jitterSource) (net.Conn, int, error) {
 	backoff := cfg.DialBackoff
 	var lastErr error
 	for attempt := 1; attempt <= cfg.DialAttempts; attempt++ {
@@ -469,7 +490,7 @@ func dialWithBackoff(ctx context.Context, cfg ClientConfig, rng *rand.Rand) (net
 
 // nextDialPause draws one equal-jitter pause, uniform in [backoff/2,
 // backoff], and returns the doubled-and-capped backoff for the next failure.
-func nextDialPause(backoff, ceil time.Duration, rng *rand.Rand) (pause, next time.Duration) {
+func nextDialPause(backoff, ceil time.Duration, rng jitterSource) (pause, next time.Duration) {
 	pause = backoff/2 + time.Duration(rng.Int63n(int64(backoff/2)+1))
 	next = backoff
 	if next < ceil {

@@ -241,6 +241,31 @@ func TestNextDialPauseCapsAndJitters(t *testing.T) {
 	}
 }
 
+// TestLazyJitterMatchesEagerRNG: a client seeds its jitter RNG only on the
+// first pause, and the pauses it draws for a seed are the eager RNG's.
+func TestLazyJitterMatchesEagerRNG(t *testing.T) {
+	const (
+		base = 10 * time.Millisecond
+		ceil = 80 * time.Millisecond
+	)
+	for _, seed := range []int64{0, 1, 42, -7} {
+		c := NewClient(ClientConfig{Addr: "127.0.0.1:1", Seed: seed})
+		if c.rng.rng != nil {
+			t.Fatalf("seed %d: NewClient seeded its jitter RNG before any pause", seed)
+		}
+		eager := rand.New(rand.NewSource(c.cfg.Seed)) // as NewClient seeded it eagerly
+		lb, eb := base, base
+		for i := 0; i < 8; i++ {
+			var lp, ep time.Duration
+			lp, lb = nextDialPause(lb, ceil, &c.rng)
+			ep, eb = nextDialPause(eb, ceil, eager)
+			if lp != ep || lb != eb {
+				t.Fatalf("seed %d pause %d: lazy (%v, next %v), eager (%v, next %v)", seed, i, lp, lb, ep, eb)
+			}
+		}
+	}
+}
+
 func TestReadAckRejectsUnknownStatus(t *testing.T) {
 	for _, status := range []byte{0x00, 0x06, 0x63, 0xFF} {
 		client, srv := net.Pipe()

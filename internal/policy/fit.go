@@ -3,7 +3,6 @@ package policy
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // This file implements the offline training step both threshold-based
@@ -42,10 +41,15 @@ type FitResult struct {
 
 // Fit bisects for the threshold at which the policy's mean collection rate
 // over train matches targetRate. train holds the training sequences (each
-// T x d). The fit is deterministic given the sequences.
+// T x d). The fit is deterministic given the sequences. Each midpoint
+// replays the previous midpoint's walks rather than rerunning Sample, with
+// the same result (see thresholdWalk).
 func Fit(kind AdaptiveKind, train [][][]float64, targetRate float64) (FitResult, error) {
 	if len(train) == 0 {
 		return FitResult{}, fmt.Errorf("policy: empty training set")
+	}
+	if len(train[0]) == 0 {
+		return FitResult{}, fmt.Errorf("policy: empty training sequence")
 	}
 	// Threshold upper bound: the largest consecutive L1 step in the data;
 	// beyond it the policy never resets and collects its minimum.
@@ -59,22 +63,11 @@ func Fit(kind AdaptiveKind, train [][][]float64, targetRate float64) (FitResult,
 	}
 	hi *= float64(len(train[0][0])) // headroom for multi-feature EWMA sums
 	lo := 0.0
-	rate := func(th float64) float64 {
-		p, err := NewAdaptive(kind, th)
-		if err != nil {
-			panic(err) // kind was validated by the first NewAdaptive call
-		}
-		rng := rand.New(rand.NewSource(1)) // policies here are deterministic anyway
-		var collected, total int
-		for _, seq := range train {
-			collected += len(p.Sample(seq, rng))
-			total += len(seq)
-		}
-		return float64(collected) / float64(total)
-	}
-	if _, err := NewAdaptive(kind, 0); err != nil {
+	r, err := newThresholdReplay(kind, train)
+	if err != nil {
 		return FitResult{}, err
 	}
+	rate := r.rate
 	// Rate is monotone non-increasing in the threshold: rate(0) is the
 	// maximum, rate(hi) the minimum. Clamp unreachable targets.
 	if rate(hi) >= targetRate {
@@ -93,6 +86,49 @@ func Fit(kind AdaptiveKind, train [][][]float64, targetRate float64) (FitResult,
 	}
 	th := (lo + hi) / 2
 	return FitResult{Threshold: th, AchievedRate: rate(th)}, nil
+}
+
+// thresholdPolicy is a policy whose walk replays across thresholds.
+type thresholdPolicy interface {
+	replay(w *thresholdWalk, th float64)
+}
+
+// thresholdReplay holds one walk per non-empty training sequence for the
+// span of one Fit call.
+type thresholdReplay struct {
+	p     thresholdPolicy
+	walks []*thresholdWalk
+	total int
+}
+
+func newThresholdReplay(kind AdaptiveKind, train [][][]float64) (*thresholdReplay, error) {
+	p, err := NewAdaptive(kind, 0)
+	if err != nil {
+		return nil, err
+	}
+	r := &thresholdReplay{p: p.(thresholdPolicy)}
+	for _, seq := range train {
+		r.total += len(seq)
+		if len(seq) == 0 {
+			continue
+		}
+		nf := 0 // Deviation's walks store its running mean
+		if kind == KindDeviation {
+			nf = len(seq[0])
+		}
+		r.walks = append(r.walks, newThresholdWalk(seq, nf))
+	}
+	return r, nil
+}
+
+// rate returns the mean collection rate over the training set at th.
+func (r *thresholdReplay) rate(th float64) float64 {
+	var collected int
+	for _, w := range r.walks {
+		r.p.replay(w, th)
+		collected += len(w.idx)
+	}
+	return float64(collected) / float64(r.total)
 }
 
 // FitGrid fits thresholds for the paper's eight budgets (rates 0.3 to 1.0)

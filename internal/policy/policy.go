@@ -118,24 +118,48 @@ func (l *Linear) Name() string { return "linear" }
 // Threshold returns the fitted comparison threshold.
 func (l *Linear) Threshold() float64 { return l.threshold }
 
-// Sample implements Policy.
-func (l *Linear) Sample(seq [][]float64, rng *rand.Rand) []int {
-	T := len(seq)
-	idx := []int{0}
-	period := 1
-	prev := seq[0]
-	for t := period; t < T; {
-		cur := seq[t]
-		idx = append(idx, t)
-		if l1(cur, prev) > l.threshold {
-			period = 1
-		} else if period < l.maxPeriod {
-			period++
-		}
-		prev = cur
-		t += period
+// Sample implements Policy. It never reads rng.
+func (l *Linear) Sample(seq [][]float64, _ *rand.Rand) []int {
+	if len(seq) == 0 {
+		return nil
 	}
-	return idx
+	w := newThresholdWalk(seq, 0)
+	l.replay(w, l.threshold)
+	return w.idx
+}
+
+// replay moves w to threshold th (see thresholdWalk). The compared value at
+// visit k is the L1 step from the previous collected measurement.
+//
+//age:hotpath
+func (l *Linear) replay(w *thresholdWalk, th float64) {
+	k, ok := w.resume(th)
+	if !ok {
+		return
+	}
+	seq, idx, val := w.seq, w.idx, w.val
+	p := 1 // the period after the anchor
+	if k > 0 {
+		p = l.next(idx[k]-idx[k-1], val[k] > th)
+	}
+	prev := seq[idx[k]]
+	for t := idx[k] + p; t < len(seq); t += p {
+		cur := seq[t]
+		v := l1(cur, prev)
+		p = l.next(p, v > th)
+		idx, val = append(idx, t), append(val, v)
+		prev = cur
+	}
+	w.idx, w.val = idx, val
+}
+
+// next returns the period after a visit: one when the step exceeded the
+// threshold, otherwise one longer, up to maxPeriod.
+func (l *Linear) next(period int, above bool) int {
+	if above {
+		return 1
+	}
+	return minInt(l.maxPeriod, period+1)
 }
 
 // Deviation is the adaptive policy of LiteSense [96]: exponentially weighted
@@ -161,38 +185,124 @@ func (d *Deviation) Name() string { return "deviation" }
 // Threshold returns the fitted deviation threshold.
 func (d *Deviation) Threshold() float64 { return d.threshold }
 
-// Sample implements Policy.
-func (d *Deviation) Sample(seq [][]float64, rng *rand.Rand) []int {
-	T := len(seq)
-	if T == 0 {
+// Sample implements Policy. It never reads rng.
+func (d *Deviation) Sample(seq [][]float64, _ *rand.Rand) []int {
+	if len(seq) == 0 {
 		return nil
 	}
-	nf := len(seq[0])
-	mean := append([]float64(nil), seq[0]...)
-	dev := 0.0
-	idx := []int{0}
-	period := 1
-	for t := period; t < T; {
-		cur := seq[t]
-		idx = append(idx, t)
+	w := newThresholdWalk(seq, len(seq[0]))
+	d.replay(w, d.threshold)
+	return w.idx
+}
+
+// replay moves w to threshold th (see thresholdWalk). The compared value at
+// visit k is the tracked deviation after the visit's update; the mean and
+// deviation updates do not depend on the threshold, so a resumed walk
+// starts from the stored state of its first flipped visit.
+//
+//age:hotpath
+func (d *Deviation) replay(w *thresholdWalk, th float64) {
+	k, ok := w.resume(th)
+	if !ok {
+		return
+	}
+	seq, idx, val, means, nf := w.seq, w.idx, w.val, w.mean, w.nf
+	p := 1 // the period after the anchor
+	if k > 0 {
+		p = d.next(idx[k]-idx[k-1], val[k] > th)
+	} else {
+		copy(means[:nf], seq[0])
+	}
+	dev, prev := val[k], means[k*nf:(k+1)*nf]
+	for t := idx[k] + p; t < len(seq); t += p {
+		k++
+		mean := means[k*nf : (k+1)*nf]
+		cur := seq[t][:nf]
 		// Update the tracked deviation before the mean, so the
 		// deviation measures surprise relative to the running estimate.
 		var dist float64
-		for f := 0; f < nf; f++ {
-			dist += math.Abs(cur[f] - mean[f])
+		for f := range cur {
+			dist += math.Abs(cur[f] - prev[f])
 		}
 		dev = (1-d.gamma)*dev + d.gamma*dist
-		for f := 0; f < nf; f++ {
-			mean[f] = (1-d.beta)*mean[f] + d.beta*cur[f]
+		for f := range cur {
+			mean[f] = (1-d.beta)*prev[f] + d.beta*cur[f]
 		}
-		if dev > d.threshold {
-			period = maxInt(1, period/2)
-		} else {
-			period = minInt(d.maxPeriod, period*2)
-		}
-		t += period
+		p = d.next(p, dev > th)
+		idx, val = append(idx, t), append(val, dev)
+		prev = mean
 	}
-	return idx
+	w.idx, w.val = idx, val
+}
+
+// next returns the period after a visit: halved when the deviation exceeded
+// the threshold, otherwise doubled, up to maxPeriod.
+func (d *Deviation) next(period int, above bool) int {
+	if above {
+		return maxInt(1, period/2)
+	}
+	return minInt(d.maxPeriod, period*2)
+}
+
+// thresholdWalk is a threshold policy's walk over one sequence at the last
+// threshold it was replayed at. Both Linear and Deviation compare a value
+// against the threshold at every visit (a collected step), and the value at
+// visit k depends only on the visits before k; the decision at k sets only
+// the period to the next visit. So the walk at a new threshold is the stored
+// walk up to the first visit whose decision flips, and a cold start from
+// there on.
+type thresholdWalk struct {
+	seq [][]float64
+	// th is the threshold of the last replay; the decision at visit k is
+	// val[k] > th.
+	th float64
+	// Per visit k: idx[k] is the visited (collected) step, idx[0] the
+	// anchor step 0, and val[k] the value compared against the threshold
+	// (k >= 1). The period after visit k-1 is idx[k] - idx[k-1].
+	idx []int
+	val []float64
+	// mean[k*nf:(k+1)*nf] is Deviation's running mean after visit k; nil
+	// for Linear (nf 0).
+	mean []float64
+	nf   int
+}
+
+// newThresholdWalk returns an empty walk over a non-empty seq with room for
+// every step, so replays never allocate. nf is the number of features
+// Deviation tracks a mean over, 0 for Linear.
+func newThresholdWalk(seq [][]float64, nf int) *thresholdWalk {
+	T := len(seq)
+	w := &thresholdWalk{
+		seq: seq,
+		idx: make([]int, 0, T),
+		val: make([]float64, 0, T),
+		nf:  nf,
+	}
+	if nf > 0 {
+		w.mean = make([]float64, T*nf)
+	}
+	return w
+}
+
+// resume re-checks the stored decisions at th and moves the walk to th. It
+// returns the visit whose decision the caller's loop retakes before walking
+// on, with the walk cut just past it, and false when no decision flips and
+// the walk stands. An empty walk is a cold start: it collects step 0 (the
+// interpolation anchor) with value 0 and resumes from visit 0.
+func (w *thresholdWalk) resume(th float64) (k int, ok bool) {
+	prev := w.th
+	w.th = th
+	if len(w.idx) == 0 {
+		w.idx, w.val = append(w.idx, 0), append(w.val, 0)
+		return 0, true
+	}
+	for k = 1; k < len(w.idx); k++ {
+		if (w.val[k] > th) != (w.val[k] > prev) {
+			w.idx, w.val = w.idx[:k+1], w.val[:k+1]
+			return k, true
+		}
+	}
+	return 0, false
 }
 
 // collectCount mirrors energy.CollectCount without importing it: floor(rate*T)
