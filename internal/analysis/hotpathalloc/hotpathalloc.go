@@ -58,7 +58,7 @@ func DefaultConfig() Config {
 				"Raw",
 			},
 			// The projection's per-record scoring kernels.
-			"repro/internal/reconstruct": {"LinearMAE", "SequenceStdDev"},
+			"repro/internal/reconstruct": {"LinearMAE", "LinearMAEStdDev", "SequenceStdDev"},
 			// The server's per-frame open and the staged copy of each
 			// decoded batch.
 			"repro/internal/chacha":  {"Reset", "XORKeyStream"},

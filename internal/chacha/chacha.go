@@ -9,6 +9,7 @@
 package chacha
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 )
@@ -118,14 +119,15 @@ func (c *Cipher) XORKeyStream(dst, src []byte) {
 	if len(dst) < len(src) {
 		panic("chacha: dst shorter than src")
 	}
-	for i := 0; i < len(src); i++ {
+	for len(src) > 0 {
 		if c.bufUsed == blockSize {
 			c.block(c.counter, &c.buf)
 			c.counter++
 			c.bufUsed = 0
 		}
-		dst[i] = src[i] ^ c.buf[c.bufUsed]
-		c.bufUsed++
+		n := subtle.XORBytes(dst, src, c.buf[c.bufUsed:])
+		c.bufUsed += n
+		dst, src = dst[n:], src[n:]
 	}
 }
 

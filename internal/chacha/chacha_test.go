@@ -174,6 +174,81 @@ func BenchmarkXORKeyStream1K(b *testing.B) {
 	}
 }
 
+// xorByteLoop is the byte-at-a-time keystream XOR, the reference for
+// XORKeyStream's span-at-a-time loop.
+func xorByteLoop(c *Cipher, dst, src []byte) {
+	for i := range src {
+		if c.bufUsed == blockSize {
+			c.block(c.counter, &c.buf)
+			c.counter++
+			c.bufUsed = 0
+		}
+		dst[i] = src[i] ^ c.buf[c.bufUsed]
+		c.bufUsed++
+	}
+}
+
+// TestXORKeyStreamMatchesByteLoop cuts a 200-byte message into two or
+// three calls at every pair of cut points, so calls start at every offset
+// within a block, and compares each result with the byte loop.
+func TestXORKeyStreamMatchesByteLoop(t *testing.T) {
+	key := make([]byte, KeySize)
+	nonce := make([]byte, NonceSize)
+	key[5], nonce[2] = 7, 3
+	const n = 200
+	msg := make([]byte, n)
+	for i := range msg {
+		msg[i] = byte(i*37 + 11)
+	}
+	ref, err := New(key, nonce, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, n)
+	xorByteLoop(ref, want, msg)
+	got := make([]byte, n)
+	var c Cipher
+	for i := 0; i <= n; i++ {
+		for j := i; j <= n; j++ {
+			if err := c.Reset(key, nonce, 1); err != nil {
+				t.Fatal(err)
+			}
+			clear(got)
+			c.XORKeyStream(got[:i], msg[:i])
+			c.XORKeyStream(got[i:j], msg[i:j])
+			c.XORKeyStream(got[j:], msg[j:])
+			if !bytes.Equal(got, want) {
+				t.Fatalf("cuts at %d and %d: keystream differs from the byte loop", i, j)
+			}
+			if c.counter != ref.counter || c.bufUsed != ref.bufUsed {
+				t.Fatalf("cuts at %d and %d: counter %d, used %d; byte loop %d, %d",
+					i, j, c.counter, c.bufUsed, ref.counter, ref.bufUsed)
+			}
+		}
+	}
+	// In place, as Encrypt's callers may decrypt.
+	if err := c.Reset(key, nonce, 1); err != nil {
+		t.Fatal(err)
+	}
+	copy(got, msg)
+	c.XORKeyStream(got[:77], got[:77])
+	c.XORKeyStream(got[77:], got[77:])
+	if !bytes.Equal(got, want) {
+		t.Error("in-place keystream differs from the byte loop")
+	}
+}
+
+func TestXORKeyStreamAllocationFree(t *testing.T) {
+	c, err := New(make([]byte, KeySize), make([]byte, NonceSize), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 100)
+	if n := testing.AllocsPerRun(100, func() { c.XORKeyStream(buf, buf) }); n != 0 {
+		t.Errorf("XORKeyStream allocs/op = %v, want 0", n)
+	}
+}
+
 // TestResetMatchesNew pins Reset as New's replacement: a cipher reset
 // mid-stream to a fresh key, nonce and counter produces exactly the
 // keystream a new cipher with those parameters does.

@@ -9,6 +9,7 @@ package projection
 import (
 	"encoding/json"
 	"strconv"
+	"strings"
 
 	"repro/internal/reconstruct"
 	"repro/internal/staging"
@@ -74,12 +75,11 @@ func (k *maeKPI) apply(sensorID int, rec staging.Record) {
 	if rec.Truth == nil || rec.Indices == nil {
 		return
 	}
-	mae, err := reconstruct.LinearMAE(rec.Indices, rec.Values, rec.Truth, k.t, k.d)
+	mae, w, err := reconstruct.LinearMAEStdDev(rec.Indices, rec.Values, rec.Truth, k.t, k.d)
 	if err != nil {
 		k.state.ReconErrors++
 		return
 	}
-	w := reconstruct.SequenceStdDev(rec.Truth)
 	k.state.Count++
 	k.state.SumMAE += mae
 	k.state.SumWeighted += mae * w
@@ -140,15 +140,30 @@ func (k *maeKPI) marshal() json.RawMessage {
 	return data
 }
 
+// unmarshal restores a checkpointed state. A negative ring_next is
+// malformed and leaves the KPI as it was. A ring this window could have
+// written (full, or still filling with ring_next at its length) restores
+// verbatim; any other, such as one written under a different window, is
+// put in write order and cut to its last window entries.
 func (k *maeKPI) unmarshal(data json.RawMessage) {
 	var st maeState
-	if json.Unmarshal(data, &st) != nil {
+	if json.Unmarshal(data, &st) != nil || st.RingNext < 0 {
 		return
 	}
 	if st.PerSensor == nil {
 		st.PerSensor = map[int]*sensorMAE{}
 	}
-	k.ring = append(k.ring[:0], st.Ring...)
+	ring := st.Ring
+	if n := len(ring); n > k.window || (n < k.window && st.RingNext != n) {
+		if n > 0 {
+			// The oldest entry of a full ring sits at ring_next mod its length.
+			start := st.RingNext % n
+			ring = append(ring[start:len(ring):len(ring)], ring[:start]...)
+		}
+		ring = ring[max(0, len(ring)-k.window):]
+		st.RingNext = len(ring)
+	}
+	k.ring = append(k.ring[:0], ring...)
 	st.Ring = nil
 	k.state = st
 }
@@ -272,12 +287,46 @@ type privacyKPI struct {
 
 type privacyState struct {
 	Records int64 `json:"records"`
-	// Count tables; the joint is keyed "label,size" for JSON.
-	Sizes  map[int]int64    `json:"sizes"`
-	Labels map[int]int64    `json:"labels"`
-	Joint  map[string]int64 `json:"joint"`
+	// Count tables.
+	Sizes  map[int]int64 `json:"sizes"`
+	Labels map[int]int64 `json:"labels"`
+	Joint  jointCounts   `json:"joint"`
 	// Per-sensor arrival accounting (nanoseconds).
 	Arrivals map[int]*arrival `json:"arrivals"`
+}
+
+// jointCounts counts records by (label, size). JSON object keys are
+// strings, so a checkpoint keys it "label,size"; the conversion happens
+// only when a checkpoint is written or read.
+type jointCounts map[[2]int]int64
+
+func (j jointCounts) MarshalJSON() ([]byte, error) {
+	m := make(map[string]int64, len(j))
+	//age:allow detrand each entry lands in a slot derived from its own key; encoding/json sorts the keys
+	for key, c := range j {
+		m[strconv.Itoa(key[0])+","+strconv.Itoa(key[1])] = c
+	}
+	return json.Marshal(m)
+}
+
+// UnmarshalJSON reads a checkpointed table, skipping any key that is not
+// two comma-separated integers.
+func (j *jointCounts) UnmarshalJSON(data []byte) error {
+	var m map[string]int64
+	if err := json.Unmarshal(data, &m); err != nil {
+		return err
+	}
+	*j = make(jointCounts, len(m))
+	//age:allow detrand each entry lands in a slot derived from its own key; the fold is order-independent
+	for key, c := range m {
+		l, s, ok := strings.Cut(key, ",")
+		label, err1 := strconv.Atoi(l)
+		size, err2 := strconv.Atoi(s)
+		if ok && err1 == nil && err2 == nil {
+			(*j)[[2]int{label, size}] += c
+		}
+	}
+	return nil
 }
 
 type arrival struct {
@@ -293,14 +342,10 @@ func newPrivacyKPI(cfg Config) *privacyKPI {
 		state: privacyState{
 			Sizes:    map[int]int64{},
 			Labels:   map[int]int64{},
-			Joint:    map[string]int64{},
+			Joint:    jointCounts{},
 			Arrivals: map[int]*arrival{},
 		},
 	}
-}
-
-func jointKey(label, size int) string {
-	return strconv.Itoa(label) + "," + strconv.Itoa(size)
 }
 
 func (k *privacyKPI) apply(sensorID int, rec staging.Record) {
@@ -309,7 +354,7 @@ func (k *privacyKPI) apply(sensorID int, rec staging.Record) {
 	k.state.Sizes[size]++
 	if rec.Label >= 0 {
 		k.state.Labels[rec.Label]++
-		k.state.Joint[jointKey(rec.Label, size)]++
+		k.state.Joint[[2]int{rec.Label, size}]++
 	}
 	a := k.state.Arrivals[sensorID]
 	if a == nil {
@@ -334,18 +379,10 @@ func (k *privacyKPI) snapshot(now int64) PrivacySnapshot {
 		Records:          k.state.Records,
 		SizeEntropyBits:  stats.EntropyCounts(k.state.Sizes),
 		LabelEntropyBits: stats.EntropyCounts(k.state.Labels),
+		NMI:              stats.NMICounts(k.state.Joint),
 		DistinctSizes:    len(k.state.Sizes),
 		PerSensor:        map[string]ArrivalSnapshot{},
 	}
-	joint := make(map[[2]int]int64, len(k.state.Joint))
-	//age:allow detrand each entry lands in a slot derived from its own key; the fold is order-independent
-	for key, c := range k.state.Joint {
-		var label, size int
-		if _, err := fmtSscan(key, &label, &size); err == nil {
-			joint[[2]int{label, size}] = c
-		}
-	}
-	snap.NMI = stats.NMICounts(joint)
 	for _, id := range sortedIDs(k.state.Arrivals) {
 		a := k.state.Arrivals[id]
 		as := ArrivalSnapshot{Records: a.Records, LastRecvUnixNS: a.LastNano}
@@ -359,25 +396,6 @@ func (k *privacyKPI) snapshot(now int64) PrivacySnapshot {
 		snap.PerSensor[strconv.Itoa(id)] = as
 	}
 	return snap
-}
-
-// fmtSscan parses a "label,size" joint key without fmt's reflection.
-func fmtSscan(key string, label, size *int) (int, error) {
-	for i := 0; i < len(key); i++ {
-		if key[i] == ',' {
-			l, err := strconv.Atoi(key[:i])
-			if err != nil {
-				return 0, err
-			}
-			s, err := strconv.Atoi(key[i+1:])
-			if err != nil {
-				return 0, err
-			}
-			*label, *size = l, s
-			return 2, nil
-		}
-	}
-	return 0, strconv.ErrSyntax
 }
 
 func (k *privacyKPI) marshal() json.RawMessage {
@@ -397,7 +415,7 @@ func (k *privacyKPI) unmarshal(data json.RawMessage) {
 		st.Labels = map[int]int64{}
 	}
 	if st.Joint == nil {
-		st.Joint = map[string]int64{}
+		st.Joint = jointCounts{}
 	}
 	if st.Arrivals == nil {
 		st.Arrivals = map[int]*arrival{}

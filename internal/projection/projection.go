@@ -7,9 +7,10 @@
 //
 //   - mae: rolling reconstruction error — each staged batch's linear
 //     reconstruction is scored against the harness-supplied ground truth
-//     by reconstruct.LinearMAE, without materializing it (plain and
-//     deviation-weighted MAE, mirroring the offline
-//     reconstruct.Accumulator, plus a rolling window mean).
+//     by reconstruct.LinearMAEStdDev, which also returns the truth's
+//     standard deviation, in one walk and without materializing the
+//     reconstruction (plain and deviation-weighted MAE, mirroring the
+//     offline reconstruct.Accumulator, plus a rolling window mean).
 //   - events: label-based detections and per-sensor label transitions,
 //     plus a threshold detector over the decoded measurements.
 //   - privacy: the live leakage monitor — Shannon entropy of the

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -28,7 +29,9 @@ func sameBits(a, b float64) bool {
 }
 
 // checkLinearMAE runs LinearMAE and the reference on one input and
-// reports any difference in result bits or error.
+// reports any difference in result bits or error. It also runs
+// LinearMAEStdDev, which must report LinearMAE's error and MAE bits and,
+// on success, SequenceStdDev(truth)'s bits.
 func checkLinearMAE(t *testing.T, name string, indices []int, values, truth [][]float64, T, d int) {
 	t.Helper()
 	got, gotErr := LinearMAE(indices, values, truth, T, d)
@@ -41,6 +44,20 @@ func checkLinearMAE(t *testing.T, name string, indices []int, values, truth [][]
 	case !sameBits(got, want):
 		t.Errorf("%s: LinearMAE = %v (%#x), reference %v (%#x)",
 			name, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+	mae, weight, err := LinearMAEStdDev(indices, values, truth, T, d)
+	switch {
+	case (err == nil) != (gotErr == nil):
+		t.Errorf("%s: LinearMAEStdDev error %v, LinearMAE error %v", name, err, gotErr)
+	case err != nil && err.Error() != gotErr.Error():
+		t.Errorf("%s: LinearMAEStdDev error %q, LinearMAE error %q", name, err, gotErr)
+	case !sameBits(mae, got):
+		t.Errorf("%s: LinearMAEStdDev mae = %v (%#x), LinearMAE %v (%#x)",
+			name, mae, math.Float64bits(mae), got, math.Float64bits(got))
+	case err == nil && !sameBits(weight, SequenceStdDev(truth)):
+		sd := SequenceStdDev(truth)
+		t.Errorf("%s: LinearMAEStdDev weight = %v (%#x), SequenceStdDev %v (%#x)",
+			name, weight, math.Float64bits(weight), sd, math.Float64bits(sd))
 	}
 }
 
@@ -128,12 +145,8 @@ func randomBatch(rng *rand.Rand) (indices []int, values, truth [][]float64, T, d
 func TestLinearMAEMatchesLinearThenMAE(t *testing.T) {
 	prop := func(seed int64) bool {
 		indices, values, truth, T, d := randomBatch(rand.New(rand.NewSource(seed)))
-		got, gotErr := LinearMAE(indices, values, truth, T, d)
-		want, wantErr := referenceMAE(indices, values, truth, T, d)
-		if gotErr != nil || wantErr != nil {
-			return gotErr != nil && wantErr != nil && gotErr.Error() == wantErr.Error()
-		}
-		return sameBits(got, want)
+		checkLinearMAE(t, "seed "+strconv.FormatInt(seed, 10), indices, values, truth, T, d)
+		return !t.Failed()
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
@@ -180,6 +193,13 @@ func TestKernelsAllocationFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { SequenceStdDev(truth) }); n != 0 {
 		t.Errorf("SequenceStdDev allocs/op = %v, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, _, err := LinearMAEStdDev(indices, values, truth, T, d); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("LinearMAEStdDev allocs/op = %v, want 0", n)
 	}
 }
 

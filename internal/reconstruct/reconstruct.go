@@ -68,8 +68,8 @@ func checkBatch(indices []int, values [][]float64, T, d int) error {
 	return nil
 }
 
-// lerp is the interpolation expression shared by Linear and LinearMAE, so
-// both round identically.
+// lerp is the interpolation expression shared by Linear and the linear
+// walk, so both round identically.
 func lerp(a, b, alpha float64) float64 { return a*(1-alpha) + b*alpha }
 
 // LinearMAE returns MAE(Linear(indices, values, T, d), truth) without
@@ -80,71 +80,98 @@ func lerp(a, b, alpha float64) float64 { return a*(1-alpha) + b*alpha }
 //
 //age:hotpath
 func LinearMAE(indices []int, values, truth [][]float64, T, d int) (float64, error) {
+	mae, _, err := linearMAEWalk(indices, values, truth, T, d)
+	return mae, err
+}
+
+// LinearMAEStdDev returns LinearMAE(indices, values, truth, T, d) and
+// SequenceStdDev(truth), bit for bit, from one walk over truth: the walk
+// that scores the reconstruction also sums the truth values, in the order
+// SequenceStdDev's first pass does, so only the squared-deviation pass
+// runs a second time. On error both figures are 0.
+//
+//age:hotpath
+func LinearMAEStdDev(indices []int, values, truth [][]float64, T, d int) (mae, weight float64, err error) {
+	mae, truthSum, err := linearMAEWalk(indices, values, truth, T, d)
+	if err != nil {
+		return 0, 0, err
+	}
+	return mae, stdDevAbout(truth, truthSum, T*d), nil
+}
+
+// linearMAEWalk validates a batch against its truth and walks every
+// (step, feature) pair once, t then f ascending, returning the mean
+// absolute error of the linear reconstruction and the plain sum of the
+// truth values. The two sums are independent accumulators, so their
+// float-add latency chains overlap.
+//
+//age:hotpath
+func linearMAEWalk(indices []int, values, truth [][]float64, T, d int) (mae, truthSum float64, err error) {
 	if err := checkBatch(indices, values, T, d); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if len(truth) != T {
-		return 0, fmt.Errorf("reconstruct: MAE length mismatch %d vs %d", T, len(truth))
+		return 0, 0, fmt.Errorf("reconstruct: MAE length mismatch %d vs %d", T, len(truth))
 	}
 	for t, row := range truth {
 		if len(row) != d {
-			return 0, fmt.Errorf("reconstruct: MAE width mismatch at step %d", t)
+			return 0, 0, fmt.Errorf("reconstruct: MAE width mismatch at step %d", t)
 		}
 	}
 	if T == 0 || d == 0 {
-		return 0, nil
+		return 0, 0, nil
 	}
-	var sum float64
+	var sum, tsum float64
 	if len(indices) == 0 {
 		// Linear's all-zero reconstruction.
 		for _, row := range truth {
 			for _, x := range row {
 				sum += absDiff(0, x)
+				tsum += x
 			}
 		}
-		return sum / float64(T*d), nil
+		return sum / float64(T*d), tsum, nil
 	}
 	for t := 0; t < indices[0]; t++ {
-		sum = sumAbsDiff(sum, values[0], truth[t])
+		sum, tsum = sumAbsDiff(sum, tsum, values[0], truth[t])
 	}
 	for i := 0; i+1 < len(indices); i++ {
 		lo, hi := indices[i], indices[i+1]
 		v0, v1 := values[i], values[i+1]
-		sum = sumAbsDiff(sum, v0, truth[lo])
+		sum, tsum = sumAbsDiff(sum, tsum, v0, truth[lo])
 		span := float64(hi - lo)
 		for t := lo + 1; t < hi; t++ {
 			alpha := float64(t-lo) / span
 			row := truth[t][:len(v0)]
 			for f, x := range row {
 				sum += absDiff(lerp(v0[f], v1[f], alpha), x)
+				tsum += x
 			}
 		}
 	}
 	for t := indices[len(indices)-1]; t < T; t++ {
-		sum = sumAbsDiff(sum, values[len(values)-1], truth[t])
+		sum, tsum = sumAbsDiff(sum, tsum, values[len(values)-1], truth[t])
 	}
-	return sum / float64(T*d), nil
+	return sum / float64(T*d), tsum, nil
 }
 
-// absDiff is MAE's per-value term, shared by MAE and LinearMAE so both
-// evaluate one expression. It keeps the negate-if-negative form rather
-// than math.Abs, which would also clear the sign bit of -0 and NaN.
-func absDiff(r, x float64) float64 {
-	d := r - x
-	if d < 0 {
-		d = -d
-	}
-	return d
-}
+// absDiff is MAE's per-value term, shared by MAE and the linear walk so
+// both evaluate one expression. math.Abs differs from negate-if-negative
+// only in the sign it leaves on -0 and NaN. Every sum of these terms
+// starts at +0 and +0 + -0 is +0, so a -0 term never changes a sum, and a
+// NaN term makes it NaN either way. Unlike the comparison, math.Abs is a
+// sign-bit mask with no branch to mispredict on noisy data.
+func absDiff(r, x float64) float64 { return math.Abs(r - x) }
 
-// sumAbsDiff adds |recon[f] - truth[f]| over one step to sum, in feature
-// order.
-func sumAbsDiff(sum float64, recon, truth []float64) float64 {
+// sumAbsDiff adds |recon[f] - truth[f]| over one step to sum and truth[f]
+// to truthSum, in feature order.
+func sumAbsDiff(sum, truthSum float64, recon, truth []float64) (float64, float64) {
 	truth = truth[:len(recon)]
 	for f, x := range truth {
 		sum += absDiff(recon[f], x)
+		truthSum += x
 	}
-	return sum
+	return sum, truthSum
 }
 
 // MAE returns the mean absolute error between a reconstruction and the true
@@ -186,6 +213,12 @@ func SequenceStdDev(seq [][]float64) float64 {
 		}
 		n += len(row)
 	}
+	return stdDevAbout(seq, sum, n)
+}
+
+// stdDevAbout is SequenceStdDev's second pass: the population standard
+// deviation of seq's n values, given their sum in row order.
+func stdDevAbout(seq [][]float64, sum float64, n int) float64 {
 	if n == 0 {
 		return 0
 	}

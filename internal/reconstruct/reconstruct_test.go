@@ -239,6 +239,57 @@ func BenchmarkLinearMAE(b *testing.B) {
 	}
 }
 
+// noisyWindow is a perfbench-shaped window: T=50 steps of six sine
+// features plus uniform noise, collected at every 4th step with a little
+// measurement noise. Unlike benchBatch's periodic data, the sign of each
+// reconstruction error is unpredictable from step to step.
+func noisyWindow() (indices []int, values, truth [][]float64, T, d int) {
+	T, d = 50, 6
+	rng := rand.New(rand.NewSource(1))
+	truth = matrix(T, d, func(r, c int) float64 {
+		return 4*math.Sin(2*math.Pi*float64(r)/float64(T)+float64(c)) + (rng.Float64()-0.5)*0.8
+	})
+	for t := 1; t < T; t += 4 {
+		indices = append(indices, t)
+		values = append(values, matrix(1, d, func(_, c int) float64 {
+			return truth[t][c] + (rng.Float64()-0.5)*0.05
+		})[0])
+	}
+	return indices, values, truth, T, d
+}
+
+// weightSink keeps the benchmarks' weights live.
+var weightSink float64
+
+// BenchmarkLinearMAEStdDev is the mae fold's per-record scoring: the
+// fused kernel on a perfbench-shaped window.
+func BenchmarkLinearMAEStdDev(b *testing.B) {
+	indices, values, truth, T, d := noisyWindow()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, w, err := LinearMAEStdDev(indices, values, truth, T, d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		weightSink = w
+	}
+}
+
+// BenchmarkLinearMAEThenStdDev is the same scoring as two calls, the
+// baseline BenchmarkLinearMAEStdDev compares against.
+func BenchmarkLinearMAEThenStdDev(b *testing.B) {
+	indices, values, truth, T, d := noisyWindow()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LinearMAE(indices, values, truth, T, d); err != nil {
+			b.Fatal(err)
+		}
+		weightSink = SequenceStdDev(truth)
+	}
+}
+
 // TestWeightedMAEFlatSequences covers the all-flat and mixed weight cases:
 // a flat sequence has zero std-dev weight, and an accumulator holding only
 // flat sequences used to report a silently perfect weighted MAE of 0.
