@@ -38,8 +38,9 @@ type Config struct {
 // append/into entry points, the bit-packing and quantization kernels on
 // their call paths, the reconstruction kernels the projection scores each
 // delivered frame with, the cipher and staging kernels on the server's
-// frame path, the GRU step under the Skip RNN's sampling walk, and the
-// threshold policies' replayed walks.
+// frame path, the GRU step under the Skip RNN's sampling walk, the
+// threshold policies' replayed walks, and the entropy/MI kernel under the
+// NMI permutation test.
 func DefaultConfig() Config {
 	return Config{
 		Require: map[string][]string{
@@ -68,6 +69,9 @@ func DefaultConfig() Config {
 			// The threshold policies' decision loops, replayed at every
 			// bisection midpoint of a budget fit.
 			"repro/internal/policy": {"Linear.replay", "Deviation.replay"},
+			// The information kernel every permutation of an NMI
+			// permutation test re-counts and re-sums.
+			"repro/internal/stats": {"entropy", "table.mutualInfo", "table.nmi", "pairs.count", "countingSort"},
 		},
 	}
 }

@@ -126,7 +126,7 @@ func TestClockInjectionEvictsWithoutSleeping(t *testing.T) {
 	srv, addr, _ := startServer(t, ServerConfig{Handler: h, SessionTTL: time.Minute, Clock: clk.now})
 
 	runClientOnce(t, addr, 7, framesFor(2))
-	waitForRegistrySize(t, srv, 1)
+	waitForIdle(t, srv, 7)
 
 	clk.advance(2 * time.Minute)
 	// The sweep is amortized onto claim; drive an unrelated hello through.
@@ -144,16 +144,23 @@ func runClientOnce(t *testing.T, addr string, id int, frames [][]byte) {
 	}
 }
 
-func waitForRegistrySize(t *testing.T, srv *Server, n int) {
+// waitForIdle waits until the server has released sensor id's entry, the
+// point at which release stamps idleSince from the server's clock. The
+// client's Run returns on the final ack, before the server gets there, so
+// a test that advances an injected clock must wait for this first.
+// ExportSessions lists idle entries only.
+func waitForIdle(t *testing.T, srv *Server, id int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if srv.sessions.size() >= n {
-			return
+		for _, st := range srv.ExportSessions() {
+			if st.SensorID == id {
+				return
+			}
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("registry size %d never reached %d", srv.sessions.size(), n)
+	t.Fatalf("session %d never went idle", id)
 }
 
 func waitForRegistryEviction(t *testing.T, srv *Server, id int) {

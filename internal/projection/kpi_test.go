@@ -81,9 +81,9 @@ func privacyFixtureRecords() (ids []int, recs []staging.Record) {
 	return ids, recs
 }
 
-// privacyFixtureCheckpoint and privacyFixtureNMI are what the privacy KPI
-// produced for privacyFixtureRecords when its joint table was keyed by
-// "label,size" strings in memory.
+// privacyFixtureCheckpoint is what the privacy KPI produced for
+// privacyFixtureRecords when its joint table was keyed by "label,size"
+// strings in memory; privacyFixtureNMI is the NMI of that table.
 const (
 	privacyFixtureCheckpoint = `{"records":120,"sizes":{"10":31,"12":9,"13":18,"14":36,"15":19,"8":4,"9":3},` +
 		`"labels":{"0":36,"1":45,"2":28},"joint":{"0,10":27,"0,12":9,"1,13":18,"1,14":27,"2,14":9,"2,15":19},` +
@@ -91,13 +91,11 @@ const (
 		`"1":{"records":30,"last_nano":1001029100,"sum_inter":29100,"max_inter":1300},` +
 		`"2":{"records":30,"last_nano":1002029100,"sum_inter":29100,"max_inter":1300},` +
 		`"3":{"records":30,"last_nano":1003029100,"sum_inter":29100,"max_inter":1300}}}`
-	privacyFixtureNMI = 0.6881903896609806
+	privacyFixtureNMI = 0.6881903896609803
 )
 
 // TestPrivacyCheckpointMatchesFixture pins the privacy KPI's checkpoint
-// bytes and NMI, both when folded and after a restore. stats.NMICounts
-// sums its terms in map order, so the NMI of one table varies in the
-// last couple of ulps from call to call; it is compared to 1e-14.
+// bytes and NMI bits, both when folded and after a restore.
 func TestPrivacyCheckpointMatchesFixture(t *testing.T) {
 	k := newPrivacyKPI(Config{SizeBucket: 4}.withDefaults())
 	ids, recs := privacyFixtureRecords()
@@ -110,7 +108,7 @@ func TestPrivacyCheckpointMatchesFixture(t *testing.T) {
 		if got := string(kpi.marshal()); got != privacyFixtureCheckpoint {
 			t.Errorf("%s checkpoint:\n got %s\nwant %s", name, got, privacyFixtureCheckpoint)
 		}
-		if nmi := kpi.snapshot(2e9).NMI; math.Abs(nmi-privacyFixtureNMI) > 1e-14 {
+		if nmi := kpi.snapshot(2e9).NMI; math.Float64bits(nmi) != math.Float64bits(privacyFixtureNMI) {
 			t.Errorf("%s NMI = %v, want %v", name, nmi, privacyFixtureNMI)
 		}
 	}

@@ -4,11 +4,22 @@
 // for NMI significance, Welch's t-test for conditional message-size
 // distributions (§3.2) and budget-violation detection (§5.7), and the
 // descriptive statistics (mean, std, median, IQR) used throughout.
+//
+// Entropy, mutual information and NMI share one kernel whose float sums run
+// in ascending rank order: marginals by value rank, joint cells by (row,
+// column) rank. The order is fixed by the values alone, never by input
+// order or map iteration, so equal tables give equal bits — the slice and
+// count forms agree exactly, and a permutation that reproduces the observed
+// table reproduces the observed NMI.
+//
+//age:deterministic
 package stats
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -116,20 +127,8 @@ func Min(xs []float64) float64 {
 // Entropy returns the Shannon entropy (bits) of the empirical distribution
 // of the discrete observations in labels.
 func Entropy(labels []int) float64 {
-	if len(labels) == 0 {
-		return 0
-	}
-	counts := map[int]int{}
-	for _, l := range labels {
-		counts[l]++
-	}
-	n := float64(len(labels))
-	var h float64
-	for _, c := range counts {
-		p := float64(c) / n
-		h -= p * math.Log2(p)
-	}
-	return h
+	_, counts := rank(labels)
+	return entropy(counts)
 }
 
 // EntropyCounts returns the Shannon entropy (bits) of the empirical
@@ -137,25 +136,8 @@ func Entropy(labels []int) float64 {
 // used by live monitors that maintain counts instead of retaining every
 // observation. Zero and negative counts are ignored.
 func EntropyCounts(counts map[int]int64) float64 {
-	var n int64
-	for _, c := range counts {
-		if c > 0 {
-			n += c
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	var h float64
-	nf := float64(n)
-	for _, c := range counts {
-		if c <= 0 {
-			continue
-		}
-		p := float64(c) / nf
-		h -= p * math.Log2(p)
-	}
-	return h
+	_, positive := sortedCounts(counts, cmp.Compare[int])
+	return entropy(positive)
 }
 
 // NMICounts returns the normalized mutual information of Eq. 3 computed from
@@ -165,68 +147,15 @@ func EntropyCounts(counts map[int]int64) float64 {
 // Zero and negative counts are ignored; an empty (or constant-marginal)
 // table yields 0, matching NMI's convention.
 func NMICounts(joint map[[2]int]int64) float64 {
-	var n int64
-	px := map[int]int64{}
-	py := map[int]int64{}
-	for k, c := range joint {
-		if c <= 0 {
-			continue
-		}
-		n += c
-		px[k[0]] += c
-		py[k[1]] += c
-	}
-	if n == 0 {
-		return 0
-	}
-	hx := EntropyCounts(px)
-	hy := EntropyCounts(py)
-	if hx+hy == 0 {
-		return 0
-	}
-	nf := float64(n)
-	var mi float64
-	for k, c := range joint {
-		if c <= 0 {
-			continue
-		}
-		pj := float64(c) / nf
-		mi += pj * math.Log2(pj/(float64(px[k[0]])/nf*float64(py[k[1]])/nf))
-	}
-	if mi < 0 { // guard tiny negative round-off
-		mi = 0
-	}
-	return 2 * mi / (hx + hy)
+	keys, counts := sortedCounts(joint, func(a, b [2]int) int { return slices.Compare(a[:], b[:]) })
+	return countTable(keys, counts).nmi()
 }
 
 // MutualInformation returns the maximum-likelihood estimate of I(X;Y) in bits
 // between two paired discrete observation sequences. It panics if the slices
 // have different lengths.
 func MutualInformation(xs, ys []int) float64 {
-	if len(xs) != len(ys) {
-		panic("stats: MutualInformation length mismatch")
-	}
-	if len(xs) == 0 {
-		return 0
-	}
-	n := float64(len(xs))
-	px := map[int]float64{}
-	py := map[int]float64{}
-	pxy := map[[2]int]float64{}
-	for i := range xs {
-		px[xs[i]]++
-		py[ys[i]]++
-		pxy[[2]int{xs[i], ys[i]}]++
-	}
-	var mi float64
-	for k, c := range pxy {
-		pj := c / n
-		mi += pj * math.Log2(pj/(px[k[0]]/n*py[k[1]]/n))
-	}
-	if mi < 0 { // guard tiny negative round-off
-		mi = 0
-	}
-	return mi
+	return newPairs(xs, ys).mutualInfo()
 }
 
 // NMI returns the normalized mutual information of the paper's Eq. 3:
@@ -234,14 +163,10 @@ func MutualInformation(xs, ys []int) float64 {
 //	NMI(L, M) = 2 I(L; M) / (H(L) + H(M))
 //
 // It is 0 when either marginal entropy is 0 (a constant sequence carries no
-// information, so nothing can leak).
+// information, so nothing can leak). It panics if the slices have different
+// lengths.
 func NMI(labels, sizes []int) float64 {
-	hl := Entropy(labels)
-	hm := Entropy(sizes)
-	if hl+hm == 0 {
-		return 0
-	}
-	return 2 * MutualInformation(labels, sizes) / (hl + hm)
+	return newPairs(labels, sizes).nmi()
 }
 
 // PermutationTestResult reports the outcome of an approximate permutation
@@ -263,14 +188,18 @@ func (r PermutationTestResult) Significant(alpha float64) bool {
 
 // PermutationTestNMI shuffles sizes n times and recomputes NMI against the
 // fixed labels. The null hypothesis is that the observed NMI arises from
-// random variation rather than any dependence of sizes on labels.
+// random variation rather than any dependence of sizes on labels. Both
+// sequences are ranked once; each permutation shuffles the size ranks and
+// re-counts the joint table into scratch allocated up front.
 func PermutationTestNMI(labels, sizes []int, n int, rng *rand.Rand) PermutationTestResult {
-	obs := NMI(labels, sizes)
-	perm := append([]int(nil), sizes...)
+	t := newPairs(labels, sizes)
+	obs := t.nmi()
+	perm := t.ys
 	exceed := 0
 	for i := 0; i < n; i++ {
 		rng.Shuffle(len(perm), func(a, b int) { perm[a], perm[b] = perm[b], perm[a] })
-		if NMI(labels, perm) >= obs {
+		t.count()
+		if t.nmi() >= obs {
 			exceed++
 		}
 	}
@@ -283,6 +212,182 @@ func PermutationTestNMI(labels, sizes []int, n int, rng *rand.Rand) PermutationT
 		CILow:        math.Max(0, p-half),
 		CIHigh:       math.Min(1, p+half),
 		Permutations: n,
+	}
+}
+
+// cell is one non-zero joint count, addressed by row and column rank.
+type cell struct {
+	row, col int
+	n        int64
+}
+
+// table is a contingency table in rank order.
+type table struct {
+	n          int64   // total count
+	rows, cols []int64 // marginal counts, indexed by rank
+	cells      []cell  // non-zero joint counts in ascending (row, col) order
+}
+
+// entropy returns the Shannon entropy (bits) of the distribution with the
+// given positive counts, summed in slice order.
+//
+//age:hotpath
+func entropy(counts []int64) float64 {
+	var n int64
+	for _, c := range counts {
+		n += c
+	}
+	var h float64
+	for _, c := range counts {
+		p := float64(c) / float64(n)
+		h -= p * math.Log2(p)
+	}
+	return h
+}
+
+// mutualInfo returns I(row; col) in bits, summed in cell order.
+//
+//age:hotpath
+func (t *table) mutualInfo() float64 {
+	n := float64(t.n)
+	var mi float64
+	for _, c := range t.cells {
+		pj := float64(c.n) / n
+		mi += pj * math.Log2(pj/(float64(t.rows[c.row])/n*float64(t.cols[c.col])/n))
+	}
+	if mi < 0 { // guard tiny negative round-off
+		mi = 0
+	}
+	return mi
+}
+
+// nmi returns Eq. 3's 2 I / (H(row) + H(col)), or 0 when both marginals
+// are constant.
+//
+//age:hotpath
+func (t *table) nmi() float64 {
+	h := entropy(t.rows) + entropy(t.cols)
+	if h == 0 {
+		return 0
+	}
+	return 2 * t.mutualInfo() / h
+}
+
+// rank returns the dense rank of each xs[i] among the distinct values of xs
+// in ascending order, and how often each rank occurs.
+func rank(xs []int) (ids []int, counts []int64) {
+	vals := slices.Clone(xs)
+	slices.Sort(vals)
+	vals = slices.Compact(vals)
+	ids = make([]int, len(xs))
+	counts = make([]int64, len(vals))
+	for i, x := range xs {
+		ids[i], _ = slices.BinarySearch(vals, x)
+		counts[ids[i]]++
+	}
+	return ids, counts
+}
+
+// sortedCounts returns m's keys with a positive count in ascending order,
+// and their counts.
+func sortedCounts[K comparable](m map[K]int64, cmp func(a, b K) int) ([]K, []int64) {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, cmp)
+	keys = slices.DeleteFunc(keys, func(k K) bool { return m[k] <= 0 })
+	counts := make([]int64, len(keys))
+	for i, k := range keys {
+		counts[i] = m[k]
+	}
+	return keys, counts
+}
+
+// countTable builds the table whose cells are the lexicographically sorted
+// (row value, column value) keys with the given counts. Ranks are monotone
+// in the values, so the key order is already the cell order.
+func countTable(keys [][2]int, counts []int64) *table {
+	xs, ys := make([]int, len(keys)), make([]int, len(keys))
+	for i, k := range keys {
+		xs[i], ys[i] = k[0], k[1]
+	}
+	rowOf, keysPerRow := rank(xs)
+	colOf, keysPerCol := rank(ys)
+	t := &table{rows: make([]int64, len(keysPerRow)), cols: make([]int64, len(keysPerCol)), cells: make([]cell, len(keys))}
+	for i, c := range counts {
+		t.cells[i] = cell{row: rowOf[i], col: colOf[i], n: c}
+		t.n += c
+		t.rows[rowOf[i]] += c
+		t.cols[colOf[i]] += c
+	}
+	return t
+}
+
+// pairs is the table of two paired sequences, ranked once, with the
+// scratch that re-counting its cells needs.
+type pairs struct {
+	table
+	xs, ys []int // row and column rank of each pair
+	byCol  []int // pair indices ordered by column
+	byRow  []int // pair indices ordered by (row, column)
+	off    []int // counting-sort offsets
+}
+
+// newPairs ranks xs and ys and counts their table. It panics if they
+// differ in length.
+func newPairs(xs, ys []int) *pairs {
+	if len(xs) != len(ys) {
+		panic("stats: paired sequences differ in length")
+	}
+	p := &pairs{byCol: make([]int, len(xs)), byRow: make([]int, len(xs))}
+	p.xs, p.rows = rank(xs)
+	p.ys, p.cols = rank(ys)
+	p.n = int64(len(xs))
+	p.off = make([]int, max(len(p.rows), len(p.cols)))
+	p.cells = make([]cell, 0, len(xs))
+	// count sorts from the previous order; the first count starts from
+	// the input order.
+	for i := range p.byRow {
+		p.byRow[i] = i
+	}
+	p.count()
+	return p
+}
+
+// count rebuilds p.cells from the current ranks: a counting sort by
+// column, then a stable one by row, leave equal pairs adjacent in
+// ascending (row, col) order, and each run of them is one cell.
+//
+//age:hotpath
+func (p *pairs) count() {
+	countingSort(p.byCol, p.byRow, p.ys, p.cols, p.off)
+	countingSort(p.byRow, p.byCol, p.xs, p.rows, p.off)
+	p.cells = p.cells[:0]
+	for _, i := range p.byRow {
+		r, c := p.xs[i], p.ys[i]
+		if last := len(p.cells) - 1; last >= 0 && p.cells[last].row == r && p.cells[last].col == c {
+			p.cells[last].n++
+		} else {
+			p.cells = append(p.cells, cell{row: r, col: c, n: 1})
+		}
+	}
+}
+
+// countingSort stably orders the indices in src by key[i] into dst, where
+// counts[k] is how many indices have key k; off is scratch of at least
+// len(counts).
+//
+//age:hotpath
+func countingSort(dst, src, key []int, counts []int64, off []int) {
+	start := 0
+	for k, c := range counts {
+		off[k] = start
+		start += int(c)
+	}
+	for _, i := range src {
+		dst[off[key[i]]] = i
+		off[key[i]]++
 	}
 }
 
