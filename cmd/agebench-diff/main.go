@@ -15,8 +15,8 @@
 //	                cluster.missing_frames                must not increase
 //	                cluster.mismatched_frames             must not increase
 //	sweep           total_seconds                         lower is better
-//	             encoder_ns_per_op.{standard,age}      lower is better
-//	             encoder_allocs_per_op.{standard,age}  must not increase
+//	                encoder_ns_per_op.{standard,age}      lower is better
+//	                encoder_allocs_per_op.{standard,age}  must not increase
 //
 // Throughput/latency metrics fail when they regress more than -max-regress
 // (default 10%) past the baseline. Allocation metrics fail on any increase
@@ -135,7 +135,7 @@ type diffReport struct {
 func main() {
 	log.SetFlags(0)
 	var (
-		kind     = flag.String("kind", "", "report shape: ingest or sweep")
+		kind     = flag.String("kind", "", "report shape: ingest, ingest-pace, ingest-project, ingest-cluster or sweep")
 		baseline = flag.String("baseline", "", "committed baseline JSON file")
 		current  = flag.String("current", "", "freshly measured JSON file")
 		out      = flag.String("out", "", "write the comparison report to this JSON file")

@@ -11,6 +11,18 @@
 // migration/resume path by killing a node mid-run while -verify checks every
 // delivered stream byte-for-byte.
 //
+// Both paths share one client fan-out, drain and report, and take -sensors,
+// -frames, -frame-bytes, -shards, -workers, -queue, -write-batch,
+// -io-timeout, -reject-attempts, -reconnect-attempts, -run-timeout and -out.
+// The rest belong to one path, and the other refuses them rather than
+// ignoring them:
+//
+//   - single node only: -encode age|standard, -pace (with -pace-interval,
+//     -pace-jitter, -pace-gen-gap) and -project (with -project-window,
+//     -project-addr);
+//   - cluster only: -conns, -burst, -verify and -kill-node (with
+//     -kill-at-frac).
+//
 // Usage:
 //
 //	ageload -sensors 1000 -frames 20 -frame-bytes 64 -out BENCH_ingest.json
@@ -50,8 +62,7 @@ type loadSession struct {
 	paced    bool
 	sensorID int
 	ver      *verifier
-	frames   *atomic.Int64
-	bytes    *atomic.Int64
+	got      *tally
 }
 
 func (s *loadSession) Total() int { return s.total }
@@ -70,8 +81,8 @@ func (s *loadSession) Frame(index int, msg []byte) error {
 	if s.ver != nil {
 		s.ver.record(s.sensorID, index, msg)
 	}
-	s.frames.Add(1)
-	s.bytes.Add(int64(len(msg)))
+	s.got.frames.Add(1)
+	s.got.bytes.Add(int64(len(msg)))
 	return nil
 }
 
@@ -520,6 +531,9 @@ func main() {
 	if *sensors <= 0 || *frames <= 0 || *frameBytes <= 0 {
 		log.Fatal("ageload: -sensors, -frames, and -frame-bytes must be positive")
 	}
+	if *killNode >= 0 && *nodes <= 1 {
+		log.Fatal("ageload: -kill-node needs -nodes > 1")
+	}
 	paceMode, err := ingest.ParsePaceMode(*pace)
 	if err != nil {
 		log.Fatalf("ageload: %v", err)
@@ -591,24 +605,26 @@ func main() {
 // opts.sensors real clients streaming opts.frames each, and the report
 // summarizing what the wire saw.
 func runLoad(opts loadOptions) (*report, error) {
+	if opts.conns != 0 || opts.burst != 0 || opts.verify {
+		return nil, errors.New("-conns, -burst and -verify need -nodes > 1: connection duty-cycling and the byte-exact verifier run on the cluster path")
+	}
 	// In encode mode every frame is a real encoded payload: a Q3.13
 	// activity-style task sized so AGE's fixed message is about -frame-bytes.
-	var encCfg core.Config
-	var newEncoder func() (core.BatchAppendEncoder, error)
+	var codec frameCodec
 	switch opts.encode {
 	case "none":
 	case "age", "standard":
-		encCfg = core.Config{
+		codec.cfg = core.Config{
 			T: 50, D: 6,
 			Format:      fixedpoint.Format{Width: 16, NonFrac: 3},
 			TargetBytes: opts.frameBytes,
 		}
 		if opts.encode == "age" {
-			newEncoder = func() (core.BatchAppendEncoder, error) { return core.NewAGE(encCfg) }
+			codec.newEncoder = func() (core.BatchAppendEncoder, error) { return core.NewAGE(codec.cfg) }
 		} else {
-			newEncoder = func() (core.BatchAppendEncoder, error) { return core.NewStandard(encCfg) }
+			codec.newEncoder = func() (core.BatchAppendEncoder, error) { return core.NewStandard(codec.cfg) }
 		}
-		if _, err := newEncoder(); err != nil {
+		if _, err := codec.newEncoder(); err != nil {
 			return nil, fmt.Errorf("-encode %s with -frame-bytes %d: %w", opts.encode, opts.frameBytes, err)
 		}
 	default:
@@ -631,28 +647,28 @@ func runLoad(opts loadOptions) (*report, error) {
 	var eng *projection.Engine
 	if opts.project {
 		pcfg := projection.Config{
-			T: encCfg.T, D: encCfg.D,
+			T: codec.cfg.T, D: codec.cfg.D,
 			Unmark: paced,
 			Window: opts.projectWindow,
 			Truth: func(sensorID, index int) ([][]float64, int, bool) {
 				return nil, (sensorID + index) % 2, true
 			},
 		}
-		if newEncoder != nil {
-			dec, err := newEncoder()
+		if codec.newEncoder != nil {
+			_, dec, err := core.NewEncoder(core.Kind(opts.encode), codec.cfg)
 			if err != nil {
 				return nil, err
 			}
-			pcfg.Decode = dec.(core.Decoder)
+			pcfg.Decode = dec
 		}
 		eng = projection.New(pcfg)
 	}
 
-	var gotFrames, gotBytes atomic.Int64
+	var got tally
 	srv, err := ingest.NewServer(ingest.ServerConfig{
 		Handler: ingest.HandlerFuncs{
 			OpenFunc: func(sensorID, delivered int) (ingest.Session, error) {
-				return &loadSession{total: opts.frames, paced: paced, frames: &gotFrames, bytes: &gotBytes}, nil
+				return &loadSession{total: opts.frames, paced: paced, got: &got}, nil
 			},
 		},
 		Shards:          opts.shards,
@@ -681,155 +697,34 @@ func runLoad(opts loadOptions) (*report, error) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve() }()
 
-	ctx, cancel := context.WithTimeout(context.Background(), opts.runTimeout)
-	defer cancel()
-
-	durs := make([]time.Duration, opts.sensors)
-	errs := make([]error, opts.sensors)
-	allStats := make([]ingest.ClientStats, opts.sensors)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < opts.sensors; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			ccfg := ingest.ClientConfig{
-				Addr:              srv.Addr().String(),
-				SensorID:          id,
-				IOTimeout:         opts.ioTimeout,
-				DialAttempts:      6,
-				RejectAttempts:    opts.rejectAttempts,
-				ReconnectAttempts: opts.reconnects,
-				WriteBatch:        opts.writeBatch,
-				Metrics:           reg,
-			}
-			if paced {
-				ccfg.Seed = int64(id)*2654435761 + 1
-				ccfg.Pacer = ingest.PacerConfig{
-					Mode:       opts.pace,
-					Interval:   opts.paceInterval,
-					JitterFrac: opts.paceJitter,
-					Dummy: func() ([]byte, error) {
-						return ingest.MarkDummy(make([]byte, opts.frameBytes)), nil
-					},
-				}
-			}
-			client := ingest.NewClient(ccfg)
-			var src ingest.FrameSource
-			if newEncoder != nil {
-				enc, err := newEncoder()
-				if err != nil {
-					errs[id] = err
-					return
-				}
-				block := opts.writeBatch
-				if block < 1 {
-					block = 1
-				}
-				src = newEncSource(id, opts.frames, block, enc, encCfg)
-			} else {
-				src = &genSource{sensorID: id, total: opts.frames, buf: make([]byte, opts.frameBytes)}
-			}
-			if paced {
-				src = &pacedSource{FrameSource: src, gap: opts.genGap}
-			}
-			t0 := time.Now()
-			stats, err := client.Run(ctx, src)
-			durs[id] = time.Since(t0)
-			errs[id] = err
-			allStats[id] = stats
-		}(i)
+	rep, err := driveFleet(opts, codec, srv.Addr().String(), reg, &got, func(ctx context.Context) error {
+		if err := srv.Drain(ctx); err != nil {
+			return fmt.Errorf("drain: %w", err)
+		}
+		if err := <-serveErr; err != nil && !errors.Is(err, ingest.ErrClosed) {
+			return fmt.Errorf("serve: %w", err)
+		}
+		if eng != nil {
+			// The server has drained: no more frames can reach the tap, so
+			// Close drains the workers and the snapshot is final.
+			eng.Close()
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	wall := time.Since(start)
-
-	drainCtx, drainCancel := context.WithTimeout(context.Background(), 2*opts.ioTimeout)
-	defer drainCancel()
-	if err := srv.Drain(drainCtx); err != nil {
-		return nil, fmt.Errorf("drain: %w", err)
-	}
-	if err := <-serveErr; err != nil && !errors.Is(err, ingest.ErrClosed) {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	var projSnap *projection.Snapshot
 	if eng != nil {
-		// The server has drained: no more frames can reach the tap, so
-		// Close drains the workers and the snapshot is final.
-		eng.Close()
 		s := eng.Snapshot()
-		projSnap = &s
-	}
-
-	rep := &report{
-		Sensors:         opts.sensors,
-		FramesPerSensor: opts.frames,
-		FrameBytes:      opts.frameBytes,
-		Shards:          opts.shards,
-		WorkersPerShard: opts.workers,
-		QueueDepth:      opts.queue,
-		WriteBatch:      opts.writeBatch,
-		EncodeMode:      opts.encode,
-		WallSeconds:     wall.Seconds(),
-		DeliveredFrames: gotFrames.Load(),
-		Metrics:         reg.Snapshot(),
-	}
-	var okDurs []time.Duration
-	var realFrames, dummyFrames, dummyBytes, aoiTotal, aoiMax int64
-	for i, err := range errs {
-		st := allStats[i]
-		rep.SoftRejects += int64(st.SoftRejects)
-		rep.Reconnects += int64(st.Reconnects)
-		realFrames += int64(st.FramesSent)
-		dummyFrames += int64(st.DummyFrames)
-		dummyBytes += int64(st.DummyBytesSent)
-		aoiTotal += st.AoIMicrosTotal
-		if st.AoIMicrosMax > aoiMax {
-			aoiMax = st.AoIMicrosMax
-		}
-		if err != nil {
-			rep.Failed++
-			if rep.Failed <= 3 {
-				log.Printf("ageload: sensor %d: %v", i, err)
-			}
-			continue
-		}
-		rep.Completed++
-		okDurs = append(okDurs, durs[i])
-	}
-	rep.SessionLatency = summarize(okDurs)
-	if wall > 0 {
-		rep.FramesPerSec = float64(gotFrames.Load()) / wall.Seconds()
-		rep.MBPerSec = float64(gotBytes.Load()) / wall.Seconds() / 1e6
-	}
-	if paced {
-		p := &pacerReport{
-			Mode:        opts.pace.String(),
-			IntervalMS:  float64(opts.paceInterval) / float64(time.Millisecond),
-			JitterFrac:  opts.paceJitter,
-			GenGapMS:    float64(opts.genGap) / float64(time.Millisecond),
-			RealFrames:  realFrames,
-			DummyFrames: dummyFrames,
-			DummyBytes:  dummyBytes,
-			MaxAoIMS:    float64(aoiMax) / 1e3,
-		}
-		if total := realFrames + dummyFrames; total > 0 {
-			p.GoodputPct = 100 * float64(realFrames) / float64(total)
-		}
-		if realFrames > 0 {
-			p.MeanAoIMS = float64(aoiTotal) / float64(realFrames) / 1e3
-		}
-		rep.Pacer = p
-	}
-	if projSnap != nil {
 		rep.Projection = &projectionReport{
-			StagedRecords:   projSnap.StagedRecords,
-			DecodeErrors:    projSnap.DecodeErrors,
-			CoveragePct:     projSnap.CoveragePct,
-			Watermark:       projSnap.Watermark,
-			SizeEntropyBits: projSnap.Privacy.SizeEntropyBits,
-			NMI:             projSnap.Privacy.NMI,
-			DistinctSizes:   projSnap.Privacy.DistinctSizes,
-			LabelDetections: projSnap.Events.LabelDetections,
+			StagedRecords:   s.StagedRecords,
+			DecodeErrors:    s.DecodeErrors,
+			CoveragePct:     s.CoveragePct,
+			Watermark:       s.Watermark,
+			SizeEntropyBits: s.Privacy.SizeEntropyBits,
+			NMI:             s.Privacy.NMI,
+			DistinctSizes:   s.Privacy.DistinctSizes,
+			LabelDetections: s.Events.LabelDetections,
 		}
 	}
 	return rep, nil
@@ -866,7 +761,7 @@ func runCluster(opts loadOptions) (*report, error) {
 		ver = newVerifier(opts.sensors, opts.frames, opts.frameBytes)
 	}
 	reg := metrics.NewRegistry()
-	var gotFrames, gotBytes atomic.Int64
+	var got tally
 
 	// The gateway holds two descriptors per proxied sensor and each node one
 	// more, so its connection cap tracks the fleet's duty cycle, not the
@@ -881,10 +776,7 @@ func runCluster(opts loadOptions) (*report, error) {
 			return cluster.NodeSpec{Server: ingest.ServerConfig{
 				Handler: ingest.HandlerFuncs{
 					OpenFunc: func(sensorID, delivered int) (ingest.Session, error) {
-						return &loadSession{
-							total: opts.frames, sensorID: sensorID, ver: ver,
-							frames: &gotFrames, bytes: &gotBytes,
-						}, nil
+						return &loadSession{total: opts.frames, sensorID: sensorID, ver: ver, got: &got}, nil
 					},
 				},
 				Shards:          opts.shards,
@@ -904,28 +796,29 @@ func runCluster(opts loadOptions) (*report, error) {
 	if err := cl.Start("127.0.0.1:0"); err != nil {
 		return nil, fmt.Errorf("start cluster: %w", err)
 	}
-	addr := cl.Addr().String()
-
-	ctx, cancel := context.WithTimeout(context.Background(), opts.runTimeout)
-	defer cancel()
 
 	// The kill watcher fires once the fleet has delivered the requested
 	// fraction of its frames, so the node dies with sessions mid-stream.
+	// The drain stops it and waits for it, so a kill the fleet has earned
+	// always lands before the drain.
 	var killAt atomic.Int64
 	killAt.Store(-1)
+	stopWatch := make(chan struct{})
 	killDone := make(chan struct{})
 	if opts.killNode >= 0 {
 		target := int64(float64(opts.sensors*opts.frames) * opts.killAtFrac)
 		go func() {
 			defer close(killDone)
-			for gotFrames.Load() < target {
+			for got.frames.Load() < target {
 				select {
-				case <-ctx.Done():
-					return
+				case <-stopWatch:
+					if got.frames.Load() < target {
+						return // the fleet finished short of the kill point
+					}
 				case <-time.After(time.Millisecond):
 				}
 			}
-			at := gotFrames.Load()
+			at := got.frames.Load()
 			if err := cl.KillNode(opts.killNode); err != nil {
 				log.Printf("ageload: kill node %d: %v", opts.killNode, err)
 				return
@@ -937,20 +830,80 @@ func runCluster(opts loadOptions) (*report, error) {
 		close(killDone)
 	}
 
+	rep, err := driveFleet(opts, frameCodec{}, cl.Addr().String(), reg, &got, func(ctx context.Context) error {
+		close(stopWatch)
+		<-killDone
+		if err := cl.Drain(ctx); err != nil {
+			return fmt.Errorf("drain cluster: %w", err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	c := rep.Metrics.Counters
+	cr := &clusterReport{
+		Nodes:            opts.nodes,
+		KilledNode:       opts.killNode,
+		ConnCap:          opts.conns,
+		BurstFrames:      opts.burst,
+		Routed:           c["cluster.routed"],
+		Migrations:       c["cluster.migrations"],
+		GatewayRejects:   c["cluster.rejected"],
+		NodeDialFailures: c["cluster.node_dial_failures"],
+		LocatorEvicted:   c["cluster.locator_evicted"],
+		Verified:         ver != nil,
+	}
+	if at := killAt.Load(); at >= 0 {
+		cr.KillAtFrames = at
+	}
+	if ver != nil {
+		cr.MissingFrames = ver.missing()
+		cr.MismatchedFrames = ver.mismatched.Load()
+		cr.DuplicateFrames = ver.duplicates.Load()
+	}
+	rep.Cluster = cr
+	return rep, nil
+}
+
+// tally counts what the target's sessions accept over the whole run.
+type tally struct{ frames, bytes atomic.Int64 }
+
+// frameCodec is the -encode mode the fleet's sources use: each sensor gets
+// its own encoder from newEncoder, configured by cfg. A nil newEncoder means
+// stamped genSource frames.
+type frameCodec struct {
+	cfg        core.Config
+	newEncoder func() (core.BatchAppendEncoder, error)
+}
+
+// driveFleet is the load loop both paths share. It runs opts.sensors real
+// clients against addr, each streaming through the source stack
+// encSource|genSource → pacedSource → burstSource, then drains the target
+// and fills the report fields every run has. With -conns a sensor waits for
+// one of that many connection slots; with -burst it gives its slot back
+// after each budget and rejoins the queue, resuming where the server left
+// off, its ClientStats summed across connections. got is the target's
+// delivery tally.
+func driveFleet(opts loadOptions, codec frameCodec, addr string, reg *metrics.Registry, got *tally, drain func(context.Context) error) (*report, error) {
+	paced := opts.pace != ingest.PaceOff
+	ctx, cancel := context.WithTimeout(context.Background(), opts.runTimeout)
+	defer cancel()
+
 	var sem chan struct{}
 	if opts.conns > 0 {
 		sem = make(chan struct{}, opts.conns)
 	}
 	durs := make([]time.Duration, opts.sensors)
 	errs := make([]error, opts.sensors)
-	var softRejects, reconnects atomic.Int64
+	stats := make([]ingest.ClientStats, opts.sensors)
 	var wg sync.WaitGroup
 	start := time.Now()
 	for i := 0; i < opts.sensors; i++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			client := ingest.NewClient(ingest.ClientConfig{
+			ccfg := ingest.ClientConfig{
 				Addr:              addr,
 				SensorID:          id,
 				IOTimeout:         opts.ioTimeout,
@@ -959,9 +912,32 @@ func runCluster(opts loadOptions) (*report, error) {
 				ReconnectAttempts: opts.reconnects,
 				WriteBatch:        opts.writeBatch,
 				Metrics:           reg,
-			})
-			var src ingest.FrameSource = &genSource{
-				sensorID: id, total: opts.frames, buf: make([]byte, opts.frameBytes),
+			}
+			if paced {
+				ccfg.Seed = int64(id)*2654435761 + 1
+				ccfg.Pacer = ingest.PacerConfig{
+					Mode:       opts.pace,
+					Interval:   opts.paceInterval,
+					JitterFrac: opts.paceJitter,
+					Dummy: func() ([]byte, error) {
+						return ingest.MarkDummy(make([]byte, opts.frameBytes)), nil
+					},
+				}
+			}
+			client := ingest.NewClient(ccfg)
+			var src ingest.FrameSource
+			if codec.newEncoder != nil {
+				enc, err := codec.newEncoder()
+				if err != nil {
+					errs[id] = err
+					return
+				}
+				src = newEncSource(id, opts.frames, max(opts.writeBatch, 1), enc, codec.cfg)
+			} else {
+				src = &genSource{sensorID: id, total: opts.frames, buf: make([]byte, opts.frameBytes)}
+			}
+			if paced {
+				src = &pacedSource{FrameSource: src, gap: opts.genGap}
 			}
 			if opts.burst > 0 {
 				src = &burstSource{FrameSource: src, limit: opts.burst}
@@ -976,12 +952,11 @@ func runCluster(opts loadOptions) (*report, error) {
 						return
 					}
 				}
-				stats, err := client.Run(ctx, src)
+				st, err := client.Run(ctx, src)
 				if sem != nil {
 					<-sem
 				}
-				softRejects.Add(int64(stats.SoftRejects))
-				reconnects.Add(int64(stats.Reconnects))
+				addStats(&stats[id], st)
 				if errors.Is(err, errBurstPause) {
 					continue // rejoin the queue; the next hello resumes
 				}
@@ -993,15 +968,13 @@ func runCluster(opts loadOptions) (*report, error) {
 	}
 	wg.Wait()
 	wall := time.Since(start)
-	<-killDone
 
 	drainCtx, drainCancel := context.WithTimeout(context.Background(), 2*opts.ioTimeout)
 	defer drainCancel()
-	if err := cl.Drain(drainCtx); err != nil {
-		return nil, fmt.Errorf("drain cluster: %w", err)
+	if err := drain(drainCtx); err != nil {
+		return nil, err
 	}
 
-	snap := reg.Snapshot()
 	rep := &report{
 		Sensors:         opts.sensors,
 		FramesPerSensor: opts.frames,
@@ -1012,13 +985,13 @@ func runCluster(opts loadOptions) (*report, error) {
 		WriteBatch:      opts.writeBatch,
 		EncodeMode:      opts.encode,
 		WallSeconds:     wall.Seconds(),
-		DeliveredFrames: gotFrames.Load(),
-		SoftRejects:     softRejects.Load(),
-		Reconnects:      reconnects.Load(),
-		Metrics:         snap,
+		DeliveredFrames: got.frames.Load(),
+		Metrics:         reg.Snapshot(),
 	}
+	var total ingest.ClientStats
 	var okDurs []time.Duration
 	for i, err := range errs {
+		addStats(&total, stats[i])
 		if err != nil {
 			rep.Failed++
 			if rep.Failed <= 3 {
@@ -1030,32 +1003,45 @@ func runCluster(opts loadOptions) (*report, error) {
 		okDurs = append(okDurs, durs[i])
 	}
 	rep.SessionLatency = summarize(okDurs)
+	rep.SoftRejects = int64(total.SoftRejects)
+	rep.Reconnects = int64(total.Reconnects)
 	if wall > 0 {
-		rep.FramesPerSec = float64(gotFrames.Load()) / wall.Seconds()
-		rep.MBPerSec = float64(gotBytes.Load()) / wall.Seconds() / 1e6
+		rep.FramesPerSec = float64(got.frames.Load()) / wall.Seconds()
+		rep.MBPerSec = float64(got.bytes.Load()) / wall.Seconds() / 1e6
 	}
-	cr := &clusterReport{
-		Nodes:            opts.nodes,
-		KilledNode:       opts.killNode,
-		ConnCap:          opts.conns,
-		BurstFrames:      opts.burst,
-		Routed:           snap.Counters["cluster.routed"],
-		Migrations:       snap.Counters["cluster.migrations"],
-		GatewayRejects:   snap.Counters["cluster.rejected"],
-		NodeDialFailures: snap.Counters["cluster.node_dial_failures"],
-		LocatorEvicted:   snap.Counters["cluster.locator_evicted"],
-		Verified:         ver != nil,
+	if paced {
+		realFrames, dummyFrames := int64(total.FramesSent), int64(total.DummyFrames)
+		p := &pacerReport{
+			Mode:        opts.pace.String(),
+			IntervalMS:  float64(opts.paceInterval) / float64(time.Millisecond),
+			JitterFrac:  opts.paceJitter,
+			GenGapMS:    float64(opts.genGap) / float64(time.Millisecond),
+			RealFrames:  realFrames,
+			DummyFrames: dummyFrames,
+			DummyBytes:  int64(total.DummyBytesSent),
+			MaxAoIMS:    float64(total.AoIMicrosMax) / 1e3,
+		}
+		if sent := realFrames + dummyFrames; sent > 0 {
+			p.GoodputPct = 100 * float64(realFrames) / float64(sent)
+		}
+		if realFrames > 0 {
+			p.MeanAoIMS = float64(total.AoIMicrosTotal) / float64(realFrames) / 1e3
+		}
+		rep.Pacer = p
 	}
-	if at := killAt.Load(); at >= 0 {
-		cr.KillAtFrames = at
-	}
-	if ver != nil {
-		cr.MissingFrames = ver.missing()
-		cr.MismatchedFrames = ver.mismatched.Load()
-		cr.DuplicateFrames = ver.duplicates.Load()
-	}
-	rep.Cluster = cr
 	return rep, nil
+}
+
+// addStats folds one connection's (or one sensor's) stats into acc: the
+// fields the report reads add up, and the AoI maximum keeps the larger.
+func addStats(acc *ingest.ClientStats, st ingest.ClientStats) {
+	acc.SoftRejects += st.SoftRejects
+	acc.Reconnects += st.Reconnects
+	acc.FramesSent += st.FramesSent
+	acc.DummyFrames += st.DummyFrames
+	acc.DummyBytesSent += st.DummyBytesSent
+	acc.AoIMicrosTotal += st.AoIMicrosTotal
+	acc.AoIMicrosMax = max(acc.AoIMicrosMax, st.AoIMicrosMax)
 }
 
 // stagerOrNil avoids handing the server a non-nil interface wrapping a nil

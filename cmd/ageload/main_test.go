@@ -466,3 +466,22 @@ func TestRunClusterRejectsSingleNodeOnlyFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestRunLoadRejectsClusterOnlyFlags is the single-node half of the
+// flag-compatibility surface: connection duty-cycling and the byte-exact
+// verifier only run on the cluster path, so the single-node path refuses
+// them instead of running without them.
+func TestRunLoadRejectsClusterOnlyFlags(t *testing.T) {
+	base := loadTestOptions()
+	for name, mut := range map[string]func(*loadOptions){
+		"conns":  func(o *loadOptions) { o.conns = 4 },
+		"burst":  func(o *loadOptions) { o.burst = 5 },
+		"verify": func(o *loadOptions) { o.verify = true },
+	} {
+		opts := base
+		mut(&opts)
+		if _, err := runLoad(opts); err == nil {
+			t.Errorf("%s: runLoad accepted a cluster-only option", name)
+		}
+	}
+}

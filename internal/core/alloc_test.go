@@ -83,8 +83,8 @@ func TestStandardEncodeDecodeAllocs(t *testing.T) {
 	}
 }
 
-// All package encoders must offer both reuse interfaces so the simulator's
-// hot loop never falls back to the allocating path.
+// All package encoders must offer both reuse interfaces: core.NewEncoder
+// returns them, and the simulator's hot loop has no other path.
 func TestAllEncodersImplementReusePaths(t *testing.T) {
 	cfg := testConfig(220)
 	age := mustAGE(t, cfg)

@@ -39,13 +39,14 @@ func (k Kind) Valid() bool {
 
 // NewEncoder is the unified constructor over every encoder variant: it
 // builds the encoder/decoder pair for kind with the given configuration.
-// All six concrete types implement both halves on one value, so the two
-// returned interfaces share state where the format requires it. An
-// unimplemented kind returns an error wrapping ErrUnknownEncoder.
+// All six concrete types implement both halves, reuse paths included, on
+// one value, so the two returned interfaces share state where the format
+// requires it. An unimplemented kind returns an error wrapping
+// ErrUnknownEncoder.
 //
 // The config is used as given: callers that want the paper's target sizing
 // (ReduceTarget, cipher rounding) apply it to cfg.TargetBytes first.
-func NewEncoder(kind Kind, cfg Config) (Encoder, Decoder, error) {
+func NewEncoder(kind Kind, cfg Config) (AppendEncoder, IntoDecoder, error) {
 	switch kind {
 	case KindStandard:
 		s, err := NewStandard(cfg)

@@ -44,29 +44,23 @@ func NewCodecMetrics(reg *metrics.Registry, name string) *CodecMetrics {
 	}
 }
 
-// instrumentedCodec wraps a codec with latency and count instrumentation. It
-// always implements the reuse interfaces, falling back to the allocating
-// path only when the wrapped codec lacks them (no encoder in this package
-// does).
+// instrumentedCodec wraps a codec with latency and count instrumentation,
+// keeping its reuse paths.
 type instrumentedCodec struct {
-	enc  Encoder
-	app  AppendEncoder // nil when enc is not an AppendEncoder
-	dec  Decoder
-	into IntoDecoder // nil when dec is not an IntoDecoder
-	cm   *CodecMetrics
+	enc AppendEncoder
+	dec IntoDecoder
+	cm  *CodecMetrics
 }
 
 // InstrumentCodec wraps the pair with cm. With cm == nil the inputs are
 // returned untouched, so call sites thread an optional *CodecMetrics without
 // branching. The wrapper is wire-invisible: bytes in and out are exactly the
 // wrapped codec's.
-func InstrumentCodec(enc Encoder, dec Decoder, cm *CodecMetrics) (Encoder, Decoder) {
+func InstrumentCodec(enc AppendEncoder, dec IntoDecoder, cm *CodecMetrics) (AppendEncoder, IntoDecoder) {
 	if cm == nil {
 		return enc, dec
 	}
 	ic := &instrumentedCodec{enc: enc, dec: dec, cm: cm}
-	ic.app, _ = enc.(AppendEncoder)
-	ic.into, _ = dec.(IntoDecoder)
 	return ic, ic
 }
 
@@ -85,19 +79,8 @@ func (ic *instrumentedCodec) Encode(b Batch) ([]byte, error) {
 //
 //age:hotpath
 func (ic *instrumentedCodec) AppendEncode(dst []byte, b Batch) ([]byte, error) {
-	if ic.app == nil {
-		out, err := ic.enc.Encode(b)
-		if err != nil {
-			ic.cm.EncodeErrors.Inc()
-			return nil, err
-		}
-		dst = append(dst, out...)
-		ic.cm.Encodes.Inc()
-		ic.cm.PayloadBytes.Add(int64(len(out)))
-		return dst, nil
-	}
 	start := time.Now()
-	out, err := ic.app.AppendEncode(dst, b)
+	out, err := ic.enc.AppendEncode(dst, b)
 	ic.finishEncode(start, out, err)
 	return out, err
 }
@@ -124,18 +107,8 @@ func (ic *instrumentedCodec) Decode(payload []byte) (Batch, error) {
 //
 //age:hotpath
 func (ic *instrumentedCodec) DecodeInto(b *Batch, payload []byte) error {
-	if ic.into == nil {
-		got, err := ic.dec.Decode(payload)
-		if err != nil {
-			ic.cm.DecodeErrors.Inc()
-			return err
-		}
-		*b = got
-		ic.cm.Decodes.Inc()
-		return nil
-	}
 	start := time.Now()
-	err := ic.into.DecodeInto(b, payload)
+	err := ic.dec.DecodeInto(b, payload)
 	ic.finishDecode(start, err)
 	return err
 }

@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -324,10 +323,7 @@ func (c *Client) stream(ctx context.Context, src FrameSource, st *ClientStats) e
 		}
 	}()
 
-	var hello [helloLen]byte
-	hello[0] = helloMagic
-	binary.BigEndian.PutUint32(hello[1:], uint32(cfg.SensorID))
-	if _, err := writeFullDeadline(conn, hello[:], cfg.IOTimeout); err != nil {
+	if err := WriteHello(conn, cfg.SensorID, cfg.IOTimeout); err != nil {
 		return fmt.Errorf("hello: %w", err)
 	}
 	status, resume, err := readAck(conn, cfg.IOTimeout)

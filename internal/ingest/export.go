@@ -82,8 +82,8 @@ func (s *Server) ExportSessions() []SessionState {
 }
 
 // ReadHello consumes one cleartext hello from conn under a read deadline
-// and returns the sensor id it identifies. A bad magic byte is a
-// *ProtocolError.
+// and returns the sensor id it identifies — the first read of a server
+// connection and of a gateway one. A bad magic byte is a *ProtocolError.
 func ReadHello(conn net.Conn, timeout time.Duration) (int, error) {
 	var hello [helloLen]byte
 	if err := seccomm.ReadFullDeadline(conn, hello[:], timeout); err != nil {
@@ -96,7 +96,8 @@ func ReadHello(conn net.Conn, timeout time.Duration) (int, error) {
 }
 
 // WriteHello writes the cleartext hello identifying sensorID under a write
-// deadline — what a gateway replays to the node it routed a connection to.
+// deadline — what a client sends first, and what a gateway replays to the
+// node it routed a connection to.
 func WriteHello(conn net.Conn, sensorID int, timeout time.Duration) error {
 	var hello [helloLen]byte
 	hello[0] = helloMagic

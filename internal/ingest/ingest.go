@@ -214,7 +214,8 @@ type Handler interface {
 	// a live connection after ClaimWait).
 	Rejected(sensorID int, status Status)
 	// Unattributed reports a connection that failed before its hello
-	// identified a sensor (bad magic, silence until the read deadline).
+	// identified a sensor: a bad magic byte (a *ProtocolError, matchable
+	// with errors.As) or silence until the read deadline.
 	Unattributed(err error)
 }
 

@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -722,18 +721,13 @@ func (s *Server) serveConn(it queued) {
 	timeout := s.cfg.IOTimeout
 	sensorID := it.sensorID
 	if !it.handedOff() {
-		var hello [helloLen]byte
-		if err := seccomm.ReadFullDeadline(conn, hello[:], timeout); err != nil {
+		id, err := ReadHello(conn, timeout)
+		if err != nil {
 			s.m.unattributed.Inc()
 			s.cfg.Handler.Unattributed(fmt.Errorf("hello: %w", err))
 			return
 		}
-		if hello[0] != helloMagic {
-			s.m.unattributed.Inc()
-			s.cfg.Handler.Unattributed(fmt.Errorf("hello: bad magic 0x%02x", hello[0]))
-			return
-		}
-		sensorID = int(binary.BigEndian.Uint32(hello[1:]))
+		sensorID = id
 	}
 	delivered, ok := s.sessions.claim(sensorID, s.cfg.ClaimWait, s.isClosed)
 	if !ok {

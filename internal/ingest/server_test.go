@@ -456,9 +456,13 @@ func TestBadMagicIsUnattributed(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		h.mu.Lock()
-		n := len(h.unattrib)
+		errs := append([]error(nil), h.unattrib...)
 		h.mu.Unlock()
-		if n == 1 {
+		if len(errs) == 1 {
+			var pe *ProtocolError
+			if !errors.As(errs[0], &pe) || pe.What != "hello magic" || pe.Value != 0x00 {
+				t.Fatalf("unattributed err = %v, want a hello-magic *ProtocolError", errs[0])
+			}
 			return
 		}
 		time.Sleep(5 * time.Millisecond)

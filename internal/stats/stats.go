@@ -148,7 +148,8 @@ func EntropyCounts(counts map[int]int64) float64 {
 // table yields 0, matching NMI's convention.
 func NMICounts(joint map[[2]int]int64) float64 {
 	keys, counts := sortedCounts(joint, func(a, b [2]int) int { return slices.Compare(a[:], b[:]) })
-	return countTable(keys, counts).nmi()
+	t := countTable(keys, counts)
+	return t.nmi(t.marginalEntropy())
 }
 
 // MutualInformation returns the maximum-likelihood estimate of I(X;Y) in bits
@@ -166,7 +167,8 @@ func MutualInformation(xs, ys []int) float64 {
 // information, so nothing can leak). It panics if the slices have different
 // lengths.
 func NMI(labels, sizes []int) float64 {
-	return newPairs(labels, sizes).nmi()
+	t := newPairs(labels, sizes)
+	return t.nmi(t.marginalEntropy())
 }
 
 // PermutationTestResult reports the outcome of an approximate permutation
@@ -190,16 +192,18 @@ func (r PermutationTestResult) Significant(alpha float64) bool {
 // fixed labels. The null hypothesis is that the observed NMI arises from
 // random variation rather than any dependence of sizes on labels. Both
 // sequences are ranked once; each permutation shuffles the size ranks and
-// re-counts the joint table into scratch allocated up front.
+// re-counts the joint table into scratch allocated up front. A shuffle
+// leaves both marginals as they are, so their entropies are computed once.
 func PermutationTestNMI(labels, sizes []int, n int, rng *rand.Rand) PermutationTestResult {
 	t := newPairs(labels, sizes)
-	obs := t.nmi()
+	h := t.marginalEntropy()
+	obs := t.nmi(h)
 	perm := t.ys
 	exceed := 0
 	for i := 0; i < n; i++ {
 		rng.Shuffle(len(perm), func(a, b int) { perm[a], perm[b] = perm[b], perm[a] })
 		t.count()
-		if t.nmi() >= obs {
+		if t.nmi(h) >= obs {
 			exceed++
 		}
 	}
@@ -261,12 +265,16 @@ func (t *table) mutualInfo() float64 {
 	return mi
 }
 
-// nmi returns Eq. 3's 2 I / (H(row) + H(col)), or 0 when both marginals
-// are constant.
+// marginalEntropy returns H(row) + H(col).
+func (t *table) marginalEntropy() float64 {
+	return entropy(t.rows) + entropy(t.cols)
+}
+
+// nmi returns Eq. 3's 2 I / (H(row) + H(col)) given h = t.marginalEntropy(),
+// or 0 when both marginals are constant.
 //
 //age:hotpath
-func (t *table) nmi() float64 {
-	h := entropy(t.rows) + entropy(t.cols)
+func (t *table) nmi(h float64) float64 {
 	if h == 0 {
 		return 0
 	}
