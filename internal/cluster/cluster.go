@@ -148,9 +148,8 @@ type node struct {
 	id      int
 	srv     *ingest.Server
 	cursors CursorStore
-	addr    string
 	state   nodeState
-	// serveDone closes when the node's Serve loop exits.
+	// serveDone closes when the node's ServeHandoffs loop exits.
 	serveDone chan struct{}
 }
 
@@ -333,21 +332,17 @@ func (c *Cluster) markDoneLocked(e *locEntry, done bool) {
 	e.done = done
 }
 
-// startNode binds and serves a built node, then puts it on the ring.
-func (c *Cluster) startNode(n *node) error {
-	if err := n.srv.Listen("127.0.0.1:0"); err != nil {
-		return fmt.Errorf("cluster: node %d listen: %w", n.id, err)
-	}
-	n.addr = n.srv.Addr().String()
+// startNode serves a built node, then puts it on the ring. A node binds
+// no listener: every connection reaches it by the gateway's Handoff.
+func (c *Cluster) startNode(n *node) {
 	go func() {
-		n.srv.Serve()
+		n.srv.ServeHandoffs()
 		close(n.serveDone)
 	}()
 	c.mu.Lock()
 	n.state = nodeLive
 	c.ring.add(n.id)
 	c.mu.Unlock()
-	return nil
 }
 
 // Start binds the gateway to addr (e.g. "127.0.0.1:0"), starts every node,
@@ -368,9 +363,7 @@ func (c *Cluster) Start(addr string) error {
 	c.mu.Unlock()
 
 	for _, n := range nodes {
-		if err := c.startNode(n); err != nil {
-			return err
-		}
+		c.startNode(n)
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -698,9 +691,7 @@ func (c *Cluster) AddNode() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := c.startNode(n); err != nil {
-		return 0, err
-	}
+	c.startNode(n)
 	c.rebalanceTo(n)
 	return n.id, nil
 }
@@ -825,7 +816,6 @@ func (c *Cluster) nodeLocked(id int) (*node, error) {
 // NodeInfo describes one node for monitoring.
 type NodeInfo struct {
 	ID       int
-	Addr     string
 	State    string
 	Sessions int // locator entries assigned to the node
 	Active   int // connections currently routed to it
@@ -857,7 +847,6 @@ func (c *Cluster) Stats() Stats {
 	for _, n := range c.nodes {
 		st.Nodes = append(st.Nodes, NodeInfo{
 			ID:       n.id,
-			Addr:     n.addr,
 			State:    n.state.String(),
 			Sessions: sessions[n.id],
 			Active:   active[n.id],

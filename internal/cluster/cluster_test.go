@@ -267,6 +267,34 @@ func TestClusterRoutesAndCompletes(t *testing.T) {
 	}
 }
 
+// TestNodesBindNoListener: every connection reaches a node by handoff, so
+// no node binds a listener, before or after traffic, and Close leaves no
+// goroutine behind.
+func TestNodesBindNoListener(t *testing.T) {
+	const sensors, total = 12, 3
+	base := runtime.NumGoroutine()
+	c, handlers := testCluster(t, 3, total, nil)
+	for _, n := range c.nodes {
+		if a := n.srv.Addr(); a != nil {
+			t.Errorf("node %d bound %v", n.id, a)
+		}
+	}
+	runSensors(t, c.Addr().String(), sensors, total, func(id int) *gateSource {
+		return &gateSource{sensorID: id, total: total, gateAt: -1, failAt: -1}
+	})
+	verifyStreams(t, handlers, seqIDs(sensors), total)
+	if _, err := c.AddNode(); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range c.nodes {
+		if a := n.srv.Addr(); a != nil {
+			t.Errorf("node %d bound %v", n.id, a)
+		}
+	}
+	c.Close()
+	waitGoroutines(t, base)
+}
+
 func TestClusterKillNodeResumesElsewhere(t *testing.T) {
 	const sensors, total, gateAt = 24, 8, 4
 	c, handlers := testCluster(t, 3, total, nil)
@@ -911,8 +939,7 @@ func TestKillNodeSeversHandedOffConn(t *testing.T) {
 }
 
 // TestHandoffShedAtQueueBound: a node whose workers are busy and whose
-// queue is full sheds a handed-off conn with StatusOverloaded, exactly as
-// it sheds a conn its own listener accepted.
+// queue is full sheds handed-off conns with StatusOverloaded.
 func TestHandoffShedAtQueueBound(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c := startCluster(t, Config{
@@ -924,7 +951,7 @@ func TestHandoffShedAtQueueBound(t *testing.T) {
 		}},
 		Metrics: reg,
 	})
-	gw, node := c.Addr().String(), c.nodes[0].addr
+	gw := c.Addr().String()
 
 	// A holds the only worker: accepted, then silent.
 	a, st := rawHello(t, gw, 1)
@@ -939,16 +966,14 @@ func TestHandoffShedAtQueueBound(t *testing.T) {
 		return reg.Snapshot().Gauges["ingest.queue_depth"] == 1
 	})
 
-	// C through the gateway and D straight at the node's own listener
-	// meet the same full queue and get the same typed reject.
-	for _, tc := range []struct {
-		name, addr string
-		id         int
-	}{{"handoff", gw, 3}, {"listener", node, 4}} {
-		conn, st := rawHello(t, tc.addr, tc.id)
+	// C and D meet the full queue and get the typed reject. Nodes bind no
+	// listener; ingest's TestHandoffShedMatchesListener pins that a
+	// handoff is shed exactly like a listener-accepted conn.
+	for _, id := range []int{3, 4} {
+		conn, st := rawHello(t, gw, id)
 		conn.Close()
 		if st != ingest.StatusOverloaded {
-			t.Errorf("%s: status = %v, want overloaded", tc.name, st)
+			t.Errorf("sensor %d: status = %v, want overloaded", id, st)
 		}
 	}
 	snap := reg.Snapshot().Counters

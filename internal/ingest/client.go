@@ -152,8 +152,9 @@ type FrameSource interface {
 }
 
 // ClientStats counts one Run's transport work, for callers that aggregate
-// their own accounting (the fleet simulator translates these into its
-// fleet.* metrics).
+// their own accounting (the fleet simulator's per-sensor statuses, the
+// load generator's report). The same counts reach the ingest.client.*
+// metrics when ClientConfig.Metrics is set.
 type ClientStats struct {
 	DialAttempts      int
 	DialFailures      int
@@ -187,28 +188,30 @@ func (st ClientStats) MeanAoIMicros() float64 {
 
 // clientMetrics is the nil-safe ingest.client.* instrument family.
 type clientMetrics struct {
-	dialAttempts *metrics.Counter
-	dialFailures *metrics.Counter
-	framesSent   *metrics.Counter
-	wireBytes    *metrics.Counter
-	writeRetries *metrics.Counter
-	reconnects   *metrics.Counter
-	softRejects  *metrics.Counter
-	dummyFrames  *metrics.Counter
-	aoiNs        *metrics.Histogram
+	dialAttempts      *metrics.Counter
+	dialFailures      *metrics.Counter
+	framesSent        *metrics.Counter
+	wireBytes         *metrics.Counter
+	writeRetries      *metrics.Counter
+	writeDeadlineHits *metrics.Counter
+	reconnects        *metrics.Counter
+	softRejects       *metrics.Counter
+	dummyFrames       *metrics.Counter
+	aoiNs             *metrics.Histogram
 }
 
 func newClientMetrics(reg *metrics.Registry) clientMetrics {
 	return clientMetrics{
-		dialAttempts: reg.Counter("ingest.client.dial_attempts"),
-		dialFailures: reg.Counter("ingest.client.dial_failures"),
-		framesSent:   reg.Counter("ingest.client.frames_sent"),
-		wireBytes:    reg.Counter("ingest.client.wire_bytes_sent"),
-		writeRetries: reg.Counter("ingest.client.write_retries"),
-		reconnects:   reg.Counter("ingest.client.reconnects"),
-		softRejects:  reg.Counter("ingest.client.soft_rejects"),
-		dummyFrames:  reg.Counter("ingest.client.dummy_frames"),
-		aoiNs:        reg.Histogram("ingest.client.aoi_ns", metrics.LatencyBuckets()...),
+		dialAttempts:      reg.Counter("ingest.client.dial_attempts"),
+		dialFailures:      reg.Counter("ingest.client.dial_failures"),
+		framesSent:        reg.Counter("ingest.client.frames_sent"),
+		wireBytes:         reg.Counter("ingest.client.wire_bytes_sent"),
+		writeRetries:      reg.Counter("ingest.client.write_retries"),
+		writeDeadlineHits: reg.Counter("ingest.client.write_deadline_hits"),
+		reconnects:        reg.Counter("ingest.client.reconnects"),
+		softRejects:       reg.Counter("ingest.client.soft_rejects"),
+		dummyFrames:       reg.Counter("ingest.client.dummy_frames"),
+		aoiNs:             reg.Histogram("ingest.client.aoi_ns", metrics.LatencyBuckets()...),
 	}
 }
 
@@ -442,10 +445,12 @@ func (c *Client) writeGather(ctx context.Context, conn net.Conn, gather []byte, 
 		// Every retry was preceded by a write deadline expiry.
 		st.WriteDeadlineHits += r
 		c.m.writeRetries.Add(int64(r))
+		c.m.writeDeadlineHits.Add(int64(r))
 	}
 	if err != nil {
 		if seccomm.IsTimeout(err) {
 			st.WriteDeadlineHits++
+			c.m.writeDeadlineHits.Inc()
 		}
 		return fmt.Errorf("frame %d: %w", fi, err)
 	}

@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // TestHandoffRacesTeardown hands connections to a server from several
@@ -102,5 +105,156 @@ func TestHandoffBeforeServe(t *testing.T) {
 	defer other.Close()
 	if _, err := srv.Handoff(other, 8); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Handoff after Drain = %v, want ErrClosed", err)
+	}
+}
+
+// handoffGateway plays a cluster gateway in front of srv: it accepts on a
+// loopback listener, reads each hello, and hands the connection to srv.
+// The returned stop closes the listener and waits for the accept loop.
+func handoffGateway(t *testing.T, srv *Server) (addr string, stop func()) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			id, err := ReadHello(conn, time.Second)
+			if err != nil {
+				conn.Close()
+				continue
+			}
+			if _, err := srv.Handoff(conn, id); err != nil {
+				conn.Close()
+			}
+		}
+	}()
+	return ln.Addr().String(), func() {
+		ln.Close()
+		wg.Wait()
+	}
+}
+
+// TestServeHandoffsWithoutListener runs a server that binds no listener:
+// every connection arrives by Handoff. Sensors complete through it, the
+// server reports no address, and a Drain (or a Close with a session still
+// in flight) leaves no goroutine behind.
+func TestServeHandoffsWithoutListener(t *testing.T) {
+	for _, stopBy := range []string{"drain", "close"} {
+		t.Run(stopBy, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			h := newTestHandler(4)
+			srv, err := NewServer(ServerConfig{
+				Handler: h, Shards: 2, WorkersPerShard: 4, QueueDepth: 8,
+				IOTimeout: 2 * time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			serveErr := make(chan error, 1)
+			go func() { serveErr <- srv.ServeHandoffs() }()
+			addr, stopGateway := handoffGateway(t, srv)
+
+			var wg sync.WaitGroup
+			for id := 0; id < 6; id++ {
+				wg.Add(1)
+				go func(id int) {
+					defer wg.Done()
+					client := NewClient(ClientConfig{Addr: addr, SensorID: id, IOTimeout: 2 * time.Second})
+					if _, err := client.Run(context.Background(), &sliceSource{frames: framesFor(4)}); err != nil {
+						t.Errorf("sensor %d: %v", id, err)
+					}
+				}(id)
+			}
+			wg.Wait()
+			if srv.Addr() != nil {
+				t.Errorf("Addr() = %v on a server without a listener", srv.Addr())
+			}
+			if stopBy == "drain" {
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				if err := srv.Drain(ctx); err != nil {
+					t.Fatalf("Drain: %v", err)
+				}
+			} else {
+				// A sensor that said hello and went silent holds a worker
+				// until Close severs it.
+				conn, st, _ := dialHello(t, addr, 99)
+				defer conn.Close()
+				if st != StatusAccept {
+					t.Fatalf("silent sensor status = %v, want accept", st)
+				}
+				srv.Close()
+			}
+			if err := <-serveErr; !errors.Is(err, ErrClosed) {
+				t.Errorf("ServeHandoffs returned %v, want ErrClosed", err)
+			}
+			stopGateway()
+			for id := 0; id < 6; id++ {
+				if got := h.delivered(id); got != 4 {
+					t.Errorf("sensor %d delivered %d frames, want 4", id, got)
+				}
+			}
+			waitGoroutines(t, base)
+		})
+	}
+}
+
+// TestHandoffShedMatchesListener: with the only worker busy and the only
+// queue slot taken, a handed-off connection is shed with the same typed
+// reject as one the server's own listener accepted, and both count as
+// accepted.
+func TestHandoffShedMatchesListener(t *testing.T) {
+	reg := metrics.NewRegistry()
+	srv, addr, _ := startServer(t, ServerConfig{
+		Handler: newTestHandler(3), Shards: 1, WorkersPerShard: 1, QueueDepth: 1,
+		IOTimeout: 2 * time.Second, Metrics: reg,
+	})
+	// A holds the only worker: accepted, then silent.
+	connA, st, _ := dialHello(t, addr, 1)
+	defer connA.Close()
+	if st != StatusAccept {
+		t.Fatalf("A status = %v, want accept", st)
+	}
+	// B fills the only queue slot.
+	connB, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer connB.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	for reg.Snapshot().Gauges["ingest.queue_depth"] != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("B never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// C arrives by handoff, D at the listener.
+	conn, peer := net.Pipe()
+	defer peer.Close()
+	if _, err := srv.Handoff(conn, 3); err != nil {
+		t.Fatal(err)
+	}
+	if st, _, err := readAck(peer, 2*time.Second); err != nil || st != StatusOverloaded {
+		t.Errorf("handoff: status = %v (%v), want overloaded", st, err)
+	}
+	connD, st, _ := dialHello(t, addr, 4)
+	defer connD.Close()
+	if st != StatusOverloaded {
+		t.Errorf("listener: status = %v, want overloaded", st)
+	}
+	snap := reg.Snapshot().Counters
+	if got := snap["ingest.shed_overload"]; got != 2 {
+		t.Errorf("ingest.shed_overload = %d, want 2", got)
+	}
+	if got := snap["ingest.accepted"]; got != 4 {
+		t.Errorf("ingest.accepted = %d, want 4 (handoffs count like accepts)", got)
 	}
 }

@@ -109,6 +109,7 @@ type serverMetrics struct {
 	frames            *metrics.Counter
 	dummyFrames       *metrics.Counter
 	wireBytes         *metrics.Counter
+	readDeadlineHits  *metrics.Counter
 	shedOverload      *metrics.Counter
 	shedDropped       *metrics.Counter
 	rejectedDuplicate *metrics.Counter
@@ -128,6 +129,7 @@ func newServerMetrics(reg *metrics.Registry) serverMetrics {
 		frames:            reg.Counter("ingest.frames"),
 		dummyFrames:       reg.Counter("ingest.dummy_frames"),
 		wireBytes:         reg.Counter("ingest.wire_bytes"),
+		readDeadlineHits:  reg.Counter("ingest.read_deadline_hits"),
 		shedOverload:      reg.Counter("ingest.shed_overload"),
 		shedDropped:       reg.Counter("ingest.shed_dropped"),
 		rejectedDuplicate: reg.Counter("ingest.rejected_duplicate"),
@@ -314,8 +316,9 @@ func (r *sessionRegistry) size() int {
 }
 
 // Server is a long-lived, sharded ingest endpoint. Create with NewServer,
-// bind with Listen, run with Serve, and stop with Drain or Close. All
-// methods are safe for concurrent use.
+// bind with Listen, run with Serve (or, when every connection arrives by
+// Handoff, run unbound with ServeHandoffs), and stop with Drain or Close.
+// All methods are safe for concurrent use.
 type Server struct {
 	cfg ServerConfig
 	m   serverMetrics
@@ -340,6 +343,9 @@ type Server struct {
 	workerWG  sync.WaitGroup
 	rejectWG  sync.WaitGroup
 
+	// stop closes when Drain/Close begins (with stopping set); a server
+	// without accept loops waits on it before teardown.
+	stop chan struct{}
 	// finished closes when teardown is complete: accept loops and
 	// handoffs joined, queues drained, workers and rejecters exited.
 	finished   chan struct{}
@@ -371,6 +377,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		sessions:  sessionRegistry{s: map[int]*sessionEntry{}, ttl: cfg.SessionTTL, now: cfg.Clock},
 		rejectSem: make(chan struct{}, defaultRejecters),
 		conns:     map[net.Conn]struct{}{},
+		stop:      make(chan struct{}),
 		finished:  make(chan struct{}),
 	}
 	s.sessions.evicted = s.m.sessionsEvicted
@@ -428,8 +435,23 @@ func (s *Server) Addr() net.Addr {
 // deliberate Drain/Close, and the underlying accept error if the listener
 // failed.
 func (s *Server) Serve() error {
+	return s.serve(true)
+}
+
+// ServeHandoffs runs the worker pools without a listener, blocking until
+// the server is stopped, for a server whose every connection arrives by
+// Handoff (a cluster node behind its gateway). It returns ErrClosed after
+// a deliberate Drain/Close. A server bound with Listen uses Serve instead:
+// ServeHandoffs never accepts on a listener.
+func (s *Server) ServeHandoffs() error {
+	return s.serve(false)
+}
+
+// serve starts one worker pool per shard and, when accept is set, one
+// accept loop per shard on the bound listener, then waits for teardown.
+func (s *Server) serve(accept bool) error {
 	s.mu.Lock()
-	if s.ln == nil {
+	if accept && s.ln == nil {
 		s.mu.Unlock()
 		return errors.New("ingest: Serve before Listen")
 	}
@@ -452,8 +474,13 @@ func (s *Server) Serve() error {
 			s.workerWG.Add(1)
 			go s.worker(q)
 		}
-		s.acceptWG.Add(1)
-		go s.acceptLoop(i, ln)
+		if accept {
+			s.acceptWG.Add(1)
+			go s.acceptLoop(i, ln)
+		}
+	}
+	if !accept {
+		<-s.stop
 	}
 	s.finishOnce.Do(s.teardown)
 
@@ -528,6 +555,7 @@ func (s *Server) beginStop(kill bool) {
 	s.mu.Lock()
 	if !s.stopping {
 		s.stopping = true
+		close(s.stop)
 		if s.ln != nil {
 			s.ln.Close()
 		}
@@ -764,6 +792,9 @@ func (s *Server) serveConn(it queued) {
 	for fi := delivered; fi < total; {
 		msg, err := fr.ReadFrame(timeout)
 		if err != nil {
+			if seccomm.IsTimeout(err) {
+				s.m.readDeadlineHits.Inc()
+			}
 			sess.Close(&FrameError{Index: fi, Err: err})
 			return
 		}

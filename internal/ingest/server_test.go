@@ -527,8 +527,14 @@ func TestDrainLeavesNoGoroutines(t *testing.T) {
 			t.Errorf("sensor %d delivered %d frames, want 4", id, got)
 		}
 	}
-	// Goroutine counts settle asynchronously (conn close, runtime GC of
-	// netpoll state); poll briefly instead of asserting instantly.
+	waitGoroutines(t, base)
+}
+
+// waitGoroutines fails unless the goroutine count settles back to base.
+// Counts settle asynchronously (conn close, runtime GC of netpoll state),
+// so it polls briefly instead of asserting instantly.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)
 	for {
 		if n := runtime.NumGoroutine(); n <= base {

@@ -184,10 +184,10 @@ func SizeBuckets() []int64 {
 	return b
 }
 
-// Series is a named family of counters keyed by label — the per-sensor
-// metric series ("fleet.sensor.frames"{sensor="17"}). Callers resolve the
-// labeled counter once (Counter takes a lock) and cache the pointer for the
-// hot path.
+// Series is a named family of counters keyed by label, such as a per-node
+// series ("cluster.node.sessions"{node="2"}). Callers resolve the labeled
+// counter once (Counter takes a lock) and cache the pointer for the hot
+// path. Keep label sets bounded: a label per sensor grows with the fleet.
 type Series struct {
 	mu sync.Mutex
 	m  map[string]*Counter

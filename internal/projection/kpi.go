@@ -8,6 +8,7 @@ package projection
 
 import (
 	"encoding/json"
+	"maps"
 	"strconv"
 	"strings"
 
@@ -94,7 +95,9 @@ func (k *maeKPI) apply(sensorID int, rec staging.Record) {
 	if len(k.ring) < k.window {
 		k.ring = append(k.ring, mae)
 	} else {
-		k.ring[k.state.RingNext%k.window] = mae
+		// Unsigned, so a restored ring_next at the int limit wraps
+		// instead of indexing below the ring.
+		k.ring[uint(k.state.RingNext)%uint(k.window)] = mae
 	}
 	k.state.RingNext++
 }
@@ -141,10 +144,12 @@ func (k *maeKPI) marshal() json.RawMessage {
 }
 
 // unmarshal restores a checkpointed state. A negative ring_next is
-// malformed and leaves the KPI as it was. A ring this window could have
-// written (full, or still filling with ring_next at its length) restores
-// verbatim; any other, such as one written under a different window, is
-// put in write order and cut to its last window entries.
+// malformed and leaves the KPI as it was; a null per-sensor entry is
+// dropped, as if the sensor had never been scored. A ring this window
+// could have written (full, or still filling with ring_next at its
+// length) restores verbatim; any other, such as one written under a
+// different window, is put in write order and cut to its last window
+// entries.
 func (k *maeKPI) unmarshal(data json.RawMessage) {
 	var st maeState
 	if json.Unmarshal(data, &st) != nil || st.RingNext < 0 {
@@ -153,6 +158,7 @@ func (k *maeKPI) unmarshal(data json.RawMessage) {
 	if st.PerSensor == nil {
 		st.PerSensor = map[int]*sensorMAE{}
 	}
+	maps.DeleteFunc(st.PerSensor, func(_ int, s *sensorMAE) bool { return s == nil })
 	ring := st.Ring
 	if n := len(ring); n > k.window || (n < k.window && st.RingNext != n) {
 		if n > 0 {
@@ -403,6 +409,7 @@ func (k *privacyKPI) marshal() json.RawMessage {
 	return data
 }
 
+// unmarshal restores a checkpointed state, dropping null arrival entries.
 func (k *privacyKPI) unmarshal(data json.RawMessage) {
 	var st privacyState
 	if json.Unmarshal(data, &st) != nil {
@@ -420,5 +427,6 @@ func (k *privacyKPI) unmarshal(data json.RawMessage) {
 	if st.Arrivals == nil {
 		st.Arrivals = map[int]*arrival{}
 	}
+	maps.DeleteFunc(st.Arrivals, func(_ int, a *arrival) bool { return a == nil })
 	k.state = st
 }

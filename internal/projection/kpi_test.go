@@ -135,6 +135,16 @@ func BenchmarkMAEApply(b *testing.B) {
 	}
 }
 
+func BenchmarkEventApply(b *testing.B) {
+	k := newEventKPI(Config{T: testT, D: testD, EventThreshold: 2.5}.withDefaults())
+	rec := feedRecord(0, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.apply(i&7, rec)
+	}
+}
+
 func BenchmarkPrivacyApply(b *testing.B) {
 	k := newPrivacyKPI(Config{}.withDefaults())
 	ids, recs := privacyFixtureRecords()

@@ -345,6 +345,12 @@ func (e *Engine) drainOnce(w *worker) bool {
 		}
 		for ; cur < limit; cur++ {
 			rec, ok := l.Get(cur)
+			if !ok {
+				// Everything below the trim point is gone: step over it in
+				// one fold, not one miss at a time (a restored log is
+				// trimmed up to its head).
+				cur = max(cur, min(l.Trimmed(), limit)-1)
+			}
 			w.fold(id, cur, rec, ok)
 		}
 		w.moved = append(w.moved, id)

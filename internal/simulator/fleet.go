@@ -5,13 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/ingest"
-	"repro/internal/metrics"
 	"repro/internal/reconstruct"
 	"repro/internal/seccomm"
 )
@@ -47,7 +45,9 @@ import (
 type FleetConfig struct {
 	// Base carries the shared task parameters (Dataset supplies the
 	// metadata and the per-sensor sequence partition). Base.Metrics, when
-	// set, receives the fleet's transport and codec instrumentation.
+	// set, receives the codec instrumentation and the transport's own
+	// families: ingest.* from the server, ingest.client.* from every
+	// sensor. Per-sensor figures are in FleetResult.Sensors.
 	Base RunConfig
 	// Sensors is the fleet size; the Base dataset's sequences are dealt
 	// round-robin across sensors.
@@ -240,63 +240,6 @@ func (r *FleetResult) MeanAoIMicros() float64 {
 	return float64(r.AoIMicrosTotal) / float64(r.RealFramesSent)
 }
 
-// fleetMetrics bundles the fleet's resolved instruments. Every field is
-// nil-safe: with no registry configured all of them are nil and every update
-// is a no-op, so the hot paths carry no conditional instrumentation code.
-// Metrics are observation-only — nothing here feeds back into sampling,
-// encoding, or scheduling.
-type fleetMetrics struct {
-	framesSent        *metrics.Counter
-	framesDelivered   *metrics.Counter
-	wireBytesSent     *metrics.Counter
-	wireBytesReceived *metrics.Counter
-	dialAttempts      *metrics.Counter
-	dialFailures      *metrics.Counter
-	writeRetries      *metrics.Counter
-	readDeadlineHits  *metrics.Counter
-	writeDeadlineHits *metrics.Counter
-	reconnects        *metrics.Counter
-	unattributed      *metrics.Counter
-	dummyFrames       *metrics.Counter
-	frameBytes        *metrics.Histogram
-
-	sensorFramesSent      *metrics.Series
-	sensorFramesDelivered *metrics.Series
-	sensorWireBytes       *metrics.Series
-	sensorRetries         *metrics.Series
-	sensorDeadlineHits    *metrics.Series
-	sensorReconnects      *metrics.Series
-	sensorDials           *metrics.Series
-}
-
-// newFleetMetrics resolves the fleet instrument family in reg. A nil
-// registry yields a fully no-op set.
-func newFleetMetrics(reg *metrics.Registry) *fleetMetrics {
-	return &fleetMetrics{
-		framesSent:        reg.Counter("fleet.frames_sent"),
-		framesDelivered:   reg.Counter("fleet.frames_delivered"),
-		wireBytesSent:     reg.Counter("fleet.wire_bytes_sent"),
-		wireBytesReceived: reg.Counter("fleet.wire_bytes_received"),
-		dialAttempts:      reg.Counter("fleet.dial_attempts"),
-		dialFailures:      reg.Counter("fleet.dial_failures"),
-		writeRetries:      reg.Counter("fleet.write_retries"),
-		readDeadlineHits:  reg.Counter("fleet.read_deadline_hits"),
-		writeDeadlineHits: reg.Counter("fleet.write_deadline_hits"),
-		reconnects:        reg.Counter("fleet.reconnects"),
-		unattributed:      reg.Counter("fleet.unattributed"),
-		dummyFrames:       reg.Counter("fleet.dummy_frames"),
-		frameBytes:        reg.Histogram("fleet.frame_bytes", metrics.SizeBuckets()...),
-
-		sensorFramesSent:      reg.Series("fleet.sensor.frames_sent"),
-		sensorFramesDelivered: reg.Series("fleet.sensor.frames_delivered"),
-		sensorWireBytes:       reg.Series("fleet.sensor.wire_bytes"),
-		sensorRetries:         reg.Series("fleet.sensor.write_retries"),
-		sensorDeadlineHits:    reg.Series("fleet.sensor.deadline_hits"),
-		sensorReconnects:      reg.Series("fleet.sensor.reconnects"),
-		sensorDials:           reg.Series("fleet.sensor.dial_attempts"),
-	}
-}
-
 // fleetFrameHook, when non-nil, observes every sealed frame the server
 // reads, before it is opened. Tests use it to capture wire nonces; it must
 // be set before the run starts and not mutated during it.
@@ -336,10 +279,6 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 		T: meta.SeqLen, D: meta.NumFeatures, Format: meta.Format,
 		TargetBytes: core.TargetBytesForRate(cfg.Base.Rate, meta.SeqLen, meta.NumFeatures, meta.Format.Width),
 	}
-	m := newFleetMetrics(cfg.Base.Metrics)
-	if reg := cfg.Base.Metrics; reg != nil {
-		reg.Gauge("fleet.sensors").Set(int64(n))
-	}
 
 	// Partition sequences round-robin.
 	parts := make([][]int, n) // sequence indices per sensor
@@ -362,7 +301,7 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 
 	handler := &fleetHandler{
 		cfg: cfg, coreCfg: coreCfg, parts: parts,
-		res: res, mu: &mu, accs: accs, m: m,
+		res: res, mu: &mu, accs: accs,
 	}
 	// Size the server so a healthy fleet never queues or sheds: enough
 	// workers for every sensor plus reconnect transients. Results must be
@@ -421,7 +360,7 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	for s := 0; s < n; s++ {
 		go func(sensorID int) {
 			defer sensorWG.Done()
-			stats, err := runFleetSensor(ctx, sensorID, addr, cfg, coreCfg, parts[sensorID], m)
+			stats, err := runFleetSensor(ctx, sensorID, addr, cfg, coreCfg, parts[sensorID])
 			mu.Lock()
 			res.Sensors[sensorID].DialAttempts = stats.DialAttempts
 			res.Sensors[sensorID].Reconnects = stats.Reconnects
@@ -510,7 +449,6 @@ type fleetHandler struct {
 	res     *FleetResult
 	mu      *sync.Mutex
 	accs    []reconstruct.Accumulator
-	m       *fleetMetrics
 }
 
 func (h *fleetHandler) setServerErr(sensorID int, err error) {
@@ -525,7 +463,6 @@ func (h *fleetHandler) setServerErr(sensorID int, err error) {
 func (h *fleetHandler) Open(sensorID, delivered int) (ingest.Session, error) {
 	if sensorID < 0 || sensorID >= len(h.parts) {
 		err := fmt.Errorf("unknown sensor %d", sensorID)
-		h.m.unattributed.Inc()
 		h.mu.Lock()
 		h.res.Unattributed = append(h.res.Unattributed, err.Error())
 		h.mu.Unlock()
@@ -544,16 +481,7 @@ func (h *fleetHandler) Open(sensorID, delivered int) (ingest.Session, error) {
 	h.mu.Lock()
 	h.res.Sensors[sensorID].ServerErr = ""
 	h.mu.Unlock()
-	label := strconv.Itoa(sensorID)
-	return &fleetSession{
-		h:         h,
-		sensorID:  sensorID,
-		encs:      encs,
-		opener:    opener,
-		framesC:   h.m.sensorFramesDelivered.Counter(label),
-		bytesC:    h.m.sensorWireBytes.Counter(label),
-		deadlineC: h.m.sensorDeadlineHits.Counter(label),
-	}, nil
+	return &fleetSession{h: h, sensorID: sensorID, encs: encs, opener: opener}, nil
 }
 
 // Rejected implements ingest.Handler. Only duplicates reach it: a sensor
@@ -569,7 +497,6 @@ func (h *fleetHandler) Rejected(sensorID int, status ingest.Status) {
 // Unattributed implements ingest.Handler: a connection that failed before
 // its hello identified a sensor.
 func (h *fleetHandler) Unattributed(err error) {
-	h.m.unattributed.Inc()
 	h.mu.Lock()
 	h.res.Unattributed = append(h.res.Unattributed, err.Error())
 	h.mu.Unlock()
@@ -583,9 +510,6 @@ type fleetSession struct {
 	sensorID   int
 	encs       encoderSet
 	opener     seccomm.Sealer
-	framesC    *metrics.Counter
-	bytesC     *metrics.Counter
-	deadlineC  *metrics.Counter
 	connFrames int // frames processed on THIS connection (fault accounting)
 }
 
@@ -638,11 +562,6 @@ func (s *fleetSession) Frame(fi int, msg []byte) error {
 		return fmt.Errorf("frame %d: %w", fi, err)
 	}
 	s.connFrames++
-	h.m.framesDelivered.Inc()
-	h.m.wireBytesReceived.Add(int64(len(msg)))
-	h.m.frameBytes.Observe(int64(len(msg)))
-	s.framesC.Inc()
-	s.bytesC.Add(int64(len(msg)))
 	h.mu.Lock()
 	h.accs[s.sensorID].Add(mae, 1)
 	h.res.SizesByLabel[seq.Label] = append(h.res.SizesByLabel[seq.Label], len(msg))
@@ -653,25 +572,18 @@ func (s *fleetSession) Frame(fi int, msg []byte) error {
 }
 
 // Close implements ingest.Session: a failed connection's error lands in
-// the sensor's status (a later reconnect supersedes it), and a frame-read
-// deadline expiry is counted as the server-side deadline hit it is.
+// the sensor's status (a later reconnect supersedes it).
 func (s *fleetSession) Close(err error) {
-	if err == nil {
-		return
+	if err != nil {
+		s.h.setServerErr(s.sensorID, err)
 	}
-	var fe *ingest.FrameError
-	if errors.As(err, &fe) && seccomm.IsTimeout(fe.Err) {
-		s.h.m.readDeadlineHits.Inc()
-		s.deadlineC.Inc()
-	}
-	s.h.setServerErr(s.sensorID, err)
 }
 
 // runFleetSensor streams one sensor's assigned sequences through an
-// ingest.Client, honoring the configured fault plan, then folds the
-// client's transport stats into the fleet metrics. It returns the client's
-// full transport accounting.
-func runFleetSensor(ctx context.Context, sensorID int, addr string, cfg FleetConfig, coreCfg core.Config, seqIdx []int, m *fleetMetrics) (ingest.ClientStats, error) {
+// ingest.Client, honoring the configured fault plan. Its transport counts
+// land in the ingest.client.* family of Base.Metrics; it returns the
+// client's full transport accounting.
+func runFleetSensor(ctx context.Context, sensorID int, addr string, cfg FleetConfig, coreCfg core.Config, seqIdx []int) (ingest.ClientStats, error) {
 	if cfg.Faults != nil && cfg.Faults.NeverDial[sensorID] {
 		return ingest.ClientStats{}, errors.New("fault injection: sensor never dialed")
 	}
@@ -699,6 +611,7 @@ func runFleetSensor(ctx context.Context, sensorID int, addr string, cfg FleetCon
 		IOTimeout:         cfg.IOTimeout,
 		WriteAttempts:     cfg.WriteAttempts,
 		ReconnectAttempts: cfg.ReconnectAttempts,
+		Metrics:           cfg.Base.Metrics,
 	}
 	if cfg.Pacing.active() {
 		// Pacer decisions (jitter schedule, dial jitter) draw from a seed
@@ -708,41 +621,16 @@ func runFleetSensor(ctx context.Context, sensorID int, addr string, cfg FleetCon
 			Mode:       cfg.Pacing.Mode,
 			Interval:   cfg.Pacing.Interval,
 			JitterFrac: cfg.Pacing.JitterFrac,
-			// A dummy seals a marked filler of the real payload length, so
-			// real and cover frames are the same size on the wire.
+			// A dummy seals a marked filler of the encoder's own payload
+			// length, so real and cover frames are the same size on the
+			// wire.
 			Dummy: func() ([]byte, error) {
-				return sealer.Seal(ingest.MarkDummy(make([]byte, coreCfg.TargetBytes)))
+				return sealer.Seal(ingest.MarkDummy(make([]byte, encs.payloadBytes)))
 			},
 		}
 	}
 	client := ingest.NewClient(ccfg)
-	stats, err := client.Run(ctx, src)
-
-	// Translate the client's transport accounting into the fleet metric
-	// family (the server-side counters are updated live by fleetSession).
-	label := strconv.Itoa(sensorID)
-	m.framesSent.Add(int64(stats.FramesSent))
-	m.wireBytesSent.Add(int64(stats.WireBytesSent))
-	m.dialAttempts.Add(int64(stats.DialAttempts))
-	m.dialFailures.Add(int64(stats.DialFailures))
-	m.writeRetries.Add(int64(stats.WriteRetries))
-	m.writeDeadlineHits.Add(int64(stats.WriteDeadlineHits))
-	m.reconnects.Add(int64(stats.Reconnects))
-	m.sensorFramesSent.Counter(label).Add(int64(stats.FramesSent))
-	m.sensorDials.Counter(label).Add(int64(stats.DialAttempts))
-	if stats.WriteRetries > 0 {
-		m.sensorRetries.Counter(label).Add(int64(stats.WriteRetries))
-	}
-	if stats.WriteDeadlineHits > 0 {
-		m.sensorDeadlineHits.Counter(label).Add(int64(stats.WriteDeadlineHits))
-	}
-	if stats.Reconnects > 0 {
-		m.sensorReconnects.Counter(label).Add(int64(stats.Reconnects))
-	}
-	if stats.DummyFrames > 0 {
-		m.dummyFrames.Add(int64(stats.DummyFrames))
-	}
-	return stats, err
+	return client.Run(ctx, src)
 }
 
 // fleetFrameSource produces one sensor's sealed frames for the ingest

@@ -1,7 +1,6 @@
 package simulator
 
 import (
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +12,8 @@ import (
 	"repro/internal/seccomm"
 )
 
+// The fleet reports its transport through ingest's own families: the
+// server counts into ingest.*, every sensor's client into ingest.client.*.
 func TestFleetMetricsHealthyRun(t *testing.T) {
 	cfg := fleetConfig(t, EncAGE, 4)
 	reg := metrics.NewRegistry()
@@ -24,26 +25,25 @@ func TestFleetMetricsHealthyRun(t *testing.T) {
 	snap := reg.Snapshot()
 
 	want := int64(res.Messages)
-	if got := snap.Counters["fleet.frames_delivered"]; got != want {
-		t.Errorf("frames_delivered = %d, want %d", got, want)
+	if got := snap.Counters["ingest.frames"]; got != want {
+		t.Errorf("ingest.frames = %d, want %d", got, want)
 	}
-	if got := snap.Counters["fleet.frames_sent"]; got != want {
-		t.Errorf("frames_sent = %d, want %d", got, want)
+	if got := snap.Counters["ingest.client.frames_sent"]; got != want {
+		t.Errorf("ingest.client.frames_sent = %d, want %d", got, want)
 	}
-	if snap.Counters["fleet.wire_bytes_sent"] == 0 || snap.Counters["fleet.wire_bytes_received"] == 0 {
+	if snap.Counters["ingest.client.wire_bytes_sent"] == 0 || snap.Counters["ingest.wire_bytes"] == 0 {
 		t.Error("wire byte counters empty")
 	}
-	if got := snap.Counters["fleet.dial_attempts"]; got < int64(cfg.Sensors) {
-		t.Errorf("dial_attempts = %d, want >= %d", got, cfg.Sensors)
+	if got := snap.Counters["ingest.client.dial_attempts"]; got < int64(cfg.Sensors) {
+		t.Errorf("ingest.client.dial_attempts = %d, want >= %d", got, cfg.Sensors)
 	}
-	if got := snap.Gauges["fleet.sensors"]; got != int64(cfg.Sensors) {
-		t.Errorf("sensors gauge = %d", got)
+	if got := snap.Counters["ingest.sessions_completed"]; got != int64(cfg.Sensors) {
+		t.Errorf("ingest.sessions_completed = %d, want %d", got, cfg.Sensors)
 	}
-	// Per-sensor series must agree with the per-sensor statuses.
-	delivered := snap.Series["fleet.sensor.frames_delivered"]
+	// Per-sensor figures live in the typed statuses.
 	for _, st := range res.Sensors {
-		if got := delivered[strconv.Itoa(st.Sensor)]; got != int64(st.Delivered) {
-			t.Errorf("sensor %d series delivered = %d, status says %d", st.Sensor, got, st.Delivered)
+		if !st.OK() || st.DialAttempts < 1 {
+			t.Errorf("sensor %d status %+v on a healthy run", st.Sensor, st)
 		}
 	}
 	// Codec instrumentation rode along: AGE latency histograms and §4
@@ -58,22 +58,24 @@ func TestFleetMetricsHealthyRun(t *testing.T) {
 		t.Error("AGE group counter empty")
 	}
 	// A healthy loopback fleet has a quiet fault ledger.
-	for _, name := range []string{"fleet.dial_failures", "fleet.read_deadline_hits", "fleet.reconnects", "fleet.unattributed"} {
-		if got := snap.Counters[name]; got != 0 {
-			t.Errorf("%s = %d on a healthy run", name, got)
+	for _, name := range []string{
+		"ingest.client.dial_failures", "ingest.read_deadline_hits",
+		"ingest.client.write_deadline_hits", "ingest.client.reconnects", "ingest.unattributed",
+	} {
+		if got, ok := snap.Counters[name]; !ok || got != 0 {
+			t.Errorf("%s = %d (registered %v) on a healthy run", name, got, ok)
 		}
 	}
-	// AGE fixes the wire size, so the frame-size histogram collapses to a
-	// single nonzero bucket count with max == min message size.
-	fb := snap.Histograms["fleet.frame_bytes"]
+	// AGE fixes the wire size, so the frame-size histogram holds one size.
+	fb := snap.Histograms["ingest.frame_bytes"]
 	if fb.Count != want || fb.Max == 0 || fb.Sum != fb.Max*want {
-		t.Errorf("frame_bytes histogram = %+v, want %d equal-size frames", fb, want)
+		t.Errorf("ingest.frame_bytes = %+v, want %d equal-size frames", fb, want)
 	}
 }
 
-// The fault-schedule accounting test the issue asks for: inject a known
-// fault plan and assert the counters report exactly that plan. Runs under
-// -race with the rest of the package.
+// The fault-schedule accounting test: inject a known fault plan and assert
+// the counters and statuses report exactly that plan. Runs under -race
+// with the rest of the package.
 func TestFleetMetricsMatchFaultSchedule(t *testing.T) {
 	const stalled, ghost = 0, 1
 	cfg := fastFaultConfig(t, 4, &FleetFaults{
@@ -88,34 +90,34 @@ func TestFleetMetricsMatchFaultSchedule(t *testing.T) {
 	}
 	snap := reg.Snapshot()
 
-	// The stalled sensor trips the server's read deadline exactly once.
-	if got := snap.Counters["fleet.read_deadline_hits"]; got != 1 {
-		t.Errorf("read_deadline_hits = %d, want 1", got)
+	// The stalled sensor trips the server's read deadline exactly once,
+	// and it is the only sensor the server reports a failure for.
+	if got := snap.Counters["ingest.read_deadline_hits"]; got != 1 {
+		t.Errorf("ingest.read_deadline_hits = %d, want 1", got)
 	}
-	if got := snap.Series["fleet.sensor.deadline_hits"][strconv.Itoa(stalled)]; got != 1 {
-		t.Errorf("stalled sensor deadline series = %d, want 1", got)
+	for _, st := range res.Sensors {
+		if hasErr := st.ServerErr != ""; hasErr != (st.Sensor == stalled) {
+			t.Errorf("sensor %d ServerErr = %q", st.Sensor, st.ServerErr)
+		}
 	}
-	// The ghost never dialed: no dial attempts, no frames, in its series.
-	if got := snap.Series["fleet.sensor.dial_attempts"][strconv.Itoa(ghost)]; got != 0 {
-		t.Errorf("ghost dial series = %d, want 0", got)
-	}
-	if got := snap.Series["fleet.sensor.frames_delivered"][strconv.Itoa(ghost)]; got != 0 {
-		t.Errorf("ghost delivered series = %d, want 0", got)
+	// The ghost never dialed: no dial attempts, no frames.
+	if st := res.Sensors[ghost]; st.DialAttempts != 0 || st.Delivered != 0 {
+		t.Errorf("ghost status %+v, want no dials and no deliveries", st)
 	}
 	// Nothing in this schedule causes write retries or reconnects.
-	if got := snap.Counters["fleet.write_retries"]; got != 0 {
-		t.Errorf("write_retries = %d, want 0", got)
+	if got := snap.Counters["ingest.client.write_retries"]; got != 0 {
+		t.Errorf("ingest.client.write_retries = %d, want 0", got)
 	}
-	if got := snap.Counters["fleet.reconnects"]; got != 0 {
-		t.Errorf("reconnects = %d, want 0", got)
+	if got := snap.Counters["ingest.client.reconnects"]; got != 0 {
+		t.Errorf("ingest.client.reconnects = %d, want 0", got)
 	}
 	// Global totals still reconcile with the statuses.
 	var delivered int64
 	for _, st := range res.Sensors {
 		delivered += int64(st.Delivered)
 	}
-	if got := snap.Counters["fleet.frames_delivered"]; got != delivered {
-		t.Errorf("frames_delivered = %d, statuses say %d", got, delivered)
+	if got := snap.Counters["ingest.frames"]; got != delivered {
+		t.Errorf("ingest.frames = %d, statuses say %d", got, delivered)
 	}
 }
 

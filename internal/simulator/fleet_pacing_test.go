@@ -1,11 +1,14 @@
 package simulator
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/ingest"
+	"repro/internal/metrics"
 )
 
 // countingTap is a minimal FleetPacing.Observer: it counts wire frame
@@ -121,6 +124,42 @@ func TestFleetPacingDeliveryIdentity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFleetPacedDummiesMatchRealSize: under constant and jittered release
+// every frame on the wire, real or cover, has one size for each fixed-size
+// encoder. A dummy sized from the configured target rather than the
+// encoder's own payload length (AGE's reduced target, Padded's full batch)
+// is told apart from real frames by its size alone.
+func TestFleetPacedDummiesMatchRealSize(t *testing.T) {
+	for _, kind := range core.Kinds() {
+		if !kind.FixedSize() {
+			continue
+		}
+		for _, mode := range []ingest.PaceMode{PaceConstant, PaceJitter} {
+			t.Run(fmt.Sprintf("%s/%v", kind, mode), func(t *testing.T) {
+				cfg := fleetConfig(t, kind, 3)
+				cfg.Pacing = FleetPacing{
+					Mode: mode, Interval: 300 * time.Microsecond, JitterFrac: 0.4,
+					BaseGap: 200 * time.Microsecond, PerSample: 5 * time.Microsecond,
+				}
+				reg := metrics.NewRegistry()
+				cfg.Base.Metrics = reg
+				res, err := runBounded(t, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.DummyFrames == 0 {
+					t.Fatal("paced run sent no cover traffic; the size check is vacuous")
+				}
+				fb := reg.Snapshot().Histograms["ingest.frame_bytes"]
+				if n := int64(res.Messages + res.DummyFrames); fb.Count != n || fb.Sum != fb.Max*n {
+					t.Errorf("ingest.frame_bytes = count %d, sum %d, max %d; want %d frames (%d real, %d dummies) of one size",
+						fb.Count, fb.Sum, fb.Max, n, res.Messages, res.DummyFrames)
+				}
+			})
+		}
 	}
 }
 
