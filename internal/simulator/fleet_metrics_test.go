@@ -57,10 +57,12 @@ func TestFleetMetricsHealthyRun(t *testing.T) {
 	if snap.Counters["core.age.groups_formed"] == 0 {
 		t.Error("AGE group counter empty")
 	}
-	// A healthy loopback fleet has a quiet fault ledger.
+	// A healthy loopback fleet has a quiet fault ledger. The fleet's
+	// handler refusing an unknown sensor ID counts as rejected_refused.
 	for _, name := range []string{
 		"ingest.client.dial_failures", "ingest.read_deadline_hits",
-		"ingest.client.write_deadline_hits", "ingest.client.reconnects", "ingest.unattributed",
+		"ingest.client.write_deadline_hits", "ingest.client.reconnects",
+		"ingest.unattributed", "ingest.rejected_refused", "ingest.rejected_duplicate",
 	} {
 		if got, ok := snap.Counters[name]; !ok || got != 0 {
 			t.Errorf("%s = %d (registered %v) on a healthy run", name, got, ok)
