@@ -64,8 +64,9 @@ func DefaultConfig() Config {
 			// decoded batch.
 			"repro/internal/chacha":  {"Reset", "XORKeyStream"},
 			"repro/internal/staging": {"carve"},
-			// The GRU inference step every Skip RNN decision loop runs.
-			"repro/internal/rnn": {"GRU.Step"},
+			// The GRU inference step every Skip RNN decision loop runs, and
+			// the blocked matrix-vector kernel under it.
+			"repro/internal/rnn": {"GRU.Step", "Mat.MulVec"},
 			// The threshold policies' decision loops, replayed at every
 			// bisection midpoint of a budget fit.
 			"repro/internal/policy": {"Linear.replay", "Deviation.replay"},

@@ -733,3 +733,57 @@ func TestStagerTapObservesDeliveryPath(t *testing.T) {
 		t.Errorf("SessionEnd: ends=%v endings=%d", tap.ends, tap.endings)
 	}
 }
+
+// nopSession accepts every frame and keeps nothing.
+type nopSession struct{ total int }
+
+func (s nopSession) Total() int            { return s.total }
+func (nopSession) Frame(int, []byte) error { return nil }
+func (nopSession) Close(error)             {}
+
+// BenchmarkSessionFrame times the server's frame accept path for one
+// handed-off session over net.Pipe: FrameReader.ReadFrame, the frame
+// metrics, Session.Frame with a no-op handler, and the registry advance.
+// The peer writes 64-byte frames gathered 64 to a write, as a batching
+// client does. One op is one frame.
+func BenchmarkSessionFrame(b *testing.B) {
+	const size, gather, timeout = 64, 64, 10 * time.Second
+	srv, err := NewServer(ServerConfig{
+		Handler:   HandlerFuncs{OpenFunc: func(int, int) (Session, error) { return nopSession{total: b.N}, nil }},
+		IOTimeout: timeout,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	go srv.ServeHandoffs()
+	defer srv.Close()
+	conn, peer := net.Pipe()
+	defer peer.Close()
+	done, err := srv.Handoff(conn, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if st, idx, err := readAck(peer, timeout); err != nil || st != StatusAccept || idx != 0 {
+		b.Fatalf("hello ack: status %v index %d err %v", st, idx, err)
+	}
+	var batch []byte
+	for range gather {
+		if batch, err = seccomm.AppendFrame(batch, make([]byte, size)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for sent := 0; sent < b.N; sent += gather {
+		n := min(gather, b.N-sent)
+		if _, err := peer.Write(batch[:n*(2+size)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if st, idx, err := readAck(peer, timeout); err != nil || st != StatusAccept || idx != b.N {
+		b.Fatalf("final ack: status %v index %d err %v", st, idx, err)
+	}
+	b.StopTimer()
+	<-done
+}

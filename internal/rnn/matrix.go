@@ -27,11 +27,23 @@ func NewMat(rows, cols int) *Mat {
 // NewMatRandom returns a matrix with Xavier/Glorot-scaled uniform entries.
 func NewMatRandom(rows, cols int, rng *rand.Rand) *Mat {
 	m := NewMat(rows, cols)
-	scale := math.Sqrt(6.0 / float64(rows+cols))
+	m.randomize(rng)
+	return m
+}
+
+// randomize fills m with Xavier/Glorot-scaled uniform entries for its own
+// shape, drawing from rng in row-major order.
+func (m *Mat) randomize(rng *rand.Rand) {
+	scale := math.Sqrt(6.0 / float64(m.Rows+m.Cols))
 	for i := range m.Data {
 		m.Data[i] = (rng.Float64()*2 - 1) * scale
 	}
-	return m
+}
+
+// matOver returns a rows x cols matrix over the next rows*cols floats of
+// *buf (see carve).
+func matOver(buf *[]float64, rows, cols int) *Mat {
+	return &Mat{Rows: rows, Cols: cols, Data: carve(buf, rows*cols)}
 }
 
 // At returns m[r, c].
@@ -42,15 +54,40 @@ func (m *Mat) Set(r, c int, v float64) { m.Data[r*m.Cols+c] = v }
 
 // MulVec computes out = m * x. out must have length m.Rows and x length
 // m.Cols; it panics otherwise.
+//
+// It computes four rows per pass with one accumulator each, so the four
+// dependency chains overlap. Every row is still summed over c = 0..Cols-1
+// in order from +0, so each out[r] has the same bits as a plain row loop.
+//
+//age:hotpath
 func (m *Mat) MulVec(x, out []float64) {
 	if len(x) != m.Cols || len(out) != m.Rows {
 		panic(fmt.Sprintf("rnn: MulVec shape mismatch: (%dx%d) * %d -> %d", m.Rows, m.Cols, len(x), len(out)))
 	}
-	for r := 0; r < m.Rows; r++ {
+	n := len(x)
+	r := 0
+	for ; r+4 <= len(out); r += 4 {
+		// Reslicing each row to len(x) lets the compiler drop the bounds
+		// checks in the inner loop.
+		row0 := m.Data[r*n : (r+1)*n][:len(x)]
+		row1 := m.Data[(r+1)*n : (r+2)*n][:len(x)]
+		row2 := m.Data[(r+2)*n : (r+3)*n][:len(x)]
+		row3 := m.Data[(r+3)*n : (r+4)*n][:len(x)]
+		var s0, s1, s2, s3 float64
+		for c, v := range x {
+			s0 += row0[c] * v
+			s1 += row1[c] * v
+			s2 += row2[c] * v
+			s3 += row3[c] * v
+		}
+		o := out[r : r+4]
+		o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+	}
+	for ; r < len(out); r++ {
+		row := m.Data[r*n : (r+1)*n][:len(x)]
 		var s float64
-		row := m.Data[r*m.Cols : (r+1)*m.Cols]
-		for c, v := range row {
-			s += v * x[c]
+		for c, v := range x {
+			s += row[c] * v
 		}
 		out[r] = s
 	}
@@ -109,6 +146,14 @@ func (m *Mat) Clone() *Mat {
 // vector helpers
 
 func zeros(n int) []float64 { return make([]float64, n) }
+
+// carve returns the next n floats of *buf, capped so appends cannot spill
+// into its neighbours, and advances *buf past them.
+func carve(buf *[]float64, n int) []float64 {
+	s := (*buf)[:n:n]
+	*buf = (*buf)[n:]
+	return s
+}
 
 func cloneVec(x []float64) []float64 { return append([]float64(nil), x...) }
 

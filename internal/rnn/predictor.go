@@ -78,14 +78,8 @@ func (p *Predictor) NormalizeInto(dst, x []float64) {
 	}
 }
 
-// predict computes the readout from a hidden state (normalized space).
-func (p *Predictor) predict(h []float64) []float64 {
-	out := zeros(p.Wo.Rows)
-	p.predictInto(out, h)
-	return out
-}
-
-// predictInto writes predict(h) into out.
+// predictInto writes the readout of hidden state h (normalized space) into
+// out.
 func (p *Predictor) predictInto(out, h []float64) {
 	p.Wo.MulVec(h, out)
 	addVec(out, p.Bo)
@@ -117,6 +111,11 @@ func (p *Predictor) Train(seqs [][][]float64, cfg TrainConfig) (float64, error) 
 	flatParams := flatten(params)
 	opt := NewAdam(len(flatParams), cfg.LearningRate)
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	longest := 0
+	for _, seq := range seqs {
+		longest = max(longest, len(seq))
+	}
+	ws := p.newBPTT(longest)
 	var lastLoss float64
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		order := rng.Perm(len(seqs))
@@ -127,12 +126,10 @@ func (p *Predictor) Train(seqs [][][]float64, cfg TrainConfig) (float64, error) 
 			if len(seq) < 2 {
 				continue
 			}
-			loss, grads := p.sequenceGrads(seq)
-			total += loss
+			total += p.sequenceGrads(seq, ws)
 			steps += len(seq) - 1
-			flatGrads := flatten(grads)
-			clipGrads(flatGrads, cfg.ClipNorm)
-			opt.Step(flatParams, flatGrads)
+			clipGrads(ws.grads, cfg.ClipNorm)
+			opt.Step(flatParams, ws.grads)
 			// Write updated parameters back into the model; flatParams
 			// is the optimizer's source of truth.
 			unflatten(flatParams, params)
@@ -144,45 +141,95 @@ func (p *Predictor) Train(seqs [][][]float64, cfg TrainConfig) (float64, error) 
 	return lastLoss, nil
 }
 
-// sequenceGrads runs one forward+backward pass over a sequence and returns
-// the summed loss and gradients in parameter order (GRU params, Wo, Bo).
-func (p *Predictor) sequenceGrads(seq [][]float64) (float64, [][]float64) {
-	h := zeros(p.GRU.Hidden)
-	caches := make([]*GRUCache, 0, len(seq)-1)
-	preds := make([][]float64, 0, len(seq)-1)
-	norm := make([][]float64, len(seq))
-	for i, row := range seq {
-		norm[i] = p.Normalize(row)
+// bptt is the workspace of one Train call: every buffer sequenceGrads
+// needs, sized for the longest training sequence, so training allocates
+// nothing per sequence or per step. Train drops it on return; the model
+// keeps none of it.
+type bptt struct {
+	d, H  int
+	norm  []float64 // T x d normalized inputs
+	hs    []float64 // T x H: rows t and t+1 are step t's hPrev and h; row 0 is the zero state
+	gates []float64 // (T-1) x 4H: step t's Z|R|C|RH
+	preds []float64 // (T-1) x d: the prediction of row t+1 from step t's h
+	tmp   []float64 // 2H, Step's tmp, shared by every step
+	dy    []float64
+	// dh and dhPrev swap each step: dh is the gradient into step t's
+	// output, and backward writes the gradient into its input over dhPrev
+	// (and into x over dx, which training does not use).
+	dh, dhPrev, dx []float64
+	back           backScratch
+	// grads holds every gradient flat in Train's parameter order (GRU
+	// params, Wo, Bo); gr, dWo and dBo are views into it.
+	grads []float64
+	gr    *GRUGrads
+	dWo   *Mat
+	dBo   []float64
+}
+
+// newBPTT returns a workspace for sequences of up to T steps.
+func (p *Predictor) newBPTT(T int) *bptt {
+	d, H := len(p.Mean), p.GRU.Hidden
+	T = max(T, 1)
+	ws := &bptt{
+		d: d, H: H,
+		norm: zeros(T * d), hs: zeros(T * H), gates: zeros((T - 1) * 4 * H), preds: zeros((T - 1) * d),
+		tmp: zeros(2 * H), dy: zeros(d), dh: zeros(H), dhPrev: zeros(H), dx: zeros(d), back: newBackScratch(H),
+		grads: zeros(p.GRU.numParams() + len(p.Wo.Data) + len(p.Bo)),
 	}
+	buf := ws.grads
+	ws.gr = p.GRU.gradsOver(&buf)
+	ws.dWo = matOver(&buf, p.Wo.Rows, p.Wo.Cols)
+	ws.dBo = carve(&buf, len(p.Bo))
+	return ws
+}
+
+// cache returns step t's cache as views into the workspace.
+func (ws *bptt) cache(t int) GRUCache {
+	d, H := ws.d, ws.H
+	return GRUCache{
+		X:          ws.norm[t*d : (t+1)*d],
+		HPrev:      ws.hs[t*H : (t+1)*H],
+		H:          ws.hs[(t+1)*H : (t+2)*H],
+		GRUScratch: scratchOver(ws.gates[t*4*H:(t+1)*4*H], ws.tmp, H),
+	}
+}
+
+// sequenceGrads runs one forward+backward pass over a sequence of at least
+// two steps, leaving the summed gradients in ws.grads and returning the
+// summed loss.
+func (p *Predictor) sequenceGrads(seq [][]float64, ws *bptt) float64 {
+	d := ws.d
+	for t, row := range seq {
+		p.NormalizeInto(ws.norm[t*d:(t+1)*d], row)
+	}
+	clear(ws.hs[:ws.H])
 	var loss float64
 	for t := 0; t < len(seq)-1; t++ {
-		var cache *GRUCache
-		h, cache = p.GRU.Forward(norm[t], h)
-		caches = append(caches, cache)
-		yhat := p.predict(h)
-		preds = append(preds, yhat)
+		c := ws.cache(t)
+		p.GRU.Step(c.X, c.HPrev, c.H, &c.GRUScratch)
+		yhat, next := ws.preds[t*d:(t+1)*d], ws.norm[(t+1)*d:(t+2)*d]
+		p.predictInto(yhat, c.H)
 		for f := range yhat {
-			dlt := yhat[f] - norm[t+1][f]
+			dlt := yhat[f] - next[f]
 			loss += 0.5 * dlt * dlt
 		}
 	}
-	gr := p.GRU.NewGrads()
-	dWo := NewMat(p.Wo.Rows, p.Wo.Cols)
-	dBo := zeros(len(p.Bo))
-	dhNext := zeros(p.GRU.Hidden)
-	for t := len(caches) - 1; t >= 0; t-- {
-		dy := zeros(len(p.Bo))
-		for f := range dy {
-			dy[f] = preds[t][f] - norm[t+1][f]
+	clear(ws.grads)
+	dh, dhPrev := ws.dh, ws.dhPrev
+	clear(dh)
+	for t := len(seq) - 2; t >= 0; t-- {
+		c := ws.cache(t)
+		yhat, next := ws.preds[t*d:(t+1)*d], ws.norm[(t+1)*d:(t+2)*d]
+		for f := range ws.dy {
+			ws.dy[f] = yhat[f] - next[f]
 		}
-		dWo.AddOuter(dy, caches[t].H)
-		addVec(dBo, dy)
-		dh := cloneVec(dhNext)
-		p.Wo.MulVecT(dy, dh)
-		dhNext, _ = p.GRU.Backward(caches[t], dh, gr)
+		ws.dWo.AddOuter(ws.dy, c.H)
+		addVec(ws.dBo, ws.dy)
+		p.Wo.MulVecT(ws.dy, dh)
+		p.GRU.backward(&c, dh, ws.gr, dhPrev, ws.dx, &ws.back)
+		dh, dhPrev = dhPrev, dh
 	}
-	grads := append(gr.slices(), dWo.Data, dBo)
-	return loss, grads
+	return loss
 }
 
 // HiddenStates runs the predictor over a full sequence (teacher forcing) and
@@ -200,9 +247,10 @@ func (p *Predictor) HiddenStates(seq [][]float64) (states [][]float64, errs []fl
 	x, next, yhat := zeros(d), zeros(d), zeros(d)
 	sc := p.GRU.NewScratch()
 	h := zeros(p.GRU.Hidden)
+	flat := zeros(len(seq) * p.GRU.Hidden)
 	for t := 0; t < len(seq); t++ {
 		p.NormalizeInto(x, seq[t])
-		states[t] = zeros(p.GRU.Hidden)
+		states[t] = carve(&flat, p.GRU.Hidden)
 		p.GRU.Step(x, h, states[t], sc)
 		h = states[t]
 		if t < len(seq)-1 {

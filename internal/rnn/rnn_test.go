@@ -1,6 +1,9 @@
 package rnn
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -156,7 +159,9 @@ func TestGRUGradientCheck(t *testing.T) {
 	for i, x := range xs {
 		h, caches[i] = g.Forward(x, h)
 	}
-	gr := g.NewGrads()
+	analytic := zeros(g.numParams())
+	buf := analytic
+	gr := g.gradsOver(&buf)
 	dh := make([]float64, hidden)
 	for i := range dh {
 		dh[i] = h[i] - target[i]
@@ -164,7 +169,6 @@ func TestGRUGradientCheck(t *testing.T) {
 	for i := steps - 1; i >= 0; i-- {
 		dh, _ = g.Backward(caches[i], dh, gr)
 	}
-	analytic := flatten(gr.slices())
 	params := g.params()
 	flat := flatten(params)
 	checked := 0
@@ -396,18 +400,31 @@ func BenchmarkPredictorTrainEpoch(b *testing.B) {
 	}
 }
 
+// refMulVec is the plain row loop MulVec ran before it was blocked: out[r]
+// sums m[r, c] * x[c] over c in order from +0.
+func refMulVec(m *Mat, x, out []float64) {
+	for r := 0; r < m.Rows; r++ {
+		var s float64
+		for c := 0; c < m.Cols; c++ {
+			s += m.Data[r*m.Cols+c] * x[c]
+		}
+		out[r] = s
+	}
+}
+
 // referenceForward is the GRU step as Forward computed it before Step
-// existed, allocating every intermediate. Step must match it bit for bit.
+// existed: one refMulVec per gate matrix, every intermediate allocated.
+// Step must match it bit for bit.
 func referenceForward(g *GRU, x, hPrev []float64) []float64 {
 	H := g.Hidden
 	z, r, c, tmp := zeros(H), zeros(H), zeros(H), zeros(H)
-	g.Wz.MulVec(x, z)
-	g.Uz.MulVec(hPrev, tmp)
+	refMulVec(g.Wz, x, z)
+	refMulVec(g.Uz, hPrev, tmp)
 	addVec(z, tmp)
 	addVec(z, g.Bz)
 	sigmoidVec(z)
-	g.Wr.MulVec(x, r)
-	g.Ur.MulVec(hPrev, tmp)
+	refMulVec(g.Wr, x, r)
+	refMulVec(g.Ur, hPrev, tmp)
 	addVec(r, tmp)
 	addVec(r, g.Br)
 	sigmoidVec(r)
@@ -415,8 +432,8 @@ func referenceForward(g *GRU, x, hPrev []float64) []float64 {
 	for i := range rh {
 		rh[i] = r[i] * hPrev[i]
 	}
-	g.Wc.MulVec(x, c)
-	g.Uc.MulVec(rh, tmp)
+	refMulVec(g.Wc, x, c)
+	refMulVec(g.Uc, rh, tmp)
 	addVec(c, tmp)
 	addVec(c, g.Bc)
 	tanhVec(c)
@@ -425,6 +442,34 @@ func referenceForward(g *GRU, x, hPrev []float64) []float64 {
 		h[i] = (1-z[i])*hPrev[i] + z[i]*c[i]
 	}
 	return h
+}
+
+// FuzzMulVec checks the blocked MulVec against refMulVec bit for bit for
+// every shape up to 40x40, including row counts that leave a remainder
+// after the 4-row blocks. Entries come from the seed, scaled over many
+// binades so rounding differences would show.
+func FuzzMulVec(f *testing.F) {
+	for _, shape := range [][2]uint8{{0, 0}, {1, 1}, {3, 5}, {4, 4}, {7, 12}, {36, 6}, {24, 12}, {40, 40}} {
+		f.Add(shape[0], shape[1], int64(shape[0])*41+int64(shape[1]))
+	}
+	f.Fuzz(func(t *testing.T, rows, cols uint8, seed int64) {
+		m := NewMat(int(rows)%41, int(cols)%41)
+		rng := rand.New(rand.NewSource(seed))
+		draw := func() float64 { return rng.NormFloat64() * math.Ldexp(1, rng.Intn(40)-20) }
+		for i := range m.Data {
+			m.Data[i] = draw()
+		}
+		x := make([]float64, m.Cols)
+		for i := range x {
+			x[i] = draw()
+		}
+		got, want := make([]float64, m.Rows), make([]float64, m.Rows)
+		m.MulVec(x, got)
+		refMulVec(m, x, want)
+		if !sameBits(got, want) {
+			t.Fatalf("%dx%d: MulVec %v, reference %v", m.Rows, m.Cols, got, want)
+		}
+	})
 }
 
 func sameBits(a, b []float64) bool {
@@ -481,6 +526,40 @@ func TestGRUStepAllocs(t *testing.T) {
 	}
 }
 
+// TestSequenceGradsAllocs: a training sequence allocates nothing once the
+// workspace exists, and Train's allocation count does not grow with the
+// sequence length.
+func TestSequenceGradsAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	seqOf := func(T int) [][]float64 {
+		seq := make([][]float64, T)
+		for t := range seq {
+			seq[t] = []float64{rng.NormFloat64(), math.Sin(0.3 * float64(t))}
+		}
+		return seq
+	}
+	short, long := seqOf(40), seqOf(400)
+	p := NewPredictor(2, 12, rng)
+	ws := p.newBPTT(len(long))
+	for _, seq := range [][][]float64{short, long} {
+		if n := testing.AllocsPerRun(20, func() { p.sequenceGrads(seq, ws) }); n != 0 {
+			t.Errorf("sequenceGrads at T=%d allocates %v times, want 0", len(seq), n)
+		}
+	}
+	cfg := DefaultTrainConfig()
+	cfg.Epochs = 2
+	train := func(seq [][]float64) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := p.Train([][][]float64{seq, seq, seq}, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := train(short), train(long); a != b {
+		t.Errorf("Train allocates %v times at T=40 but %v at T=400", a, b)
+	}
+}
+
 // TestTrainGatePinned pins TrainGate's W, B and Kappa bit for bit on a
 // seeded model, so changes to HiddenStates and medianOf stay exact.
 func TestTrainGatePinned(t *testing.T) {
@@ -527,5 +606,44 @@ func BenchmarkGRUStep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		g.Step(x, h, h, sc)
+	}
+}
+
+// TestPredictorTrainPinned pins every parameter of a seeded Predictor.Train
+// bit for bit (a SHA-256 over the Float64bits of GRU params, Wo and Bo in
+// params order) and the returned loss. The shapes leave remainders for a
+// 4-row blocked kernel (gate stacks of 15 and 10 rows, 5-row Uc), and the
+// sequence lengths vary so a workspace sized by the longest one is reused
+// at shorter lengths.
+func TestPredictorTrainPinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	var seqs [][][]float64
+	for s, T := range []int{37, 1, 52, 9, 44, 2, 30} {
+		seq := make([][]float64, T)
+		for t := range seq {
+			seq[t] = []float64{math.Sin(0.4*float64(t+s)) + 0.1*rng.NormFloat64(), 3 + rng.NormFloat64()}
+		}
+		seqs = append(seqs, seq)
+	}
+	p := NewPredictor(2, 5, rng)
+	cfg := DefaultTrainConfig()
+	cfg.Epochs = 3
+	loss, err := p.Train(seqs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var buf [8]byte
+	for _, part := range append(p.GRU.params(), p.Wo.Data, p.Bo) {
+		for _, v := range part {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	got := fmt.Sprintf("%x loss=%#x", h.Sum(nil), math.Float64bits(loss))
+	// Recorded from the per-gate MulVec and allocating BPTT.
+	const want = "a05373365df786b9b087602540c7a036842b8d0960dc9412c09d1275b80bd486 loss=0x3ff221f80e74dd36"
+	if got != want {
+		t.Errorf("trained parameters = %s, want %s", got, want)
 	}
 }

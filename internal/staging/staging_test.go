@@ -532,3 +532,90 @@ func BenchmarkTrimBelow(b *testing.B) {
 		s.TrimBelow(0, i+1, 0)
 	}
 }
+
+// FuzzImportCursor drives random sequences of ImportCursor, Append,
+// ExportCursor and TrimBelow over three sensors against a model of each
+// log's (head, complete) and checks that a log's head never rewinds, that
+// the next append after an import gets max(head, cursor head), that
+// completion only latches while the log lives, and that exporting and
+// importing into a fresh Stage round-trips (Head, Complete). Each op takes
+// four bytes: kind, sensor, a signed head or trim point, and a flag.
+func FuzzImportCursor(f *testing.F) {
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 5, 1, 1, 0, 0, 0, 2, 0, 0, 0})
+	f.Add([]byte{0, 1, 20, 0, 1, 1, 0, 0, 0, 1, 3, 1, 3, 1, 10, 0, 2, 1, 0, 0})
+	f.Add([]byte{0, 2, 0xff, 1, 1, 2, 0, 0, 3, 2, 1, 1, 2, 2, 0, 0, 0, 2, 7, 0})
+	type model struct {
+		head     int
+		complete bool
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		s := New()
+		logs := map[int]*model{}
+		for i := 0; i+4 <= len(ops); i += 4 {
+			id, arg, flag := int(ops[i+1]%3), int(int8(ops[i+2])), ops[i+3]&1 == 1
+			m := logs[id]
+			switch ops[i] % 4 {
+			case 0:
+				s.ImportCursor(Cursor{SensorID: id, Head: arg, Complete: flag})
+				if arg < 0 {
+					break
+				}
+				if m == nil {
+					m = &model{}
+					logs[id] = m
+				}
+				m.head = max(m.head, arg)
+				m.complete = m.complete || flag
+			case 1:
+				want := 0
+				if m != nil {
+					want = m.head
+				} else {
+					m = &model{}
+					logs[id] = m
+				}
+				if seq := s.Append(id, rec(want, 10)); seq != want {
+					t.Fatalf("op %d: append on sensor %d got seq %d, want %d", i/4, id, seq, want)
+				}
+				m.head++
+				if r, ok := s.Log(id).Get(want); !ok || r.Seq != want || r.Index != want {
+					t.Fatalf("op %d: get(%d) = %+v ok=%v", i/4, want, r, ok)
+				}
+			case 2:
+				c, ok := s.ExportCursor(id)
+				if ok != (m != nil) {
+					t.Fatalf("op %d: export of sensor %d ok=%v, want %v", i/4, id, ok, m != nil)
+				}
+				if !ok {
+					break
+				}
+				if c.SensorID != id || c.Head != m.head || c.Complete != m.complete {
+					t.Fatalf("op %d: exported %+v, want head %d complete %v", i/4, c, m.head, m.complete)
+				}
+				fresh := New()
+				fresh.ImportCursor(c)
+				if back, ok := fresh.ExportCursor(id); !ok || back != c {
+					t.Fatalf("op %d: cursor %+v came back from a fresh stage as %+v ok=%v", i/4, c, back, ok)
+				}
+				delete(logs, id)
+			case 3:
+				s.TrimBelow(id, arg, int(ops[i+3]%4))
+			}
+			for id, m := range logs {
+				l := s.Log(id)
+				if l == nil {
+					t.Fatalf("op %d: sensor %d lost its log", i/4, id)
+				}
+				if head, complete := l.Head(), l.Complete(); head != m.head || complete != m.complete {
+					t.Fatalf("op %d: sensor %d head %d complete %v, want %d %v (head only advances, completion only latches)",
+						i/4, id, head, complete, m.head, m.complete)
+				}
+			}
+			for id := range 3 {
+				if _, live := logs[id]; !live && s.Log(id) != nil {
+					t.Fatalf("op %d: sensor %d has a log it should not", i/4, id)
+				}
+			}
+		}
+	})
+}
