@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -130,7 +131,8 @@ func (s *timedSource) LastGap() time.Duration { return s.last }
 // stored unmarked.
 type unmarkHandler struct {
 	*testHandler
-	dummies int // guarded by testHandler.mu
+	dummies int    // guarded by testHandler.mu
+	order   []byte // 'R' real, 'D' dummy, in arrival order; guarded by testHandler.mu
 }
 
 func (h *unmarkHandler) Open(sensorID, delivered int) (Session, error) {
@@ -153,12 +155,15 @@ func (s *unmarkSession) Frame(index int, msg []byte) error {
 	if err != nil {
 		return err
 	}
+	s.h.mu.Lock()
 	if dummy {
-		s.h.mu.Lock()
 		s.h.dummies++
+		s.h.order = append(s.h.order, 'D')
 		s.h.mu.Unlock()
 		return ErrDummyFrame
 	}
+	s.h.order = append(s.h.order, 'R')
+	s.h.mu.Unlock()
 	return s.inner.Frame(index, data)
 }
 
@@ -178,12 +183,19 @@ func testDummy(size int) func() ([]byte, error) {
 	return func() ([]byte, error) { return MarkDummy(make([]byte, size)), nil }
 }
 
-// runPaced drives one client/server round trip under the given pacer config
-// and returns the client stats, the delivered (unmarked) frames, and the
-// number of dummies the server dropped.
-func runPaced(t *testing.T, pacer PacerConfig, frames [][]byte, gaps []time.Duration) (ClientStats, [][]byte, int, metrics.Snapshot) {
+// pacedRun is what one paced client/server round trip observed.
+type pacedRun struct {
+	stats     ClientStats
+	delivered [][]byte // unmarked real frames, in delivery order
+	order     string   // the server session's view: 'R' real, 'D' dummy
+	snap      metrics.Snapshot
+}
+
+// runPacedSource drives one client/server round trip of src under the given
+// pacer config, with the client seed fixed at 17.
+func runPacedSource(t *testing.T, pacer PacerConfig, src FrameSource) pacedRun {
 	t.Helper()
-	h := &unmarkHandler{testHandler: newTestHandler(len(frames))}
+	h := &unmarkHandler{testHandler: newTestHandler(src.Total())}
 	reg := metrics.NewRegistry()
 	_, addr, _ := startServer(t, ServerConfig{Handler: h, IOTimeout: 2 * time.Second, Metrics: reg})
 	client := NewClient(ClientConfig{
@@ -192,17 +204,119 @@ func runPaced(t *testing.T, pacer PacerConfig, frames [][]byte, gaps []time.Dura
 		IOTimeout: 2 * time.Second,
 		Seed:      17,
 		Pacer:     pacer,
+		Metrics:   reg,
 	})
-	src := &timedSource{sliceSource: sliceSource{frames: markedFrames(frames)}, gaps: gaps}
 	stats, err := client.Run(context.Background(), src)
 	if err != nil {
 		t.Fatalf("paced run (%v): %v", pacer.Mode, err)
 	}
 	h.mu.Lock()
-	delivered := append([][]byte(nil), h.frames[5]...)
-	dummies := h.dummies
-	h.mu.Unlock()
-	return stats, delivered, dummies, reg.Snapshot()
+	defer h.mu.Unlock()
+	return pacedRun{
+		stats:     stats,
+		delivered: append([][]byte(nil), h.frames[5]...),
+		order:     string(h.order),
+		snap:      reg.Snapshot(),
+	}
+}
+
+// runPaced drives one client/server round trip of frames released on the
+// gaps schedule and returns the client stats, the delivered (unmarked)
+// frames, the number of dummies the server dropped, and the metrics.
+func runPaced(t *testing.T, pacer PacerConfig, frames [][]byte, gaps []time.Duration) (ClientStats, [][]byte, int, metrics.Snapshot) {
+	t.Helper()
+	r := runPacedSource(t, pacer, &timedSource{sliceSource: sliceSource{frames: markedFrames(frames)}, gaps: gaps})
+	return r.stats, r.delivered, strings.Count(r.order, "D"), r.snap
+}
+
+// expectedPacing replays the release schedule off the wall clock: slots
+// advance by the seeded scheduler's intervals, frames become available at
+// the cumulative gaps, and each slot carries the pending frame if it is
+// available by then and a dummy otherwise. It returns the real/dummy order
+// and the AoI accounting (slot minus availability, per real frame).
+func expectedPacing(p PacerConfig, seed int64, gaps []time.Duration) (order string, aoiTotal, aoiMax int64) {
+	sched := newPaceScheduler(p, seed)
+	var avail, slot time.Duration
+	var b strings.Builder
+	for _, g := range gaps {
+		avail += g
+		for {
+			slot += sched.next()
+			if avail <= slot {
+				break
+			}
+			b.WriteByte('D')
+		}
+		b.WriteByte('R')
+		aoi := (slot - avail).Microseconds()
+		aoiTotal += aoi
+		aoiMax = max(aoiMax, aoi)
+	}
+	return b.String(), aoiTotal, aoiMax
+}
+
+// TestPacedReleasePattern pins the release loop's decisions exactly: for a
+// fixed seed and gap sequence, the slots that carry a real frame, the dummy
+// count and the AoI accounting are functions of the schedule alone, never
+// of scheduler latency. PaceLive sends no cover and observes AoI once per
+// frame only when the source reports its generation schedule.
+func TestPacedReleasePattern(t *testing.T) {
+	const n = 12
+	frames := framesFor(n)
+	gaps := make([]time.Duration, n)
+	for i := range gaps {
+		gaps[i] = time.Duration(1+i%3) * time.Millisecond
+	}
+	dummySize := len(MarkReal(frames[0])) - 1
+	// A 1.5 ms constant interval is off the gaps' 1 ms grid, so some real
+	// frames wait for their slot and the AoI total is not zero.
+	for _, p := range []PacerConfig{
+		{Mode: PaceConstant, Interval: 1500 * time.Microsecond, Dummy: testDummy(dummySize)},
+		{Mode: PaceJitter, Interval: time.Millisecond, JitterFrac: 0.5, Dummy: testDummy(dummySize)},
+	} {
+		t.Run(p.Mode.String(), func(t *testing.T) {
+			order, aoiTotal, aoiMax := expectedPacing(p, 17, gaps)
+			r := runPacedSource(t, p, &timedSource{sliceSource: sliceSource{frames: markedFrames(frames)}, gaps: gaps})
+			if r.order != order {
+				t.Errorf("release order %s, want %s", r.order, order)
+			}
+			if want := strings.Count(order, "D"); r.stats.DummyFrames != want {
+				t.Errorf("DummyFrames = %d, want %d", r.stats.DummyFrames, want)
+			}
+			if r.stats.FramesSent != n {
+				t.Errorf("FramesSent = %d, want %d", r.stats.FramesSent, n)
+			}
+			if r.stats.AoIMicrosTotal != aoiTotal || r.stats.AoIMicrosMax != aoiMax {
+				t.Errorf("AoI total/max = %d/%d µs, want %d/%d", r.stats.AoIMicrosTotal, r.stats.AoIMicrosMax, aoiTotal, aoiMax)
+			}
+			if got := r.snap.Histograms["ingest.client.aoi_ns"].Count; got != n {
+				t.Errorf("ingest.client.aoi_ns count = %d, want %d", got, n)
+			}
+		})
+	}
+
+	live := PacerConfig{Mode: PaceLive}
+	t.Run("live", func(t *testing.T) {
+		r := runPacedSource(t, live, &timedSource{sliceSource: sliceSource{frames: markedFrames(frames)}, gaps: gaps})
+		if want := strings.Repeat("R", n); r.order != want || r.stats.DummyFrames != 0 {
+			t.Errorf("live release order %s with %d dummies, want %s and none", r.order, r.stats.DummyFrames, want)
+		}
+		if got := r.snap.Histograms["ingest.client.aoi_ns"].Count; got != n {
+			t.Errorf("ingest.client.aoi_ns count = %d, want %d", got, n)
+		}
+	})
+	t.Run("live-untimed", func(t *testing.T) {
+		r := runPacedSource(t, live, &sliceSource{frames: markedFrames(frames)})
+		if want := strings.Repeat("R", n); r.order != want || r.stats.DummyFrames != 0 {
+			t.Errorf("live release order %s with %d dummies, want %s and none", r.order, r.stats.DummyFrames, want)
+		}
+		if got := r.snap.Histograms["ingest.client.aoi_ns"].Count; got != 0 {
+			t.Errorf("ingest.client.aoi_ns count = %d, want 0 without a generation schedule", got)
+		}
+		if r.stats.AoIMicrosTotal != 0 {
+			t.Errorf("AoIMicrosTotal = %d, want 0 without a generation schedule", r.stats.AoIMicrosTotal)
+		}
+	})
 }
 
 func TestPacedDeliveryIdentity(t *testing.T) {
