@@ -519,8 +519,9 @@ const (
 )
 
 // PacerConfig configures the client-side pacer (ClientConfig.Pacer): the
-// mode, release interval, jitter fraction, schedule seed, and the sealed
-// dummy-frame generator.
+// mode, release interval, jitter fraction, and the sealed dummy-frame
+// generator. It has no seed field (an earlier Seed field is removed): the
+// jittered schedule is seeded from ClientConfig.Seed.
 type PacerConfig = ingest.PacerConfig
 
 // ParsePaceMode parses a mode name ("off", "live", "constant", "jitter").

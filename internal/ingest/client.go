@@ -63,20 +63,20 @@ type ClientConfig struct {
 	// (default 1: one write per frame). The wire byte stream is identical
 	// either way — frames stay individually length-prefixed — but gathering
 	// amortizes the syscall and deadline bookkeeping, which dominates at
-	// small frame sizes. Capped at maxWriteBatch. Ignored when the Pacer
-	// is active: paced release is one frame per release slot by design.
+	// small frame sizes. Capped at maxWriteBatch. Applies only under
+	// PaceOff: every other pace mode writes one frame per release slot.
 	WriteBatch int
 
-	// Seed drives the client's random decisions — dial-backoff jitter and,
-	// unless PacerConfig.Seed overrides it, the pacer's jittered release
-	// schedule. Zero derives a per-sensor seed from SensorID, so every
-	// client is deterministic for a fixed config yet no two sensors share
-	// a jitter stream.
+	// Seed drives the client's random decisions: dial-backoff jitter and
+	// the pacer's jittered release schedule. Zero derives a per-sensor
+	// seed from SensorID, so every client is deterministic for a fixed
+	// config yet no two sensors share a jitter stream.
 	Seed int64
 
-	// Pacer decouples frame release timing from frame generation timing,
-	// closing the timing side-channel on the link. The zero value (PaceOff)
-	// preserves the throughput-oriented batched sender.
+	// Pacer sets when the release loop puts frames on the wire. The zero
+	// value (PaceOff) sends as fast as the link accepts, WriteBatch frames
+	// per write; the other modes decouple release timing from generation
+	// timing, one frame per slot, to close the link's timing side-channel.
 	Pacer PacerConfig
 
 	// Metrics, when set, receives the ingest.client.* instrument family.
@@ -354,17 +354,7 @@ func (c *Client) stream(ctx context.Context, src FrameSource, st *ClientStats) e
 	if err := src.Seek(resume); err != nil {
 		return Terminal(fmt.Errorf("seek to frame %d: %w", resume, err))
 	}
-	switch cfg.Pacer.Mode {
-	case PaceOff:
-		err = c.sendBatched(ctx, conn, src, st, resume, total)
-	case PaceLive:
-		err = c.sendLive(ctx, conn, src, st, resume, total)
-	case PaceConstant, PaceJitter:
-		err = c.sendPaced(ctx, conn, src, st, resume, total)
-	default:
-		err = Terminal(fmt.Errorf("unknown pace mode %d", cfg.Pacer.Mode))
-	}
-	if err != nil {
+	if err := c.send(ctx, conn, src, st, resume, total); err != nil {
 		return err
 	}
 	// Delivery confirmation: frame writes can land in the TCP buffer after
@@ -389,19 +379,53 @@ func (c *Client) stream(ctx context.Context, src FrameSource, st *ClientStats) e
 	return nil
 }
 
-// sendBatched is the throughput-oriented frame loop: gather up to
-// WriteBatch frames into one length-prefix-framed buffer and send it in a
-// single write. The receiver sees the same byte stream as per-frame writes;
-// only the syscall count changes.
-func (c *Client) sendBatched(ctx context.Context, conn net.Conn, src FrameSource, st *ClientStats, resume, total int) error {
-	cfg := c.cfg
+// send is the client's one release loop: it decides which frames reach the
+// wire and when. Unpaced, each write gathers up to WriteBatch frames into
+// one length-prefix-framed buffer; the receiver sees the same byte stream as
+// per-frame writes, only the syscall count changes. Paced, each write
+// carries the one frame of a release slot. Under PaceLive the slot is the
+// frame's data-driven generation instant. Under PaceConstant/PaceJitter the
+// slots come from the seeded schedule: the frame is produced eagerly (the
+// sensor prepares its batch while the radio waits) and goes out in the first
+// slot at or after its generation instant, and each earlier slot carries a
+// sealed dummy, so the wire shows one uniform frame per slot regardless of
+// what the sensor measured. Dummies don't advance the stream index, matching
+// the server's ErrDummyFrame accounting, and none follow the last real frame
+// — session duration is outside the pacer's threat model (see DESIGN.md).
+func (c *Client) send(ctx context.Context, conn net.Conn, src FrameSource, st *ClientStats, resume, total int) error {
+	p := c.cfg.Pacer
+	batch, paced := c.cfg.WriteBatch, false
+	var sched *paceScheduler
+	switch p.Mode {
+	case PaceOff:
+	case PaceLive:
+		batch = 1
+	case PaceConstant, PaceJitter:
+		if p.Interval <= 0 {
+			return Terminal(errors.New("ingest: paced release needs a positive PacerConfig.Interval"))
+		}
+		if p.Dummy == nil {
+			return Terminal(errors.New("ingest: paced release needs a PacerConfig.Dummy generator"))
+		}
+		batch, paced = 1, true
+		sched = newPaceScheduler(p, c.cfg.Seed)
+	default:
+		return Terminal(fmt.Errorf("unknown pace mode %d", p.Mode))
+	}
+	ts, _ := src.(TimedSource)
+	live := p.Mode == PaceLive && ts != nil
+	// The generation clock advances by the source's gaps and the slot clock
+	// by the schedule alone, both from start, so a paced release decision
+	// depends on those two sequences and never on scheduler latency.
+	start := time.Now()
+	avail, slot := start, start
 	var gather []byte
 	for fi := resume; fi < total; {
 		gather = gather[:0]
 		n := 0
 		payloadBytes := 0
 		var srcErr error
-		for ; n < cfg.WriteBatch && fi+n < total; n++ {
+		for ; n < batch && fi+n < total; n++ {
 			msg, err := src.Next(ctx)
 			if err != nil {
 				// Flush what's already gathered before reporting the
@@ -411,6 +435,43 @@ func (c *Client) sendBatched(ctx context.Context, conn net.Conn, src FrameSource
 				// relies on this for forward progress.
 				srcErr = err
 				break
+			}
+			if ts != nil {
+				avail = avail.Add(ts.LastGap())
+			}
+			if paced {
+				for {
+					slot = slot.Add(sched.next())
+					if d := time.Until(slot); d > 0 && !sleepCtx(ctx.Done(), d) {
+						return ctx.Err()
+					}
+					// Decide against the scheduled slot time, not the wall
+					// clock after the sleep, so the decision is reproducible
+					// for a fixed seed and gap sequence.
+					//age:declassify reviewed: the decision collapses to one bit and both arms emit one sealed same-size frame in this slot
+					if !avail.After(slot) {
+						break
+					}
+					dummy, err := p.Dummy()
+					if err != nil {
+						return Terminal(fmt.Errorf("dummy frame: %w", err))
+					}
+					if gather, err = seccomm.AppendFrame(gather[:0], dummy); err != nil {
+						return Terminal(fmt.Errorf("frame %d: %w", fi, err))
+					}
+					if err := c.writeGather(ctx, conn, gather, st, fi); err != nil {
+						return err
+					}
+					st.DummyFrames++
+					st.DummyBytesSent += len(dummy)
+					c.m.dummyFrames.Inc()
+				}
+				gather = gather[:0]
+			} else if live {
+				//age:declassify PaceLive is the undefended baseline: releasing on the data-driven schedule is the leak under study
+				if d := time.Until(avail); d > 0 && !sleepCtx(ctx.Done(), d) {
+					return ctx.Err()
+				}
 			}
 			gather, err = seccomm.AppendFrame(gather, msg)
 			if err != nil {
@@ -428,6 +489,13 @@ func (c *Client) sendBatched(ctx context.Context, conn net.Conn, src FrameSource
 		st.WireBytesSent += payloadBytes
 		c.m.framesSent.Add(int64(n))
 		c.m.wireBytes.Add(int64(payloadBytes))
+		// AoI: paced, the slot's wait past generation; live, the wall clock
+		// from generation to the end of the write.
+		if n > 0 && paced {
+			c.observeAoI(st, slot.Sub(avail))
+		} else if n > 0 && live {
+			c.observeAoI(st, time.Since(avail))
+		}
 		fi += n
 		if srcErr != nil {
 			return srcErr

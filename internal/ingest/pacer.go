@@ -1,14 +1,10 @@
 package ingest
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"time"
-
-	"repro/internal/seccomm"
 )
 
 // The frame-release pacer: AGE fixes every frame's *size*, but a sensor
@@ -16,7 +12,9 @@ import (
 // *when* frames appear on the wire, and inter-frame timing classifies
 // events about as well as sizes do (the AoI-eavesdropper literature makes
 // the same observation for adaptive sampling at large). The pacer separates
-// frame generation — which stays data-driven — from frame release:
+// frame generation — which stays data-driven — from frame release. This
+// file holds its modes, schedule and dummy convention; the release itself
+// is Client.send, the one loop that also runs the unpaced batched path:
 //
 //   - PaceLive transmits each frame at its data-driven generation time.
 //     This is the honest model of an undefended low-power sensor and the
@@ -38,6 +36,9 @@ import (
 // The cost of pacing is freshness: a frame generated mid-interval waits for
 // its slot. The client accounts that wait as age of information (AoI) in
 // ClientStats, so the privacy/freshness trade-off is measured, not assumed.
+// Paced AoI is the scheduled slot minus the frame's virtual generation
+// instant; live AoI is the wall clock from that instant to the end of the
+// write.
 
 // PaceMode selects the client's frame-release discipline.
 type PaceMode int
@@ -53,7 +54,8 @@ const (
 	// sealed dummies when no real frame is ready.
 	PaceConstant
 	// PaceJitter releases one frame per Interval*(1 ± JitterFrac*u), with
-	// u drawn by the seeded pacer RNG; dummies fill empty slots.
+	// u drawn by an RNG seeded from ClientConfig.Seed; dummies fill empty
+	// slots.
 	PaceJitter
 )
 
@@ -103,9 +105,6 @@ type PacerConfig struct {
 	// JitterFrac perturbs each PaceJitter interval by a uniform draw in
 	// [-JitterFrac, +JitterFrac] of Interval. Clamped to [0, 0.9].
 	JitterFrac float64
-	// Seed drives the jitter schedule. Zero falls back to the client's
-	// ClientConfig.Seed derivation, keeping fixed-seed runs deterministic.
-	Seed int64
 	// Dummy produces one sealed cover frame, required for PaceConstant and
 	// PaceJitter. The result must be indistinguishable from a real sealed
 	// frame on the wire (same size distribution, fresh nonce) and must
@@ -208,15 +207,6 @@ func (s *paceScheduler) next() time.Duration {
 	return time.Duration(float64(s.interval) * (1 + s.jitter*u))
 }
 
-// pacerSeed resolves the RNG seed for the pacer's schedule: an explicit
-// PacerConfig.Seed wins, otherwise the client's own (per-sensor) seed.
-func (cfg ClientConfig) pacerSeed() int64 {
-	if cfg.Pacer.Seed != 0 {
-		return cfg.Pacer.Seed
-	}
-	return cfg.Seed
-}
-
 // observeAoI accounts one real frame's age of information at release.
 func (c *Client) observeAoI(st *ClientStats, aoi time.Duration) {
 	if aoi < 0 {
@@ -228,130 +218,4 @@ func (c *Client) observeAoI(st *ClientStats, aoi time.Duration) {
 		st.AoIMicrosMax = us
 	}
 	c.m.aoiNs.Observe(aoi.Nanoseconds())
-}
-
-// sendLive releases each frame at its data-driven generation time: the
-// undefended low-power sensor, transmitting the moment its batch exists.
-// The virtual generation clock is anchored at the loop start and advanced
-// by the source's LastGap per frame; the loop sleeps until each frame's
-// generation instant before writing it.
-func (c *Client) sendLive(ctx context.Context, conn net.Conn, src FrameSource, st *ClientStats, resume, total int) error {
-	ts, _ := src.(TimedSource)
-	avail := time.Now()
-	var gather []byte
-	for fi := resume; fi < total; fi++ {
-		msg, err := src.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if ts != nil {
-			//age:declassify PaceLive is the undefended baseline: releasing on the data-driven schedule is the leak under study
-			avail = avail.Add(ts.LastGap())
-			if d := time.Until(avail); d > 0 {
-				if !sleepCtx(ctx.Done(), d) {
-					return ctx.Err()
-				}
-			}
-		}
-		gather, err = seccomm.AppendFrame(gather[:0], msg)
-		if err != nil {
-			return Terminal(fmt.Errorf("frame %d: %w", fi, err))
-		}
-		if err := c.writeGather(ctx, conn, gather, st, fi); err != nil {
-			return err
-		}
-		st.FramesSent++
-		st.WireBytesSent += len(msg)
-		c.m.framesSent.Inc()
-		c.m.wireBytes.Add(int64(len(msg)))
-		if ts != nil {
-			c.observeAoI(st, time.Since(avail))
-		}
-	}
-	return nil
-}
-
-// sendPaced releases exactly one frame per schedule slot. The pending real
-// frame is produced eagerly (the sensor prepares its batch while the radio
-// waits for a slot) but goes out only at the first slot at or after its
-// generation instant; earlier slots carry sealed dummies, so the wire shows
-// one uniform frame per slot regardless of what the sensor measured. Real
-// frames advance the stream index; dummies don't, matching the server's
-// ErrDummyFrame accounting. No trailing dummies are sent after the last
-// real frame — session duration is outside the pacer's threat model (see
-// DESIGN.md).
-func (c *Client) sendPaced(ctx context.Context, conn net.Conn, src FrameSource, st *ClientStats, resume, total int) error {
-	cfg := c.cfg
-	if cfg.Pacer.Interval <= 0 {
-		return Terminal(errors.New("ingest: paced release needs a positive PacerConfig.Interval"))
-	}
-	if cfg.Pacer.Dummy == nil {
-		return Terminal(errors.New("ingest: paced release needs a PacerConfig.Dummy generator"))
-	}
-	ts, _ := src.(TimedSource)
-	sched := newPaceScheduler(cfg.Pacer, cfg.pacerSeed())
-	start := time.Now()
-	avail := start // virtual generation clock
-	slot := start  // release slot clock
-	var pending []byte
-	var pendingAvail time.Time
-	havePending := false
-	var gather []byte
-	for fi := resume; fi < total; {
-		if !havePending {
-			// Produce the next real frame. Sources may reuse their buffer,
-			// so pending must be written out before the next Next call —
-			// the loop guarantees that.
-			msg, err := src.Next(ctx)
-			if err != nil {
-				return err
-			}
-			if ts != nil {
-				avail = avail.Add(ts.LastGap())
-			}
-			pending, pendingAvail, havePending = msg, avail, true
-		}
-		slot = slot.Add(sched.next())
-		if d := time.Until(slot); d > 0 {
-			if !sleepCtx(ctx.Done(), d) {
-				return ctx.Err()
-			}
-		}
-		// Release decision against the scheduled slot time, not the wall
-		// clock after the sleep: the schedule, not scheduler latency,
-		// decides — which keeps the decision reproducible for a fixed
-		// seed and gap sequence.
-		out := pending
-		//age:declassify reviewed: the decision collapses to one bit and both arms emit one sealed same-size frame in this slot
-		real := !pendingAvail.After(slot)
-		if !real {
-			var err error
-			out, err = cfg.Pacer.Dummy()
-			if err != nil {
-				return Terminal(fmt.Errorf("dummy frame: %w", err))
-			}
-		}
-		var err error
-		gather, err = seccomm.AppendFrame(gather[:0], out)
-		if err != nil {
-			return Terminal(fmt.Errorf("frame %d: %w", fi, err))
-		}
-		if err := c.writeGather(ctx, conn, gather, st, fi); err != nil {
-			return err
-		}
-		if real {
-			st.FramesSent++
-			st.WireBytesSent += len(out)
-			c.m.framesSent.Inc()
-			c.m.wireBytes.Add(int64(len(out)))
-			c.observeAoI(st, slot.Sub(pendingAvail))
-			fi++
-			havePending = false
-		} else {
-			st.DummyFrames++
-			st.DummyBytesSent += len(out)
-			c.m.dummyFrames.Inc()
-		}
-	}
-	return nil
 }

@@ -121,8 +121,7 @@ type Engine struct {
 	stage *staging.Stage
 
 	mu        sync.Mutex
-	nextIndex map[int]int  // per-sensor dedupe cursor (tap side)
-	assigned  map[int]int  // per-sensor Total from the latest Admit
+	assigned  map[int]int  // per-sensor Total from the latest Admit; guarded by mu
 	staged    atomic.Int64 // records appended
 	decodeErr atomic.Int64 // frames that failed to open/unmark/decode
 	lastCp    atomic.Int64 // staged count at the last periodic checkpoint
@@ -143,11 +142,10 @@ func New(cfg Config) *Engine {
 // counting every record below a sensor's Resume as already staged.
 func newEngine(cfg Config, stage *staging.Stage, cp Checkpoint) *Engine {
 	e := &Engine{
-		cfg:       cfg,
-		stage:     stage,
-		nextIndex: map[int]int{},
-		assigned:  map[int]int{},
-		closing:   make(chan struct{}),
+		cfg:      cfg,
+		stage:    stage,
+		assigned: map[int]int{},
+		closing:  make(chan struct{}),
 	}
 	var resumed int64
 	for _, s := range cp.Sensors {
@@ -155,10 +153,6 @@ func newEngine(cfg Config, stage *staging.Stage, cp Checkpoint) *Engine {
 	}
 	e.staged.Store(resumed)
 	e.lastCp.Store(resumed)
-	ids, logs := stage.Logs()
-	for i, l := range logs {
-		e.nextIndex[ids[i]] = l.Head()
-	}
 	e.workers = []*worker{
 		newWorker("mae", false, newMAEKPI(cfg)),
 		newWorker("events", false, newEventKPI(cfg)),
@@ -192,15 +186,9 @@ func (e *Engine) Admit(sensorID, resume, total int) {
 // append it to the sensor's staged log. Replayed indices (resume after a
 // server-side eviction) are dropped so each frame stages exactly once.
 func (e *Engine) StageFrame(sensorID, index int, msg []byte) {
-	e.mu.Lock()
-	next := e.nextIndex[sensorID]
-	if index < next {
-		e.mu.Unlock()
+	if e.replayed(sensorID, index) {
 		return
 	}
-	e.nextIndex[sensorID] = index + 1
-	e.mu.Unlock()
-
 	rec := staging.Record{
 		Index:        index,
 		WireBytes:    len(msg),
@@ -278,11 +266,10 @@ func (e *Engine) SessionEnd(sensorID int, completed bool) {
 
 // ExportCursor removes and returns the sensor's staged coordinate for
 // migration to another node's engine (the cluster gateway's CursorStore
-// hook). The tap's dedupe cursor goes with it: the sensor's frames now
-// stage elsewhere.
+// hook). The tap's dedupe point, the log's head, leaves with the log: the
+// sensor's frames now stage elsewhere.
 func (e *Engine) ExportCursor(sensorID int) (staging.Cursor, bool) {
 	e.mu.Lock()
-	delete(e.nextIndex, sensorID)
 	delete(e.assigned, sensorID)
 	e.mu.Unlock()
 	return e.stage.ExportCursor(sensorID)
@@ -467,16 +454,21 @@ func Restore(cfg Config, cp Checkpoint) *Engine {
 // path for tests and offline replay. Unlike StageFrame the payload is
 // already plaintext and undecoded work is skipped.
 func (e *Engine) Feed(sensorID int, rec staging.Record) {
-	e.mu.Lock()
-	next := e.nextIndex[sensorID]
-	if rec.Index < next {
-		e.mu.Unlock()
+	if e.replayed(sensorID, rec.Index) {
 		return
 	}
-	e.nextIndex[sensorID] = rec.Index + 1
-	e.mu.Unlock()
 	e.stage.Append(sensorID, rec)
 	e.staged.Add(1)
+}
+
+// replayed reports whether the sensor's frame index is already staged.
+// Staged seq == frame index, so that is every index below the log's head,
+// whether appended here, restored from a checkpoint or imported with a
+// migrated cursor. No lock: the ingest registry admits one session per
+// sensor, so one goroutine stages a sensor's frames at a time.
+func (e *Engine) replayed(sensorID, index int) bool {
+	l := e.stage.Log(sensorID)
+	return l != nil && index < l.Head()
 }
 
 // CompleteSensor marks a directly-fed sensor's stream finished.

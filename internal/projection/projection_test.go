@@ -326,6 +326,26 @@ func TestCheckpointRestartEquivalence(t *testing.T) {
 	snapshotsEquivalent(t, second.Snapshot(), want)
 }
 
+// TestImportedCursorDedupesReplays pins the tap's dedupe point to the
+// staged log's head: a sensor whose cursor migrated in at head 5 and is
+// then re-admitted from 0 replays frames the cursor already covers, and
+// none of them may stage a second time.
+func TestImportedCursorDedupesReplays(t *testing.T) {
+	e := New(Config{T: testT, D: testD, Now: func() int64 { return 5e9 }})
+	e.ImportCursor(staging.Cursor{SensorID: 1, Head: 5, Complete: true})
+	e.Admit(1, 0, 5)
+	for i := 0; i < 5; i++ {
+		e.StageFrame(1, i, []byte{byte(i)})
+	}
+	e.Close()
+	if got := e.Snapshot().StagedRecords; got != 0 {
+		t.Fatalf("staged %d records for frames the imported cursor covers, want 0", got)
+	}
+	if head := e.stage.Log(1).Head(); head != 5 {
+		t.Errorf("log head = %d after replays, want 5", head)
+	}
+}
+
 // TestWatermarkBoundsPrivacyProjection pins the monitor's visibility rule:
 // with one sensor incomplete at two records, the privacy projection sees
 // only two records per sensor, while the per-sensor projections see all.
