@@ -21,7 +21,7 @@ func oracleBuild(X [][]float64, y []int, w []float64, idx []int, numClasses, dep
 		sort.Slice(order, func(a, b int) bool { return X[order[a]][f] < X[order[b]][f] })
 		orders[f] = order
 	}
-	feature, threshold, ok := bestSplit(X, y, w, idx, orders, numClasses)
+	feature, threshold, ok := oracleBestSplit(X, y, w, idx, orders, numClasses)
 	if !ok {
 		return &treeNode{leaf: true, class: major}
 	}
@@ -42,6 +42,50 @@ func oracleBuild(X [][]float64, y []int, w []float64, idx []int, numClasses, dep
 		left:      oracleBuild(X, y, w, left, numClasses, depth-1),
 		right:     oracleBuild(X, y, w, right, numClasses, depth-1),
 	}
+}
+
+// oracleBestSplit is bestSplit as it was before the dense columns: it reads
+// each sample's value and class through its index. orders[f] holds idx
+// sorted by feature f.
+func oracleBestSplit(X [][]float64, y []int, w []float64, idx []int, orders [][]int, numClasses int) (feature int, threshold float64, ok bool) {
+	if len(idx) == 0 {
+		return 0, 0, false
+	}
+	bestGain := 1e-12
+	parent := giniOf(y, w, idx, numClasses)
+	total := 0.0
+	for _, i := range idx {
+		total += w[i]
+	}
+	leftCounts := make([]float64, numClasses)
+	rightCounts := make([]float64, numClasses)
+	for f, order := range orders {
+		clear(leftCounts)
+		clear(rightCounts)
+		for _, i := range order {
+			rightCounts[y[i]] += w[i]
+		}
+		var leftW float64
+		for pos := 0; pos < len(order)-1; pos++ {
+			i := order[pos]
+			leftCounts[y[i]] += w[i]
+			rightCounts[y[i]] -= w[i]
+			leftW += w[i]
+			if X[order[pos+1]][f] <= X[i][f] {
+				continue
+			}
+			rightW := total - leftW
+			gain := parent - (leftW*giniFromCounts(leftCounts, leftW)+
+				rightW*giniFromCounts(rightCounts, rightW))/total
+			if gain > bestGain {
+				bestGain = gain
+				feature = f
+				threshold = (X[i][f] + X[order[pos+1]][f]) / 2
+				ok = true
+			}
+		}
+	}
+	return feature, threshold, ok
 }
 
 func oracleTree(X [][]float64, y []int, w []float64, numClasses, maxDepth int) *Tree {
@@ -187,4 +231,49 @@ func TestCrossValidatePinned(t *testing.T) {
 			t.Errorf("depth %d: confusion %v, pinned %v", p.depth, res.Confusion, p.confusion)
 		}
 	}
+}
+
+// FuzzSortPairs: sortPairs orders (value, index) pairs in exactly the
+// permutation sort.Slice gives the indices under the value comparison, ties
+// and NaNs included, so a column's order is the order the tree builder had
+// before the dense columns.
+func FuzzSortPairs(f *testing.F) {
+	f.Add([]byte{3, 3, 3, 1, 1, 2, 2, 2, 2, 0, 0, 3, 1, 2, 3, 0, 1, 1, 1, 1})
+	f.Add([]byte{200, 17, 90, 3, 128, 255, 0, 64, 32, 1, 7, 7, 7, 7, 90, 2, 30, 1})
+	f.Add([]byte{255, 255, 1, 0, 255})
+	// Long enough for pdqsort's partitions and pattern breaking, not only
+	// its insertion sort.
+	long := make([]byte, 600)
+	rand.New(rand.NewSource(2)).Read(long)
+	long[0] = 5
+	f.Add(long)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		// The first byte sets how many distinct values the rest map onto,
+		// so most inputs are heavy with ties; 255 reads as NaN.
+		distinct := 1 + int(data[0])%16
+		data = data[1:]
+		vals := make([]float64, len(data))
+		for i, b := range data {
+			vals[i] = float64(int(b) % distinct)
+			if b == 255 {
+				vals[i] = math.NaN()
+			}
+		}
+		order := make([]int, len(vals))
+		pairs := make([]valIdx, len(vals))
+		for i := range vals {
+			order[i] = i
+			pairs[i] = valIdx{vals[i], i}
+		}
+		sort.Slice(order, func(a, b int) bool { return vals[order[a]] < vals[order[b]] })
+		sortPairs(pairs)
+		for p := range pairs {
+			if pairs[p].i != order[p] {
+				t.Fatalf("position %d: sortPairs index %d, sort.Slice %d (values %v)", p, pairs[p].i, order[p], vals)
+			}
+		}
+	})
 }

@@ -7,7 +7,7 @@ package attack
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // treeNode is one node of a weighted CART decision tree.
@@ -50,7 +50,7 @@ func (t *Tree) build(X [][]float64, y []int, w []float64, node *sortNode, depth 
 	if depth == 0 || pure || len(idx) < 2 {
 		return &treeNode{leaf: true, class: major}
 	}
-	feature, threshold, ok := bestSplit(X, y, w, idx, node.sorted(X), t.numClasses)
+	feature, threshold, ok := bestSplit(y, w, idx, node.sorted(X, y), t.numClasses)
 	if !ok {
 		return &treeNode{leaf: true, class: major}
 	}
@@ -67,18 +67,26 @@ func (t *Tree) build(X [][]float64, y []int, w []float64, node *sortNode, depth 
 }
 
 // sortNode memoizes, for one node of a tree over a fixed X, its samples and
-// their per-feature sorted orders. The root's samples are 0..n-1 in order,
+// their per-feature sorted columns. The root's samples are 0..n-1 in order,
 // and a child keeps its parent's order when filtered, so a node's samples
-// are a pure function of its path of splits from the root. sort.Slice
-// returns the same permutation for the same input and comparison, so a
-// cached order is exactly the order a fresh sort would give, ties included.
-// Boosting rounds that revisit a path therefore skip its sorts.
+// are a pure function of its path of splits from the root. sortPairs
+// returns the same permutation for the same input, so a cached column is
+// exactly the order a fresh sort would give, ties included. Boosting rounds
+// that revisit a path therefore skip its sorts.
 type sortNode struct {
 	idx []int
-	// orders[f] is idx sorted by feature f; nil until first needed.
-	orders [][]int
+	// cols[f] holds idx sorted by feature f; nil until first needed.
+	cols []column
 	// kids maps a split to its left and right children.
 	kids map[splitKey][2]*sortNode
+}
+
+// column is a node's samples sorted by one feature, gathered once into flat
+// slices so a split scan reads them in order: pairs[p] is the p-th sample's
+// value and index, and cls[p] its class.
+type column struct {
+	pairs []valIdx
+	cls   []int
 }
 
 // splitKey names a split by feature and threshold bits.
@@ -96,21 +104,50 @@ func newSortNode(n int) *sortNode {
 	return &sortNode{idx: idx}
 }
 
-// sorted returns the node's per-feature sorted orders, sorting on first use.
-func (s *sortNode) sorted(X [][]float64) [][]int {
-	if s.orders != nil {
-		return s.orders
+// sorted returns the node's per-feature sorted columns, sorting on first
+// use.
+func (s *sortNode) sorted(X [][]float64, y []int) []column {
+	if s.cols != nil {
+		return s.cols
 	}
-	nf := len(X[s.idx[0]])
-	s.orders = make([][]int, nf)
-	buf := make([]int, nf*len(s.idx))
-	for f := range s.orders {
-		order := buf[f*len(s.idx) : (f+1)*len(s.idx)]
-		copy(order, s.idx)
-		sort.Slice(order, func(a, b int) bool { return X[order[a]][f] < X[order[b]][f] })
-		s.orders[f] = order
+	n, nf := len(s.idx), len(X[s.idx[0]])
+	s.cols = make([]column, nf)
+	pairs := make([]valIdx, nf*n)
+	cls := make([]int, nf*n)
+	for f := range s.cols {
+		c := column{pairs: pairs[f*n : (f+1)*n], cls: cls[f*n : (f+1)*n]}
+		for p, i := range s.idx {
+			c.pairs[p] = valIdx{X[i][f], i}
+		}
+		sortPairs(c.pairs)
+		for p, pr := range c.pairs {
+			c.cls[p] = y[pr.i]
+		}
+		s.cols[f] = c
 	}
-	return s.orders
+	return s.cols
+}
+
+// valIdx is a sample's feature value and index.
+type valIdx struct {
+	v float64
+	i int
+}
+
+// sortPairs sorts pairs by value. slices.SortFunc and sort.Slice are
+// generated from one pdqsort template, and the comparison is negative
+// exactly when sort.Slice's less holds, so the permutation is the one
+// sort.Slice gives over the indices, ties included (FuzzSortPairs).
+func sortPairs(pairs []valIdx) {
+	slices.SortFunc(pairs, func(a, b valIdx) int {
+		if a.v < b.v {
+			return -1
+		}
+		if b.v < a.v {
+			return 1
+		}
+		return 0
+	})
 }
 
 // split returns the children of the split X[i][feature] <= threshold.
@@ -158,8 +195,8 @@ func weightedMajority(y []int, w []float64, idx []int, numClasses int) (int, boo
 }
 
 // bestSplit scans every feature for the weighted-Gini-optimal threshold.
-// orders[f] holds idx sorted by feature f.
-func bestSplit(X [][]float64, y []int, w []float64, idx []int, orders [][]int, numClasses int) (feature int, threshold float64, ok bool) {
+// cols[f] holds idx sorted by feature f.
+func bestSplit(y []int, w []float64, idx []int, cols []column, numClasses int) (feature int, threshold float64, ok bool) {
 	if len(idx) == 0 {
 		return 0, 0, false
 	}
@@ -172,20 +209,21 @@ func bestSplit(X [][]float64, y []int, w []float64, idx []int, orders [][]int, n
 	// Incremental class-weight tallies for the left partition.
 	leftCounts := make([]float64, numClasses)
 	rightCounts := make([]float64, numClasses)
-	for f, order := range orders {
+	for f, c := range cols {
 		clear(leftCounts)
 		clear(rightCounts)
-		for _, i := range order {
-			rightCounts[y[i]] += w[i]
+		for p, pr := range c.pairs {
+			rightCounts[c.cls[p]] += w[pr.i]
 		}
 		var leftW float64
-		for pos := 0; pos < len(order)-1; pos++ {
-			i := order[pos]
-			leftCounts[y[i]] += w[i]
-			rightCounts[y[i]] -= w[i]
-			leftW += w[i]
+		for pos := 0; pos < len(c.pairs)-1; pos++ {
+			cur, next := c.pairs[pos], c.pairs[pos+1]
+			wi, k := w[cur.i], c.cls[pos]
+			leftCounts[k] += wi
+			rightCounts[k] -= wi
+			leftW += wi
 			// Only split between distinct feature values.
-			if X[order[pos+1]][f] <= X[i][f] {
+			if next.v <= cur.v {
 				continue
 			}
 			rightW := total - leftW
@@ -194,7 +232,7 @@ func bestSplit(X [][]float64, y []int, w []float64, idx []int, orders [][]int, n
 			if gain > bestGain {
 				bestGain = gain
 				feature = f
-				threshold = (X[i][f] + X[order[pos+1]][f]) / 2
+				threshold = (cur.v + next.v) / 2
 				ok = true
 			}
 		}

@@ -97,9 +97,10 @@ type Workload struct {
 	// LinearFit and DeviationFit map a budget rate to a fitted threshold.
 	LinearFit, DeviationFit map[float64]policy.FitResult
 
-	skipOnce  sync.Once
-	skipModel *policy.SkipRNNModel
-	skipErr   error
+	skipOnce   sync.Once
+	skipModel  *policy.SkipRNNModel
+	skipFitter *policy.BiasFitter
+	skipErr    error
 	// skipMu guards only the map; each entry fits once, outside the lock.
 	skipMu   sync.Mutex
 	skipFits map[float64]*skipFit
@@ -133,22 +134,26 @@ func PrepareWorkload(name string, cfg Config) (*Workload, error) {
 	for _, s := range d.Sequences[:n] {
 		w.Train = append(w.Train, s.Values)
 	}
-	for _, rate := range cfg.Rates {
-		// Fit slightly below the budget rate: the threshold is tuned on
-		// a training subset, so an exact fit would overshoot the
-		// long-term budget about half the time. Deployed sensors leave
-		// the same safety margin (§2.1's long-term budgets).
-		target := rate * fitMargin
-		lf, err := policy.Fit(policy.KindLinear, w.Train, target)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: fitting linear on %s: %w", name, err)
-		}
-		w.LinearFit[key(rate)] = lf
-		df, err := policy.Fit(policy.KindDeviation, w.Train, target)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: fitting deviation on %s: %w", name, err)
-		}
-		w.DeviationFit[key(rate)] = df
+	// Fit slightly below the budget rate: the threshold is tuned on a
+	// training subset, so an exact fit would overshoot the long-term budget
+	// about half the time. Deployed sensors leave the same safety margin
+	// (§2.1's long-term budgets). One FitRates call per kind shares its
+	// probes across the budgets.
+	targets := make([]float64, len(cfg.Rates))
+	for i, rate := range cfg.Rates {
+		targets[i] = rate * fitMargin
+	}
+	lf, err := policy.FitRates(policy.KindLinear, w.Train, targets)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: fitting linear on %s: %w", name, err)
+	}
+	df, err := policy.FitRates(policy.KindDeviation, w.Train, targets)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: fitting deviation on %s: %w", name, err)
+	}
+	for i, rate := range cfg.Rates {
+		w.LinearFit[key(rate)] = lf[i]
+		w.DeviationFit[key(rate)] = df[i]
 	}
 	return w, nil
 }
@@ -182,11 +187,15 @@ func (w *Workload) PolicyAt(kind string, rate float64) (policy.Policy, error) {
 	}
 }
 
-// SkipModel lazily trains the workload's Skip RNN. Training runs at most
-// once even when sweep workers race to the first call.
+// SkipModel lazily trains the workload's Skip RNN, and builds the bias
+// fitter every rate's fit shares. Training runs at most once even when
+// sweep workers race to the first call.
 func (w *Workload) SkipModel() (*policy.SkipRNNModel, error) {
 	w.skipOnce.Do(func() {
 		w.skipModel, w.skipErr = policy.TrainSkipRNN(w.Train, w.cfg.SkipRNN)
+		if w.skipErr == nil {
+			w.skipFitter = w.skipModel.NewBiasFitter(w.Train)
+		}
 	})
 	return w.skipModel, w.skipErr
 }
@@ -194,7 +203,8 @@ func (w *Workload) SkipModel() (*policy.SkipRNNModel, error) {
 // skipPolicy returns the Skip RNN fitted to rate, fitting it on first use.
 // The memo is keyed by the exact rate, so every caller gets the fit it would
 // have computed itself; concurrent callers fit different rates in parallel
-// and a shared rate once.
+// and a shared rate once. Every rate's fit reads and fills the workload's
+// one probe memo (policy.BiasFitter).
 func (w *Workload) skipPolicy(rate float64) (*policy.SkipRNN, error) {
 	w.skipMu.Lock()
 	f := w.skipFits[rate]
@@ -204,12 +214,11 @@ func (w *Workload) skipPolicy(rate float64) (*policy.SkipRNN, error) {
 	}
 	w.skipMu.Unlock()
 	f.once.Do(func() {
-		model, err := w.SkipModel()
-		if err != nil {
+		if _, err := w.SkipModel(); err != nil {
 			f.err = err
 			return
 		}
-		f.p, _ = model.FitBias(w.Train, rate)
+		f.p, _ = w.skipFitter.Fit(rate)
 	})
 	return f.p, f.err
 }

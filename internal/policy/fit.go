@@ -41,40 +41,73 @@ type FitResult struct {
 
 // Fit bisects for the threshold at which the policy's mean collection rate
 // over train matches targetRate. train holds the training sequences (each
-// T x d). The fit is deterministic given the sequences. Each midpoint
-// replays the previous midpoint's walks rather than rerunning Sample, with
-// the same result (see thresholdWalk).
+// T x d). The fit is deterministic given the sequences. It is FitRates with
+// one target.
 func Fit(kind AdaptiveKind, train [][][]float64, targetRate float64) (FitResult, error) {
-	if len(train) == 0 {
-		return FitResult{}, fmt.Errorf("policy: empty training set")
-	}
-	if len(train[0]) == 0 {
-		return FitResult{}, fmt.Errorf("policy: empty training sequence")
-	}
-	// Threshold upper bound: the largest consecutive L1 step in the data;
-	// beyond it the policy never resets and collects its minimum.
-	hi := 1e-9
-	for _, seq := range train {
-		for t := 1; t < len(seq); t++ {
-			if d := l1(seq[t], seq[t-1]); d > hi {
-				hi = d
-			}
-		}
-	}
-	hi *= float64(len(train[0][0])) // headroom for multi-feature EWMA sums
-	lo := 0.0
-	r, err := newThresholdReplay(kind, train)
+	res, err := FitRates(kind, train, []float64{targetRate})
 	if err != nil {
 		return FitResult{}, err
 	}
-	rate := r.rate
-	// Rate is monotone non-increasing in the threshold: rate(0) is the
-	// maximum, rate(hi) the minimum. Clamp unreachable targets.
+	return res[0], nil
+}
+
+// FitRates fits one threshold per target rate, in targets' order. Each
+// target runs its own bisection, exactly as a lone Fit would, but every
+// probe's rate comes from one memo shared across the targets, keyed by the
+// probe's bits. The rate at a threshold is a pure function of (kind, train,
+// threshold), and a replayed walk collects what a cold start collects (see
+// thresholdWalk), so a memo hit is the rate a fresh probe would measure and
+// every result is bit for bit the lone fit's. The bisections of different
+// targets share their first probes, so the memo spares most of them.
+func FitRates(kind AdaptiveKind, train [][][]float64, targets []float64) ([]FitResult, error) {
+	if len(train) == 0 {
+		return nil, fmt.Errorf("policy: empty training set")
+	}
+	if len(train[0]) == 0 {
+		return nil, fmt.Errorf("policy: empty training sequence")
+	}
+	// Threshold upper bound: the largest consecutive L1 step in the data;
+	// beyond it the policy never resets and collects its minimum.
+	top := 1e-9
+	for _, seq := range train {
+		for t := 1; t < len(seq); t++ {
+			if d := l1(seq[t], seq[t-1]); d > top {
+				top = d
+			}
+		}
+	}
+	top *= float64(len(train[0][0])) // headroom for multi-feature EWMA sums
+	r, err := newThresholdReplay(kind, train)
+	if err != nil {
+		return nil, err
+	}
+	memo := map[uint64]float64{}
+	rate := func(th float64) float64 {
+		key := math.Float64bits(th)
+		v, ok := memo[key]
+		if !ok {
+			v = r.rate(th)
+			memo[key] = v
+		}
+		return v
+	}
+	out := make([]FitResult, len(targets))
+	for i, target := range targets {
+		out[i] = bisectThreshold(rate, top, target)
+	}
+	return out, nil
+}
+
+// bisectThreshold bisects [0, hi] for the threshold whose rate matches
+// targetRate. Rate is monotone non-increasing in the threshold: rate(0) is
+// the maximum, rate(hi) the minimum. Unreachable targets clamp.
+func bisectThreshold(rate func(float64) float64, hi, targetRate float64) FitResult {
+	lo := 0.0
 	if rate(hi) >= targetRate {
-		return FitResult{Threshold: hi, AchievedRate: rate(hi)}, nil
+		return FitResult{Threshold: hi, AchievedRate: rate(hi)}
 	}
 	if rate(lo) <= targetRate {
-		return FitResult{Threshold: lo, AchievedRate: rate(lo)}, nil
+		return FitResult{Threshold: lo, AchievedRate: rate(lo)}
 	}
 	for i := 0; i < 48; i++ {
 		mid := (lo + hi) / 2
@@ -85,7 +118,7 @@ func Fit(kind AdaptiveKind, train [][][]float64, targetRate float64) (FitResult,
 		}
 	}
 	th := (lo + hi) / 2
-	return FitResult{Threshold: th, AchievedRate: rate(th)}, nil
+	return FitResult{Threshold: th, AchievedRate: rate(th)}
 }
 
 // thresholdPolicy is a policy whose walk replays across thresholds.
@@ -94,7 +127,7 @@ type thresholdPolicy interface {
 }
 
 // thresholdReplay holds one walk per non-empty training sequence for the
-// span of one Fit call.
+// span of one FitRates call.
 type thresholdReplay struct {
 	p     thresholdPolicy
 	walks []*thresholdWalk
@@ -129,21 +162,6 @@ func (r *thresholdReplay) rate(th float64) float64 {
 		collected += len(w.idx)
 	}
 	return float64(collected) / float64(r.total)
-}
-
-// FitGrid fits thresholds for the paper's eight budgets (rates 0.3 to 1.0)
-// and returns them keyed by rate (rounded to one decimal).
-func FitGrid(kind AdaptiveKind, train [][][]float64) (map[float64]FitResult, error) {
-	out := make(map[float64]FitResult, 8)
-	for r := 3; r <= 10; r++ {
-		rate := float64(r) / 10
-		res, err := Fit(kind, train, rate)
-		if err != nil {
-			return nil, err
-		}
-		out[math.Round(rate*10)/10] = res
-	}
-	return out, nil
 }
 
 // Sequences extracts the raw value matrices from labeled sequences, the

@@ -14,6 +14,8 @@ package policy
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 )
 
 // Policy selects which time steps of a sequence to collect.
@@ -123,9 +125,7 @@ func (l *Linear) Sample(seq [][]float64, _ *rand.Rand) []int {
 	if len(seq) == 0 {
 		return nil
 	}
-	w := newThresholdWalk(seq, 0)
-	l.replay(w, l.threshold)
-	return w.idx
+	return sampleWalk(l, seq, 0, l.threshold)
 }
 
 // replay moves w to threshold th (see thresholdWalk). The compared value at
@@ -190,9 +190,7 @@ func (d *Deviation) Sample(seq [][]float64, _ *rand.Rand) []int {
 	if len(seq) == 0 {
 		return nil
 	}
-	w := newThresholdWalk(seq, len(seq[0]))
-	d.replay(w, d.threshold)
-	return w.idx
+	return sampleWalk(d, seq, len(seq[0]), d.threshold)
 }
 
 // replay moves w to threshold th (see thresholdWalk). The compared value at
@@ -271,17 +269,38 @@ type thresholdWalk struct {
 // every step, so replays never allocate. nf is the number of features
 // Deviation tracks a mean over, 0 for Linear.
 func newThresholdWalk(seq [][]float64, nf int) *thresholdWalk {
-	T := len(seq)
-	w := &thresholdWalk{
-		seq: seq,
-		idx: make([]int, 0, T),
-		val: make([]float64, 0, T),
-		nf:  nf,
-	}
-	if nf > 0 {
-		w.mean = make([]float64, T*nf)
-	}
+	w := &thresholdWalk{}
+	w.reset(seq, nf, make([]int, 0, len(seq)))
 	return w
+}
+
+// reset empties w for a cold start over seq, with idx (empty, capacity
+// len(seq)) as its visit list. It keeps val and mean when they are large
+// enough; a cold start writes every entry before reading it.
+func (w *thresholdWalk) reset(seq [][]float64, nf int, idx []int) {
+	w.seq, w.th, w.idx, w.nf = seq, 0, idx, nf
+	w.val = slices.Grow(w.val[:0], len(seq))
+	if n := len(seq) * nf; cap(w.mean) >= n {
+		w.mean = w.mean[:n]
+	} else {
+		w.mean = make([]float64, n)
+	}
+}
+
+// walkPool holds the walks Sample borrows, so a Sample call allocates only
+// the visit list it returns.
+var walkPool = sync.Pool{New: func() any { return new(thresholdWalk) }}
+
+// sampleWalk cold-starts p's walk over a non-empty seq at th on a pooled
+// walk and returns the collected steps, which the caller owns.
+func sampleWalk(p thresholdPolicy, seq [][]float64, nf int, th float64) []int {
+	w := walkPool.Get().(*thresholdWalk)
+	w.reset(seq, nf, make([]int, 0, len(seq)))
+	p.replay(w, th)
+	idx := w.idx
+	w.seq, w.idx = nil, nil
+	walkPool.Put(w)
+	return idx
 }
 
 // resume re-checks the stored decisions at th and moves the walk to th. It

@@ -166,13 +166,17 @@ func TestFitHitsTargetRate(t *testing.T) {
 	}
 }
 
-func TestFitGridMonotoneThresholds(t *testing.T) {
+func TestFitRatesMonotoneThresholds(t *testing.T) {
 	d := dataset.MustLoad("activity", dataset.Options{Seed: 7, MaxSequences: 36})
 	var train [][][]float64
 	for _, s := range d.Sequences {
 		train = append(train, s.Values)
 	}
-	grid, err := FitGrid(KindLinear, train)
+	var rates []float64
+	for r := 3; r <= 10; r++ {
+		rates = append(rates, float64(r)/10)
+	}
+	grid, err := FitRates(KindLinear, train, rates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +185,9 @@ func TestFitGridMonotoneThresholds(t *testing.T) {
 	}
 	// Higher target rates need lower thresholds.
 	prev := math.Inf(1)
-	for r := 3; r <= 10; r++ {
-		rate := float64(r) / 10
-		res := grid[math.Round(rate*10)/10]
+	for i, res := range grid {
 		if res.Threshold > prev+1e-9 {
-			t.Errorf("threshold not non-increasing at rate %g", rate)
+			t.Errorf("threshold not non-increasing at rate %g", rates[i])
 		}
 		prev = res.Threshold
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/rnn"
@@ -73,6 +74,47 @@ func TestFitBiasMatchesOracle(t *testing.T) {
 				math.Float64bits(got.AchievedRate) != math.Float64bits(want.AchievedRate) ||
 				math.Float64bits(p.Bias()) != math.Float64bits(want.Threshold) {
 				t.Errorf("%s rate %g: FitBias %+v (policy bias %g), oracle %+v", name, rate, got, p.Bias(), want)
+			}
+		}
+	}
+}
+
+// TestBiasFitterConcurrent: goroutines sharing one fitter, each fitting
+// every budget in its own order, get the bits a one-shot FitBias gets.
+func TestBiasFitterConcurrent(t *testing.T) {
+	m, train, _ := trainedModel(t)
+	var rates []float64
+	for r := 3; r <= 10; r++ {
+		rates = append(rates, float64(r)/10)
+	}
+	f := m.NewBiasFitter(train)
+	got := make([][]FitResult, 4)
+	biases := make([][]float64, len(got))
+	var wg sync.WaitGroup
+	for g := range got {
+		got[g] = make([]FitResult, len(rates))
+		biases[g] = make([]float64, len(rates))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range rates {
+				r := (i + 3*g) % len(rates)
+				if g%2 == 1 {
+					r = len(rates) - 1 - r
+				}
+				p, fit := f.Fit(rates[r])
+				got[g][r], biases[g][r] = fit, p.Bias()
+			}
+		}()
+	}
+	wg.Wait()
+	for r, rate := range rates {
+		p, want := m.FitBias(train, rate)
+		for g := range got {
+			if math.Float64bits(got[g][r].Threshold) != math.Float64bits(want.Threshold) ||
+				math.Float64bits(got[g][r].AchievedRate) != math.Float64bits(want.AchievedRate) ||
+				math.Float64bits(biases[g][r]) != math.Float64bits(p.Bias()) {
+				t.Errorf("rate %g goroutine %d: fitter %+v (bias %g), FitBias %+v", rate, g, got[g][r], biases[g][r], want)
 			}
 		}
 	}
@@ -185,5 +227,19 @@ func BenchmarkFitBias(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, sinkFit = m.FitBias(train, 0.5)
+	}
+}
+
+// BenchmarkFitBiasGrid fits the evaluation grid's eight budgets on one
+// fitter, as a workload does.
+func BenchmarkFitBiasGrid(b *testing.B) {
+	m, train, _ := trainedModel(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := m.NewBiasFitter(train)
+		for r := 3; r <= 10; r++ {
+			_, sinkFit = f.Fit(float64(r) / 10)
+		}
 	}
 }

@@ -2,7 +2,9 @@ package policy
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/rnn"
 )
@@ -169,11 +171,58 @@ func TrainSkipRNN(train [][][]float64, cfg SkipRNNTrainConfig) (*SkipRNNModel, e
 
 // FitBias bisects for the gate bias at which the Skip RNN's mean collection
 // rate over train matches targetRate. The rate is monotone non-decreasing in
-// the bias. Each midpoint replays the previous midpoint's walks rather than
-// rerunning Sample, with the same result (see skipWalk).
+// the bias. It is a one-shot BiasFitter.
 func (m *SkipRNNModel) FitBias(train [][][]float64, targetRate float64) (*SkipRNN, FitResult) {
-	r := m.newReplay(train)
-	rate := r.rate
+	return m.NewBiasFitter(train).Fit(targetRate)
+}
+
+// BiasFitter fits the gate bias for any number of target rates over one
+// training set. Each Fit runs its own bisection, exactly as a lone FitBias
+// would, but every probe's rate comes from one memo shared across the
+// fits, keyed by the probe's bits. The rate at a bias is a pure function of
+// (model, train, bias), and a replayed walk collects what a cold start
+// collects (see skipWalk), so a memo hit is the rate a fresh probe would
+// measure and every result is bit for bit the lone fit's. Bisections of
+// different rates share their first probes, where an early flipped
+// decision reruns the GRU over most of a sequence. Fit is safe for
+// concurrent use.
+type BiasFitter struct {
+	m     *SkipRNNModel
+	train [][][]float64
+	// mu guards memo only; probes run outside the lock.
+	mu   sync.Mutex
+	memo map[uint64]float64
+}
+
+// NewBiasFitter returns a fitter over train with an empty memo.
+func (m *SkipRNNModel) NewBiasFitter(train [][][]float64) *BiasFitter {
+	return &BiasFitter{m: m, train: train, memo: map[uint64]float64{}}
+}
+
+// Fit bisects for the bias whose rate matches targetRate. The call keeps its
+// own walks, allocated on its first memo miss, so fits of different rates
+// run in parallel; two calls that miss the same probe both measure it and
+// store the same rate.
+func (f *BiasFitter) Fit(targetRate float64) (*SkipRNN, FitResult) {
+	var r *skipReplay
+	rate := func(bias float64) float64 {
+		key := math.Float64bits(bias)
+		f.mu.Lock()
+		v, ok := f.memo[key]
+		f.mu.Unlock()
+		if ok {
+			return v
+		}
+		if r == nil {
+			r = f.m.newReplay(f.train)
+		}
+		v = r.rate(bias)
+		f.mu.Lock()
+		f.memo[key] = v
+		f.mu.Unlock()
+		return v
+	}
+	m := f.m
 	lo, hi := -30.0, 30.0
 	if rate(lo) >= targetRate {
 		return NewSkipRNN(m.Pred, m.Gate, lo), FitResult{Threshold: lo, AchievedRate: rate(lo)}
@@ -194,7 +243,7 @@ func (m *SkipRNNModel) FitBias(train [][][]float64, targetRate float64) (*SkipRN
 }
 
 // skipReplay holds one walk per training sequence for the span of one
-// FitBias call, so the model itself stays immutable and shareable.
+// BiasFitter.Fit call, so the model itself stays immutable and shareable.
 type skipReplay struct {
 	gate  *rnn.Gate
 	walks []*skipWalk

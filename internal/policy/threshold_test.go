@@ -3,6 +3,7 @@ package policy
 import (
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -38,7 +39,11 @@ func oracleDeviation(th float64, seq [][]float64, _ *rand.Rand) []int {
 	if T == 0 {
 		return nil
 	}
-	const gamma, beta, maxPeriod = 0.7, 0.3, 4
+	// The weights are float64 variables, as Deviation's fields were, so
+	// 1-gamma rounds at run time (0.30000000000000004); untyped constants
+	// would fold it exactly to 0.3 and move dev by an ulp.
+	var gamma, beta float64 = 0.7, 0.3
+	const maxPeriod = 4
 	nf := len(seq[0])
 	mean := append([]float64(nil), seq[0]...)
 	dev := 0.0
@@ -223,6 +228,76 @@ func TestThresholdReplayAllocs(t *testing.T) {
 	}
 }
 
+// TestFitRatesMatchesFit: one FitRates call over many targets returns, for
+// every target, the bits of a fresh single-target Fit, whatever the targets'
+// order, with duplicates, and with targets that clamp at either end.
+func TestFitRatesMatchesFit(t *testing.T) {
+	sets := map[string][][][]float64{
+		"epilepsy": trainOf("epilepsy", 48),
+		"random":   randomTrain(rand.New(rand.NewSource(4)), 16, 3),
+	}
+	var asc []float64
+	for r := 3; r <= 10; r++ {
+		asc = append(asc, float64(r)/10)
+	}
+	desc := slices.Clone(asc)
+	slices.Reverse(desc)
+	shuffled := slices.Clone(asc)
+	rand.New(rand.NewSource(8)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	orders := map[string][]float64{
+		"ascending":  asc,
+		"descending": desc,
+		"shuffled":   shuffled,
+		"duplicates": {0.5, 0.7, 0.5, 0.3, 0.7, 0.7},
+		"clamped":    {-1, 0, 1e-9, 0.45, 1, 1.5},
+	}
+	for name, train := range sets {
+		for _, kind := range []AdaptiveKind{KindLinear, KindDeviation} {
+			for order, targets := range orders {
+				got, err := FitRates(kind, train, targets)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(targets) {
+					t.Fatalf("%s %s %s: %d results for %d targets", name, kind, order, len(got), len(targets))
+				}
+				for i, target := range targets {
+					want, err := Fit(kind, train, target)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(got[i].Threshold) != math.Float64bits(want.Threshold) ||
+						math.Float64bits(got[i].AchievedRate) != math.Float64bits(want.AchievedRate) {
+						t.Errorf("%s %s %s target %g: FitRates %+v, Fit %+v", name, kind, order, target, got[i], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestThresholdSampleAllocs: Sample borrows its walk from a pool, so a warm
+// call allocates only the index slice it returns.
+func TestThresholdSampleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated by race instrumentation")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	train := trainOf("epilepsy", 8)
+	for _, kind := range []AdaptiveKind{KindLinear, KindDeviation} {
+		p, _ := NewAdaptive(kind, 0.3)
+		for _, seq := range train {
+			p.Sample(seq, nil)
+		}
+		i := 0
+		if n := testing.AllocsPerRun(50, func() { sinkIdx = p.Sample(train[i%len(train)], nil); i++ }); n != 1 {
+			t.Errorf("%s: Sample allocates %v times, want 1", kind, n)
+		}
+	}
+}
+
 func TestLinearEmptySequence(t *testing.T) {
 	if got := NewLinear(1).Sample(nil, nil); got != nil {
 		t.Errorf("empty sequence gave %v", got)
@@ -294,6 +369,26 @@ func BenchmarkFit(b *testing.B) {
 					b.Fatal(err)
 				}
 				sinkFit = res
+			}
+		})
+	}
+}
+
+func BenchmarkFitRates(b *testing.B) {
+	train := trainOf("epilepsy", 48)
+	var rates []float64
+	for r := 3; r <= 10; r++ {
+		rates = append(rates, float64(r)/10)
+	}
+	for _, kind := range []AdaptiveKind{KindLinear, KindDeviation} {
+		b.Run(string(kind), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := FitRates(kind, train, rates)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkFit = res[0]
 			}
 		})
 	}

@@ -27,9 +27,9 @@
 //
 // # Sequence = index invariant
 //
-// The tap stages every delivered frame exactly once (replays after a
-// server-side eviction are deduplicated by a per-sensor next-index
-// cursor), and frames that fail to unseal or decode are staged as empty
+// The tap stages every delivered frame exactly once (a replayed frame,
+// after a server-side eviction or a cursor import, is dropped when its
+// index is below the sensor's staged log head), and frames that fail to unseal or decode are staged as empty
 // records rather than skipped. A sensor's staged sequence numbers
 // therefore equal its frame indices, which is what makes checkpoints
 // refeedable: Restore rebuilds the stage at each sensor's lowest worker
