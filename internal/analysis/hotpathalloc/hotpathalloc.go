@@ -60,10 +60,11 @@ func DefaultConfig() Config {
 			},
 			// The projection's per-record scoring kernels.
 			"repro/internal/reconstruct": {"LinearMAE", "LinearMAEStdDev", "SequenceStdDev"},
-			// The server's per-frame open and the staged copy of each
-			// decoded batch.
+			// The server's per-frame open, the staged copy of each decoded
+			// batch, and the projection workers' run reads, which append
+			// into the caller's buffer.
 			"repro/internal/chacha":  {"Reset", "XORKeyStream"},
-			"repro/internal/staging": {"carve"},
+			"repro/internal/staging": {"carve", "Log.Read"},
 			// The GRU inference step every Skip RNN decision loop runs, and
 			// the blocked matrix-vector kernel under it.
 			"repro/internal/rnn": {"GRU.Step", "Mat.MulVec"},

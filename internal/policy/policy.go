@@ -280,11 +280,16 @@ func newThresholdWalk(seq [][]float64, nf int) *thresholdWalk {
 func (w *thresholdWalk) reset(seq [][]float64, nf int, idx []int) {
 	w.seq, w.th, w.idx, w.nf = seq, 0, idx, nf
 	w.val = slices.Grow(w.val[:0], len(seq))
-	if n := len(seq) * nf; cap(w.mean) >= n {
-		w.mean = w.mean[:n]
-	} else {
-		w.mean = make([]float64, n)
+	w.mean = resize(w.mean, len(seq)*nf)
+}
+
+// resize returns s at length n, reusing its storage when it is large
+// enough. The contents are unspecified: callers write before they read.
+func resize(s []float64, n int) []float64 {
+	if cap(s) >= n {
+		return s[:n]
 	}
+	return make([]float64, n)
 }
 
 // walkPool holds the walks Sample borrows, so a Sample call allocates only

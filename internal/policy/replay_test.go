@@ -3,6 +3,7 @@ package policy
 import (
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -157,6 +158,24 @@ func TestSkipRNNReplayAllocs(t *testing.T) {
 	bias := 1.0
 	if n := testing.AllocsPerRun(20, func() { bias = -bias; r.rate(bias) }); n != 0 {
 		t.Errorf("replay with flipped decisions allocates %v times, want 0", n)
+	}
+}
+
+// TestSkipRNNSampleAllocs: Sample borrows its walk from a pool, so a warm
+// call allocates only the index slice it returns.
+func TestSkipRNNSampleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated by race instrumentation")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	m, train, _ := trainedModel(t)
+	p := NewSkipRNN(m.Pred, m.Gate, 0)
+	for _, seq := range train {
+		p.Sample(seq, nil)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(50, func() { sinkIdx = p.Sample(train[i%len(train)], nil); i++ }); n != 1 {
+		t.Errorf("Sample allocates %v times, want 1", n)
 	}
 }
 

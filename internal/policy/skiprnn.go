@@ -48,10 +48,18 @@ func (s *SkipRNN) Sample(seq [][]float64, _ *rand.Rand) []int {
 	if len(seq) == 0 {
 		return nil
 	}
-	w := newSkipWalk(s.pred, seq)
+	w := skipWalkPool.Get().(*skipWalk)
+	w.reset(s.pred, seq, make([]int, 0, len(seq)))
 	w.replay(s.gate, s.bias)
-	return w.idx
+	idx := w.idx
+	w.pred, w.seq, w.idx = nil, nil, nil
+	skipWalkPool.Put(w)
+	return idx
 }
+
+// skipWalkPool holds the walks Sample borrows, so a Sample call allocates
+// only the collected steps it returns.
+var skipWalkPool = sync.Pool{New: func() any { return new(skipWalk) }}
 
 // skipWalk is the Skip RNN's walk over one sequence at the last bias it was
 // replayed at: the gate logit every step saw and the GRU state after every
@@ -75,15 +83,27 @@ type skipWalk struct {
 // newSkipWalk returns an empty walk over a non-empty seq with room for every
 // step, so replays never allocate.
 func newSkipWalk(pred *rnn.Predictor, seq [][]float64) *skipWalk {
-	T := len(seq)
-	return &skipWalk{
-		pred:   pred,
-		seq:    seq,
-		logit:  make([]float64, T),
-		idx:    make([]int, 0, T),
-		states: make([]float64, (T+1)*pred.GRU.Hidden),
-		x:      make([]float64, len(pred.Mean)),
-		sc:     pred.GRU.NewScratch(),
+	w := &skipWalk{}
+	w.reset(pred, seq, make([]int, 0, len(seq)))
+	return w
+}
+
+// reset empties w for a cold start of pred over seq, with idx (empty,
+// capacity len(seq)) as its collection list. It keeps the logits, states,
+// input and scratch when they are large enough: a cold start writes every
+// logit and every state after the initial one before it reads them, and
+// Step overwrites the scratch. The initial state and the input start at
+// zero, as in a fresh walk.
+func (w *skipWalk) reset(pred *rnn.Predictor, seq [][]float64, idx []int) {
+	H := pred.GRU.Hidden
+	w.pred, w.seq, w.idx = pred, seq, idx
+	w.logit = resize(w.logit, len(seq))
+	w.states = resize(w.states, (len(seq)+1)*H)
+	clear(w.states[:H])
+	w.x = resize(w.x, len(pred.Mean))
+	clear(w.x)
+	if w.sc == nil || len(w.sc.Z) != H {
+		w.sc = pred.GRU.NewScratch()
 	}
 }
 

@@ -88,6 +88,86 @@ func TestCheckpointNeverTearsFold(t *testing.T) {
 	}
 }
 
+// TestStagedStorageFollowsSlowestWorker pins the retention rule: a staged
+// record lives until every worker has folded it. A stalled sensor's
+// watermark holds the privacy worker back, so the other sensor's log keeps
+// exactly the records from the privacy cursor on, even after Close; a
+// worker parked mid-fold keeps everything at and above its cursors while
+// the others run ahead; and once every worker has folded everything, every
+// log is trimmed to its head.
+func TestStagedStorageFollowsSlowestWorker(t *testing.T) {
+	const lag, first, frames = 10, 100, 300
+	cfg := Config{T: testT, D: testD, Now: func() int64 { return 5e9 }}
+	feed := func(e *Engine, id, from, to int) {
+		for i := from; i < to; i++ {
+			e.Feed(id, feedRecord(id, i))
+		}
+	}
+	// retained checks that the sensor's log holds every record from the
+	// slowest cursor from up to its head.
+	retained := func(e *Engine, id, from int) {
+		t.Helper()
+		l := e.stage.Log(id)
+		head := l.Head()
+		if got := l.Trimmed(); got > from {
+			t.Errorf("sensor %d trimmed to %d, above the slowest cursor %d", id, got, from)
+		}
+		run, next := l.Read(make([]staging.Record, 0, head), from, head)
+		if len(run) != head-from || next != head || run[0].Seq != from {
+			t.Errorf("sensor %d: read %d records from %d, next %d; want %d, next %d",
+				id, len(run), from, next, head-from, head)
+		}
+	}
+
+	// Sensor 0 stalls at lag records and never completes, so the watermark
+	// holds the privacy worker at lag on sensor 1 while mae and events fold
+	// it to first.
+	e := New(cfg)
+	feed(e, 0, 0, lag)
+	feed(e, 1, 0, first)
+	e.Close()
+	if got := e.stage.Log(1).Trimmed(); got != lag {
+		t.Errorf("sensor 1 trimmed to %d, want the privacy cursor %d", got, lag)
+	}
+	retained(e, 1, lag)
+
+	e = New(cfg)
+	feed(e, 0, 0, first)
+	feed(e, 1, 0, first)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if e.stage.Log(0).Trimmed() == first && e.stage.Log(1).Trimmed() == first {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for the first records to fold and trim")
+		}
+	}
+	k := &parkingKPI{entered: make(chan struct{}), release: make(chan struct{})}
+	mae, events := e.workers[0], e.workers[1]
+	mae.mu.Lock()
+	mae.kpi = k
+	mae.mu.Unlock()
+	feed(e, 0, first, frames)
+	feed(e, 1, first, frames)
+	<-k.entered
+	// Sensors fold in id order, so mae is parked at cursor first on both.
+	// Events folds past it until its trim waits on mae's lock.
+	for deadline := time.Now().Add(10 * time.Second); events.cursor(0) <= first; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting for events to pass the parked cursor")
+		}
+	}
+	retained(e, 0, first)
+	retained(e, 1, first)
+	close(k.release)
+	e.Close()
+	for id := 0; id < 2; id++ {
+		if l := e.stage.Log(id); l.Trimmed() != l.Head() {
+			t.Errorf("sensor %d: trimmed to %d after Close, head %d", id, l.Trimmed(), l.Head())
+		}
+	}
+}
+
 // TestRestoreCarriesStagedCount checks that a restored engine counts the
 // records below each sensor's Resume as staged, before any refeed.
 func TestRestoreCarriesStagedCount(t *testing.T) {
@@ -235,9 +315,9 @@ func BenchmarkStageFrame(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.StageFrame(0, i, payload)
-		// Trim as the stopped workers would, keeping the default retention.
+		// Trim as the stopped workers would once all had folded the frame.
 		if i%64 == 63 {
-			e.stage.TrimBelow(0, i, 256)
+			e.stage.TrimBelow(0, i, 0)
 		}
 	}
 }

@@ -52,7 +52,9 @@ import (
 	"repro/internal/staging"
 )
 
-// Config parameterizes an Engine.
+// Config parameterizes an Engine. Staged storage has no knob: a staged
+// record is kept until every worker has folded it and trimmed straight
+// after, so the memory the stage holds is the slowest worker's fold lag.
 type Config struct {
 	// T and D are the batch geometry used for reconstruction.
 	T, D int
@@ -83,10 +85,6 @@ type Config struct {
 	// per bucket, default 1 = exact sizes).
 	SizeBucket int
 
-	// Retain is how many staged records per sensor survive trimming
-	// below the slowest worker's cursor (default 256).
-	Retain int
-
 	// CheckpointEvery emits a checkpoint to CheckpointSink every N
 	// staged records (0 disables).
 	CheckpointEvery int
@@ -103,9 +101,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SizeBucket <= 0 {
 		c.SizeBucket = 1
-	}
-	if c.Retain <= 0 {
-		c.Retain = 256
 	}
 	if c.Now == nil {
 		c.Now = func() int64 { return time.Now().UnixNano() }
@@ -311,8 +306,10 @@ func (e *Engine) runWorker(w *worker) {
 }
 
 // drainOnce advances the worker's cursors to its visibility bound on
-// every sensor, reporting whether any record was processed. After
-// progress it trims staged storage the slowest worker no longer needs.
+// every sensor, reporting whether any record was processed. It reads each
+// log in runs of up to a buffer's worth and folds a run under one lock
+// hold. After progress it trims staged storage the slowest worker no
+// longer needs.
 func (e *Engine) drainOnce(w *worker) bool {
 	bound := -1
 	if w.watermark {
@@ -330,15 +327,14 @@ func (e *Engine) drainOnce(w *worker) bool {
 		if cur >= limit {
 			continue
 		}
-		for ; cur < limit; cur++ {
-			rec, ok := l.Get(cur)
-			if !ok {
-				// Everything below the trim point is gone: step over it in
-				// one fold, not one miss at a time (a restored log is
-				// trimmed up to its head).
-				cur = max(cur, min(l.Trimmed(), limit)-1)
-			}
-			w.fold(id, cur, rec, ok)
+		for cur < limit {
+			// Read steps over anything below the trim point in the same
+			// call (a restored log is trimmed up to its head).
+			w.run, cur = l.Read(w.run[:0], cur, limit)
+			w.foldRun(id, w.run, cur)
+			// Drop the run's references so the buffer pins no segment
+			// after the trim frees it.
+			clear(w.run)
 		}
 		w.moved = append(w.moved, id)
 	}
@@ -347,9 +343,9 @@ func (e *Engine) drainOnce(w *worker) bool {
 }
 
 // trim releases staged storage below the slowest worker on each of the
-// given sensors, keeping cfg.Retain records for late observers. Only
-// sensors where some cursor just moved need it: the slowest cursor cannot
-// move anywhere else.
+// given sensors: a record lives until every worker has folded it, and no
+// longer. Only sensors where some cursor just moved need it: the slowest
+// cursor cannot move anywhere else.
 func (e *Engine) trim(ids []int) {
 	for _, id := range ids {
 		min := -1
@@ -360,7 +356,7 @@ func (e *Engine) trim(ids []int) {
 			}
 		}
 		if min > 0 {
-			e.stage.TrimBelow(id, min, e.cfg.Retain)
+			e.stage.TrimBelow(id, min, 0)
 		}
 	}
 }
@@ -544,7 +540,8 @@ type worker struct {
 	cursors map[int]int
 	kpi     kpi
 
-	moved []int // sensors the last drain advanced; drain goroutine only
+	moved []int            // sensors the last drain advanced; drain goroutine only
+	run   []staging.Record // the run being folded; drain goroutine only
 }
 
 // kpi folds records into an aggregate and serializes it for checkpoints.
@@ -555,7 +552,10 @@ type kpi interface {
 }
 
 func newWorker(name string, watermark bool, k kpi) *worker {
-	return &worker{name: name, watermark: watermark, cursors: map[int]int{}, kpi: k}
+	return &worker{
+		name: name, watermark: watermark, cursors: map[int]int{}, kpi: k,
+		run: make([]staging.Record, 0, runLen),
+	}
 }
 
 func (w *worker) cursor(id int) int {
@@ -565,17 +565,21 @@ func (w *worker) cursor(id int) int {
 	return c
 }
 
-// fold applies the record at cursor cur, when the log still held it (ok),
-// and advances the cursor past it under one lock hold: a checkpoint sees
-// both or neither, so a restore never folds the record twice. A trimmed
-// record is unrecoverable; the cursor advances anyway so the worker cannot
-// spin.
-func (w *worker) fold(id, cur int, rec staging.Record, ok bool) {
+// runLen is the most records a worker reads and folds in one lock hold.
+const runLen = 64
+
+// foldRun applies a run read from one sensor's log and advances the cursor
+// to next, the sequence after the run, under one lock hold: a checkpoint
+// sees the whole run with its cursor or neither, so a restore never folds
+// a record twice. Sequences before next that the run lacks were trimmed
+// before the worker reached them and are unrecoverable; the cursor steps
+// over them anyway so the worker cannot spin.
+func (w *worker) foldRun(id int, run []staging.Record, next int) {
 	w.mu.Lock()
-	if ok {
-		w.kpi.apply(id, rec)
+	for i := range run {
+		w.kpi.apply(id, run[i])
 	}
-	w.cursors[id] = cur + 1
+	w.cursors[id] = next
 	w.mu.Unlock()
 }
 

@@ -487,7 +487,7 @@ func TestSnapshotEndpoint(t *testing.T) {
 // TestConcurrentFeedSnapshotCheckpoint exercises the engine's concurrency
 // contract under -race: parallel feeders, snapshots, and checkpoints.
 func TestConcurrentFeedSnapshotCheckpoint(t *testing.T) {
-	e := New(Config{T: testT, D: testD, Retain: 16, Now: func() int64 { return 5e9 }})
+	e := New(Config{T: testT, D: testD, Now: func() int64 { return 5e9 }})
 	var wg sync.WaitGroup
 	for id := 0; id < 4; id++ {
 		wg.Add(1)

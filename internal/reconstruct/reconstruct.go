@@ -18,9 +18,12 @@ func Linear(indices []int, values [][]float64, T, d int) ([][]float64, error) {
 	if err := checkBatch(indices, values, T, d); err != nil {
 		return nil, err
 	}
+	// Carve the rows from one backing array: two allocations per call, not
+	// T+1. Capped slices keep an append to one row off its neighbour.
+	flat := make([]float64, T*d)
 	out := make([][]float64, T)
 	for t := range out {
-		out[t] = make([]float64, d)
+		out[t] = flat[t*d : (t+1)*d : (t+1)*d]
 	}
 	if len(indices) == 0 {
 		return out, nil

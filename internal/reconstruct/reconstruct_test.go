@@ -218,6 +218,19 @@ func benchBatch() (indices []int, values, truth [][]float64, T, d int) {
 	return indices, values, truth, T, d
 }
 
+// TestLinearAllocs pins Linear's allocations: the row table and the one
+// backing array its rows are carved from, whatever T is.
+func TestLinearAllocs(t *testing.T) {
+	idx, vals, _, T, d := benchBatch()
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := Linear(idx, vals, T, d); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 2 {
+		t.Errorf("Linear allocs/op = %v, want 2", n)
+	}
+}
+
 func BenchmarkLinearReconstruct(b *testing.B) {
 	idx, vals, _, T, d := benchBatch()
 	b.ResetTimer()

@@ -406,3 +406,45 @@ func TestReadFullDeadlineExpiry(t *testing.T) {
 	}
 	_ = client
 }
+
+// FuzzOpen runs every cipher kind's Open on arbitrary bytes, which must
+// never panic, and on a sealed copy of the same bytes, which must open back
+// to them. The AEAD must also reject the sealed message with any one bit
+// flipped, nonce and tag included.
+func FuzzOpen(f *testing.F) {
+	f.Add(byte(0), []byte("sensor batch"), uint16(0))
+	f.Add(byte(1), make([]byte, 48), uint16(0x0310))
+	f.Add(byte(2), []byte{}, uint16(0x0700))
+	f.Add(byte(2), make([]byte, 40), uint16(0x0505))
+	f.Fuzz(func(t *testing.T, k byte, msg []byte, flip uint16) {
+		kind := CipherKind(k % 3)
+		key := chachaKey()
+		if kind == AES128Block {
+			key = aesKey()
+		}
+		sealer, err := NewSealer(kind, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opener, err := NewSealer(kind, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = opener.Open(msg)
+		sealed, err := sealer.Seal(msg)
+		if err != nil {
+			t.Fatalf("%v: seal %d bytes: %v", kind, len(msg), err)
+		}
+		if got, err := opener.Open(sealed); err != nil || !bytes.Equal(got, msg) {
+			t.Fatalf("%v: Open(Seal(%x)) = %x, %v", kind, msg, got, err)
+		}
+		if kind != ChaCha20Poly1305 {
+			return
+		}
+		i := int(flip) % len(sealed)
+		sealed[i] ^= 1 << ((flip >> 8) % 8)
+		if got, err := opener.Open(sealed); err == nil {
+			t.Fatalf("AEAD opened a message with byte %d flipped: %x", i, got)
+		}
+	})
+}

@@ -30,10 +30,12 @@
 //
 // # Retention
 //
-// TrimBelow drops record storage below a per-sensor sequence, with a
-// Retain floor so late-starting workers still find a bounded suffix.
-// Trimming releases segment memory but never moves sequence numbers:
-// Get on a trimmed sequence reports ok=false rather than shifting data.
+// TrimBelow drops record storage below a per-sensor sequence; its retain
+// argument keeps a floor of records below the head. The projection engine
+// trims at the slowest worker's cursor with no floor, so a log holds only
+// what some worker has yet to fold. Trimming releases whole segments but
+// never moves sequence numbers: Get on a trimmed sequence reports
+// ok=false, and Read steps over it, rather than shifting data.
 //
 // # Segment arenas
 //
@@ -524,23 +526,47 @@ func (l *Log) Complete() bool {
 // Get returns the record at seq. ok is false when seq is below the trim
 // point, at or above the head, or inside a trimmed segment.
 func (l *Log) Get(seq int) (Record, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if seq < l.trimmed || seq >= l.next || len(l.segs) == 0 {
+	var buf [1]Record
+	got, _ := l.Read(buf[:0], seq, seq+1)
+	if len(got) == 0 {
 		return Record{}, false
 	}
-	// Binary search for the owning segment.
-	lo, hi := 0, len(l.segs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if l.segs[mid].base+len(l.segs[mid].recs) <= seq {
-			lo = mid + 1
+	return got[0], true
+}
+
+// Read appends the retained records with sequences in [from, to) to dst, in
+// sequence order and under one lock hold, and returns dst and the sequence
+// after the last one it covered. It never grows dst: when a record does not
+// fit in cap(dst), Read stops and returns that record's sequence. Sequences
+// it holds no record for (below the trim point, or at or above the head)
+// are covered without appending anything, so a reader that resumes from the
+// returned sequence steps over a trimmed gap in one call; when everything
+// fits Read returns to (from, when to <= from).
+//
+//age:hotpath
+func (l *Log) Read(dst []Record, from, to int) ([]Record, int) {
+	l.mu.Lock()
+	lo, hi := max(from, l.trimmed), min(to, l.next)
+	// Binary search for the first segment that ends above lo.
+	i, j := 0, len(l.segs)
+	for i < j {
+		mid := (i + j) / 2
+		if l.segs[mid].base+len(l.segs[mid].recs) <= lo {
+			i = mid + 1
 		} else {
-			hi = mid
+			j = mid
 		}
 	}
-	if lo == len(l.segs) || seq < l.segs[lo].base {
-		return Record{}, false
+	for ; lo < hi && i < len(l.segs) && l.segs[i].base < hi; i++ {
+		sg := l.segs[i]
+		start, end := max(lo, sg.base), min(hi, sg.base+len(sg.recs))
+		if room := cap(dst) - len(dst); end-start > room {
+			dst = append(dst, sg.recs[start-sg.base:start-sg.base+room]...)
+			l.mu.Unlock()
+			return dst, start + room
+		}
+		dst = append(dst, sg.recs[start-sg.base:end-sg.base]...)
 	}
-	return l.segs[lo].recs[seq-l.segs[lo].base], true
+	l.mu.Unlock()
+	return dst, max(from, to)
 }

@@ -499,8 +499,8 @@ func TestArenaChunksUndershoot(t *testing.T) {
 }
 
 // BenchmarkAppend stages stream-shaped records (12 rows of 6) on one
-// sensor, trimming to the projection's default retention as its workers
-// would.
+// sensor, trimming each segment once it is full, as the projection's
+// workers would once all had folded it.
 func BenchmarkAppend(b *testing.B) {
 	r := batchRecord(0, 12, 6)
 	s := New()
@@ -509,7 +509,7 @@ func BenchmarkAppend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Append(0, r)
 		if i%segSize == segSize-1 {
-			s.TrimBelow(0, i, 256)
+			s.TrimBelow(0, i, 0)
 		}
 	}
 }
@@ -614,6 +614,116 @@ func FuzzImportCursor(f *testing.F) {
 			for id := range 3 {
 				if _, live := logs[id]; !live && s.Log(id) != nil {
 					t.Fatalf("op %d: sensor %d has a log it should not", i/4, id)
+				}
+			}
+		}
+	})
+}
+
+// getOracle is Get as it stood before Read: a binary search for the owning
+// segment of one sequence.
+func getOracle(l *Log, seq int) (Record, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if seq < l.trimmed || seq >= l.next || len(l.segs) == 0 {
+		return Record{}, false
+	}
+	lo, hi := 0, len(l.segs)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if l.segs[mid].base+len(l.segs[mid].recs) <= seq {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == len(l.segs) || seq < l.segs[lo].base {
+		return Record{}, false
+	}
+	return l.segs[lo].recs[seq-l.segs[lo].base], true
+}
+
+// readOracle is the projection drain's per-sequence loop as it stood before
+// Read, stopped at the first retained record beyond n: a miss steps to the
+// trim point (or one past the miss) without folding anything.
+func readOracle(l *Log, from, to, n int) ([]Record, int) {
+	var got []Record
+	cur := from
+	for cur < to {
+		r, ok := getOracle(l, cur)
+		if !ok {
+			cur = max(cur+1, min(l.Trimmed(), to))
+			continue
+		}
+		if len(got) == n {
+			break
+		}
+		got = append(got, r)
+		cur++
+	}
+	return got, cur
+}
+
+// FuzzLogRead drives random schedules of Append, TrimBelow and ImportCursor
+// on one log and checks that Read over a fuzzed range, into a fuzzed dst
+// (capacity and a prefix it must keep), returns exactly the records and the
+// next sequence of the per-sequence Get loop it replaces, trimmed gaps and
+// ranges past the head included. Each op takes four bytes: kind and three
+// arguments.
+func FuzzLogRead(f *testing.F) {
+	f.Add([]byte{0, 200, 0, 0, 3, 10, 100, 70})
+	f.Add([]byte{0, 130, 0, 0, 1, 70, 0, 0, 3, 0, 200, 65, 3, 64, 10, 1})
+	f.Add([]byte{0, 100, 0, 0, 2, 150, 0, 0, 0, 5, 0, 0, 3, 0, 255, 20})
+	f.Add([]byte{0, 40, 0, 0, 1, 30, 0, 0xff, 0, 20, 0, 0, 3, 20, 60, 9})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		s := New()
+		const id = 5
+		head := func() int {
+			if l := s.Log(id); l != nil {
+				return l.Head()
+			}
+			return 0
+		}
+		sentinel := Record{Seq: -7, Index: -7}
+		for i := 0; i+4 <= len(ops); i += 4 {
+			a, b, c := int(ops[i+1]), int(ops[i+2]), int(ops[i+3])
+			switch ops[i] % 4 {
+			case 0:
+				for k := 0; k < 1+a%(2*segSize); k++ {
+					h := head()
+					s.Append(id, rec(h, 10+h))
+				}
+			case 1:
+				s.TrimBelow(id, (a|b<<8)%(head()+8), int(int8(c))%4)
+			case 2:
+				s.ImportCursor(Cursor{SensorID: id, Head: head() + a%100 - 20})
+			case 3:
+				l := s.Log(id)
+				if l == nil {
+					break
+				}
+				from := a%(head()+8) - 2
+				to := from + b - 5
+				prefix, room := c%3, c/3%(segSize+8)
+				dst := make([]Record, prefix, prefix+room)
+				for k := range dst {
+					dst[k] = sentinel
+				}
+				got, next := l.Read(dst, from, to)
+				want, wantNext := readOracle(l, from, to, room)
+				if next != wantNext || len(got) != prefix+len(want) || cap(got) != prefix+room {
+					t.Fatalf("op %d: Read(%d, %d) cap %d+%d = %d records, next %d; Get loop %d records, next %d",
+						i/4, from, to, prefix, room, len(got)-prefix, next, len(want), wantNext)
+				}
+				for k := range prefix {
+					if got[k].Seq != sentinel.Seq || got[k].Index != sentinel.Index {
+						t.Fatalf("op %d: Read overwrote dst[%d]", i/4, k)
+					}
+				}
+				for k, r := range want {
+					if g := got[prefix+k]; g.Seq != r.Seq || g.Index != r.Index || g.WireBytes != r.WireBytes {
+						t.Fatalf("op %d: Read record %d = %+v, Get loop %+v", i/4, k, g, r)
+					}
 				}
 			}
 		}
