@@ -561,10 +561,12 @@ func IsTerminal(err error) bool { return ingest.IsTerminal(err) }
 
 // ---- Metrics ----
 
-// MetricsRegistry collects the pipeline's observation-only instruments
-// (codec latency, transport counters, the ingest.* server family). Pass one
-// in SimulationConfig, FleetConfig, ServerConfig, or ClientConfig and read
-// it back with Snapshot. A nil registry disables collection at zero cost.
+// MetricsRegistry collects the transport's observation-only instruments:
+// the ingest.* server family and the ingest.client.* sensor family. Pass
+// one in FleetConfig, ServerConfig, or ClientConfig (or SimulationConfig
+// for a socket run) and read it back with Snapshot; the in-process
+// Simulate records nothing, since the codec publishes no per-batch figures.
+// A nil registry disables collection at zero cost.
 type MetricsRegistry = metrics.Registry
 
 // MetricsSnapshot is a point-in-time copy of a registry's instruments.

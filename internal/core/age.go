@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/bitio"
 	"repro/internal/fixedpoint"
-	"repro/internal/metrics"
 )
 
 // AGE implements Adaptive Group Encoding (§4): a lossy encoder that packs any
@@ -30,11 +29,6 @@ type AGE struct {
 	// batch. A pool rather than a single scratch keeps the encoder safe for
 	// concurrent use across sweep workers.
 	scratch sync.Pool
-	// Optional pipeline counters (InstrumentPipeline). Counters are
-	// atomic and nil-safe, so the hot path updates them unconditionally
-	// without branching or allocating.
-	mGroups *metrics.Counter
-	mPruned *metrics.Counter
 }
 
 // NewAGE returns an AGE encoder/decoder producing cfg.TargetBytes messages.
@@ -71,14 +65,6 @@ const maxWireGroups = 255
 
 // Name implements Encoder.
 func (a *AGE) Name() string { return "age" }
-
-// InstrumentPipeline attaches optional counters for the §4 pipeline stages:
-// groups accumulates the wire group count per encoded message, pruned the
-// measurements dropped by §4.2 pruning. Either may be nil. Call before the
-// encoder is shared across goroutines.
-func (a *AGE) InstrumentPipeline(groups, pruned *metrics.Counter) {
-	a.mGroups, a.mPruned = groups, pruned
-}
 
 // PayloadBytes returns the fixed message size M_B.
 func (a *AGE) PayloadBytes() int { return a.cfg.TargetBytes }
@@ -167,8 +153,6 @@ func (a *AGE) appendEncode(sc *ageScratch, dst []byte, b Batch) ([]byte, error) 
 		return nil, fmt.Errorf("core: age encode: %d measurements need %d groups, wire format caps at %d",
 			len(idx), len(groups), maxWireGroups)
 	}
-	a.mGroups.Add(int64(len(groups)))
-	a.mPruned.Add(int64(len(b.Indices) - len(idx)))
 	var w bitio.Writer
 	w.ResetTo(dst)
 	writeIndexBlock(&w, idx, a.cfg.T)

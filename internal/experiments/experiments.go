@@ -51,9 +51,9 @@ type Config struct {
 	// are serialized and done is monotonic within one sweep.
 	Progress func(done, total int, label string)
 	// Metrics, when non-nil, receives sweep instrumentation (exp.cells_*,
-	// exp.workers, exp.cell_ns) and is forwarded to simulation runs.
-	// Observation-only: metrics never influence seeding, cell order, or
-	// results, so the determinism contract is unaffected.
+	// exp.workers, exp.cell_ns). Observation-only: metrics never influence
+	// seeding, cell order, or results, so the determinism contract is
+	// unaffected.
 	Metrics *metrics.Registry
 }
 
@@ -238,7 +238,6 @@ func (w *Workload) RunCell(policyKind string, enc simulator.EncoderKind, rate fl
 		Model:   energy.Default(),
 		Mode:    mode,
 		Seed:    w.cfg.Seed,
-		Metrics: w.cfg.Metrics,
 	})
 }
 

@@ -317,7 +317,7 @@ func BenchmarkStageFrame(b *testing.B) {
 		e.StageFrame(0, i, payload)
 		// Trim as the stopped workers would once all had folded the frame.
 		if i%64 == 63 {
-			e.stage.TrimBelow(0, i, 0)
+			e.stage.TrimBelow(0, i)
 		}
 	}
 }

@@ -356,7 +356,7 @@ func (e *Engine) trim(ids []int) {
 			}
 		}
 		if min > 0 {
-			e.stage.TrimBelow(id, min, 0)
+			e.stage.TrimBelow(id, min)
 		}
 	}
 }

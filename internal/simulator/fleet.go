@@ -45,9 +45,9 @@ import (
 type FleetConfig struct {
 	// Base carries the shared task parameters (Dataset supplies the
 	// metadata and the per-sensor sequence partition). Base.Metrics, when
-	// set, receives the codec instrumentation and the transport's own
-	// families: ingest.* from the server, ingest.client.* from every
-	// sensor. Per-sensor figures are in FleetResult.Sensors.
+	// set, receives the transport's families: ingest.* from the server,
+	// ingest.client.* from every sensor. Per-sensor figures are in
+	// FleetResult.Sensors.
 	Base RunConfig
 	// Sensors is the fleet size; the Base dataset's sequences are dealt
 	// round-robin across sensors.
@@ -274,11 +274,7 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	if cfg.IOTimeout <= 0 {
 		cfg.IOTimeout = ingest.DefaultIOTimeout
 	}
-	meta := cfg.Base.Dataset.Meta
-	coreCfg := core.Config{
-		T: meta.SeqLen, D: meta.NumFeatures, Format: meta.Format,
-		TargetBytes: core.TargetBytesForRate(cfg.Base.Rate, meta.SeqLen, meta.NumFeatures, meta.Format.Width),
-	}
+	coreCfg := coreConfig(cfg.Base)
 
 	// Partition sequences round-robin.
 	parts := make([][]int, n) // sequence indices per sensor
@@ -468,7 +464,7 @@ func (h *fleetHandler) Open(sensorID, delivered int) (ingest.Session, error) {
 		h.mu.Unlock()
 		return nil, err
 	}
-	encs, err := buildInstrumentedEncoder(h.cfg.Base.Encoder, h.coreCfg, h.cfg.Base.Cipher, h.cfg.Base.Metrics)
+	encs, err := buildEncoder(h.cfg.Base.Encoder, h.coreCfg, h.cfg.Base.Cipher)
 	if err != nil {
 		h.setServerErr(sensorID, err)
 		return nil, err
@@ -587,7 +583,7 @@ func runFleetSensor(ctx context.Context, sensorID int, addr string, cfg FleetCon
 	if cfg.Faults != nil && cfg.Faults.NeverDial[sensorID] {
 		return ingest.ClientStats{}, errors.New("fault injection: sensor never dialed")
 	}
-	encs, err := buildInstrumentedEncoder(cfg.Base.Encoder, coreCfg, cfg.Base.Cipher, cfg.Base.Metrics)
+	encs, err := buildEncoder(cfg.Base.Encoder, coreCfg, cfg.Base.Cipher)
 	if err != nil {
 		return ingest.ClientStats{}, err
 	}

@@ -1,6 +1,7 @@
 package simulator
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -46,16 +47,17 @@ func TestFleetMetricsHealthyRun(t *testing.T) {
 			t.Errorf("sensor %d status %+v on a healthy run", st.Sensor, st)
 		}
 	}
-	// Codec instrumentation rode along: AGE latency histograms and §4
-	// pipeline counters populated by both the sensors and the server.
-	if snap.Histograms["core.age.encode_ns"].Count == 0 {
-		t.Error("encode latency histogram empty")
+	// The codec publishes nothing: under AGE its per-batch figures would
+	// reveal how many measurements each batch kept.
+	for name := range snap.Counters {
+		if strings.HasPrefix(name, "core.") {
+			t.Errorf("counter %s published", name)
+		}
 	}
-	if snap.Histograms["core.age.decode_ns"].Count == 0 {
-		t.Error("decode latency histogram empty")
-	}
-	if snap.Counters["core.age.groups_formed"] == 0 {
-		t.Error("AGE group counter empty")
+	for name := range snap.Histograms {
+		if strings.HasPrefix(name, "core.") {
+			t.Errorf("histogram %s published", name)
+		}
 	}
 	// A healthy loopback fleet has a quiet fault ledger. The fleet's
 	// handler refusing an unknown sensor ID counts as rejected_refused.
@@ -72,6 +74,61 @@ func TestFleetMetricsHealthyRun(t *testing.T) {
 	fb := snap.Histograms["ingest.frame_bytes"]
 	if fb.Count != want || fb.Max == 0 || fb.Sum != fb.Max*want {
 		t.Errorf("ingest.frame_bytes = %+v, want %d equal-size frames", fb, want)
+	}
+}
+
+// AGE's fixed message size must reach the registry too: two fleets that
+// differ only in their data (and so in how many measurements the adaptive
+// policy keeps per batch) publish the same counters, the same histogram
+// counts, and the same sums for every histogram that is not a timing.
+// Standard is the negative control: its sizes follow k, so wire bytes differ.
+func TestFleetMetricsIndependentOfData(t *testing.T) {
+	_, p := fixture(t, 0.5)
+	snapshot := func(enc EncoderKind, seed int64) metrics.Snapshot {
+		t.Helper()
+		reg := metrics.NewRegistry()
+		cfg := FleetConfig{
+			Base: RunConfig{
+				Dataset: dataset.MustLoad("epilepsy", dataset.Options{Seed: seed, MaxSequences: 24}),
+				Policy:  p, Encoder: enc, Cipher: seccomm.ChaCha20Stream, Rate: 0.5,
+				Model: energy.Default(), Seed: 1, Metrics: reg,
+			},
+			Sensors: 4,
+		}
+		if _, err := RunFleet(cfg); err != nil {
+			t.Fatal(err)
+		}
+		return reg.Snapshot()
+	}
+
+	a, b := snapshot(EncAGE, 3), snapshot(EncAGE, 4)
+	if len(a.Counters) != len(b.Counters) {
+		t.Errorf("AGE counters: %d on seed 3, %d on seed 4", len(a.Counters), len(b.Counters))
+	}
+	for name, v := range a.Counters {
+		if w, ok := b.Counters[name]; !ok || w != v {
+			t.Errorf("AGE counter %s: %d on seed 3, %d on seed 4 (registered %v)", name, v, w, ok)
+		}
+	}
+	if len(a.Histograms) != len(b.Histograms) {
+		t.Errorf("AGE histograms: %d on seed 3, %d on seed 4", len(a.Histograms), len(b.Histograms))
+	}
+	for name, ha := range a.Histograms {
+		hb, ok := b.Histograms[name]
+		switch {
+		case !ok:
+			t.Errorf("AGE histogram %s only on seed 3", name)
+		case ha.Count != hb.Count:
+			t.Errorf("AGE histogram %s count: %d on seed 3, %d on seed 4", name, ha.Count, hb.Count)
+		case !strings.HasSuffix(name, "_ns") && ha.Sum != hb.Sum:
+			t.Errorf("AGE histogram %s sum: %d on seed 3, %d on seed 4", name, ha.Sum, hb.Sum)
+		}
+	}
+
+	sa, sb := snapshot(EncStandard, 3), snapshot(EncStandard, 4)
+	if sa.Counters["ingest.wire_bytes"] == sb.Counters["ingest.wire_bytes"] {
+		t.Errorf("Standard ingest.wire_bytes equal (%d) across seeds; the control shows nothing",
+			sa.Counters["ingest.wire_bytes"])
 	}
 }
 

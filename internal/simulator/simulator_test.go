@@ -288,27 +288,34 @@ func TestRunOverSocketMatchesInProcess(t *testing.T) {
 		}
 	}
 
-	// Under a random policy the sampling stream decides the result, so this
-	// case pins that the socket sensor draws from the same replayable
-	// stream as Run: equal MAE bit for bit and equal attacker views.
-	rcfg := baseConfig(d, policy.NewRandom(0.6), EncAGE, 0.7)
-	rcfg.Mode = ModeMCU
-	run, err := Run(rcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.Violations != 0 {
-		t.Fatalf("in-process run has %d budget violations; the comparison needs 0", run.Violations)
-	}
-	rsock, err := RunOverSocket(rcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(rsock.MAE) != math.Float64bits(run.MAE) {
-		t.Errorf("random policy: socket MAE %.17g, in-process MAE %.17g", rsock.MAE, run.MAE)
-	}
-	if !reflect.DeepEqual(rsock.SizesByLabel, run.SizesByLabel) {
-		t.Errorf("random policy: socket sizes %v, in-process sizes %v", rsock.SizesByLabel, run.SizesByLabel)
+	// Under a random policy the sampling stream decides the result, so these
+	// cases pin that the socket sensor draws from the same replayable
+	// stream as Run, and builds the same codec (the MinWidth override
+	// included): equal MAE bit for bit and equal attacker views.
+	for _, c := range []struct {
+		rate     float64
+		minWidth int
+	}{{0.7, 0}, {0.5, 12}} {
+		rcfg := baseConfig(d, policy.NewRandom(0.6), EncAGE, c.rate)
+		rcfg.Mode = ModeMCU
+		rcfg.MinWidth = c.minWidth
+		run, err := Run(rcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run.Violations != 0 {
+			t.Fatalf("MinWidth %d: in-process run has %d budget violations; the comparison needs 0", c.minWidth, run.Violations)
+		}
+		rsock, err := RunOverSocket(rcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(rsock.MAE) != math.Float64bits(run.MAE) {
+			t.Errorf("MinWidth %d: socket MAE %.17g, in-process MAE %.17g", c.minWidth, rsock.MAE, run.MAE)
+		}
+		if !reflect.DeepEqual(rsock.SizesByLabel, run.SizesByLabel) {
+			t.Errorf("MinWidth %d: socket sizes %v, in-process sizes %v", c.minWidth, rsock.SizesByLabel, run.SizesByLabel)
+		}
 	}
 }
 

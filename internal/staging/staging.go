@@ -30,10 +30,9 @@
 //
 // # Retention
 //
-// TrimBelow drops record storage below a per-sensor sequence; its retain
-// argument keeps a floor of records below the head. The projection engine
-// trims at the slowest worker's cursor with no floor, so a log holds only
-// what some worker has yet to fold. Trimming releases whole segments but
+// TrimBelow drops record storage below a per-sensor sequence, never past
+// the head. The projection engine trims at the slowest worker's cursor, so
+// a log holds only what some worker has yet to fold. Trimming releases whole segments but
 // never moves sequence numbers: Get on a trimmed sequence reports
 // ok=false, and Read steps over it, rather than shifting data.
 //
@@ -356,18 +355,16 @@ func (s *Stage) Watermark() int {
 	return maxHead
 }
 
-// TrimBelow releases record storage below seq on the sensor's log, keeping
-// at least retain records below the head. Sequence numbers are unaffected.
-// A sensor without a log is left alone.
-func (s *Stage) TrimBelow(sensorID, seq, retain int) {
+// TrimBelow releases record storage below seq on the sensor's log. A seq
+// past the head is clamped to it, so a trim never hides future appends.
+// Sequence numbers are unaffected. A sensor without a log is left alone.
+func (s *Stage) TrimBelow(sensorID, seq int) {
 	l := s.Log(sensorID)
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
-	if floor := l.next - retain; seq > floor {
-		seq = floor
-	}
+	seq = min(seq, l.next)
 	if seq > l.trimmed {
 		l.trimmed = seq
 		// Drop whole segments that lie entirely below the trim point,

@@ -72,9 +72,7 @@ func TestTrimRetainsSuffixAndSequences(t *testing.T) {
 		s.Append(7, rec(i, 10))
 	}
 	l := s.Log(7)
-	s.TrimBelow(7, 250, 20)
-	// Retain floor wins: only head-20 = 280 would violate retain, so the
-	// requested 250 stands (250 <= 280).
+	s.TrimBelow(7, 250)
 	if got := l.Trimmed(); got != 250 {
 		t.Fatalf("trimmed = %d, want 250", got)
 	}
@@ -89,14 +87,19 @@ func TestTrimRetainsSuffixAndSequences(t *testing.T) {
 			t.Fatalf("get %d after trim = %+v ok=%v", seq, r, ok)
 		}
 	}
-	// A trim past the retain floor is clamped.
-	s.TrimBelow(7, 299, 20)
-	if got := l.Trimmed(); got != 280 {
-		t.Fatalf("trimmed after clamp = %d, want 280 (head-retain)", got)
+	// A trim past the head is clamped to it, so the next append stays
+	// readable.
+	s.TrimBelow(7, 400)
+	if got := l.Trimmed(); got != 300 {
+		t.Fatalf("trimmed after clamp = %d, want 300 (head)", got)
+	}
+	s.Append(7, rec(300, 10))
+	if r, ok := l.Get(300); !ok || r.Index != 300 {
+		t.Fatalf("append after a trim past the head: get(300) = %+v ok=%v", r, ok)
 	}
 	// Trims never move backwards.
-	s.TrimBelow(7, 0, 0)
-	if got := l.Trimmed(); got != 280 {
+	s.TrimBelow(7, 0)
+	if got := l.Trimmed(); got != 300 {
 		t.Fatalf("trimmed after backward trim = %d", got)
 	}
 }
@@ -169,7 +172,7 @@ func TestConcurrentAppendersAndReaders(t *testing.T) {
 			for i := 0; i < perSensor; i++ {
 				s.Append(id, rec(i, 10+id))
 				if i%100 == 0 {
-					s.TrimBelow(id, i-50, 100)
+					s.TrimBelow(id, i-100)
 				}
 			}
 			s.Complete(id)
@@ -369,7 +372,7 @@ func TestTrimAfterExportKeepsLogGone(t *testing.T) {
 	if got := s.Watermark(); got != 3 {
 		t.Fatalf("watermark after export = %d, want 3", got)
 	}
-	s.TrimBelow(1, 2, 0)
+	s.TrimBelow(1, 2)
 	if got := s.Watermark(); got != 3 {
 		t.Fatalf("watermark after trimming the exported sensor = %d, want 3", got)
 	}
@@ -509,7 +512,7 @@ func BenchmarkAppend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Append(0, r)
 		if i%segSize == segSize-1 {
-			s.TrimBelow(0, i, 0)
+			s.TrimBelow(0, i)
 		}
 	}
 }
@@ -529,7 +532,7 @@ func BenchmarkTrimBelow(b *testing.B) {
 			}
 			b.StartTimer()
 		}
-		s.TrimBelow(0, i+1, 0)
+		s.TrimBelow(0, i+1)
 	}
 }
 
@@ -539,7 +542,8 @@ func BenchmarkTrimBelow(b *testing.B) {
 // the next append after an import gets max(head, cursor head), that
 // completion only latches while the log lives, and that exporting and
 // importing into a fresh Stage round-trips (Head, Complete). Each op takes
-// four bytes: kind, sensor, a signed head or trim point, and a flag.
+// four bytes: kind, sensor, a signed head or trim point, and a flag (unused
+// by trims).
 func FuzzImportCursor(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 5, 1, 1, 0, 0, 0, 2, 0, 0, 0})
 	f.Add([]byte{0, 1, 20, 0, 1, 1, 0, 0, 0, 1, 3, 1, 3, 1, 10, 0, 2, 1, 0, 0})
@@ -599,7 +603,7 @@ func FuzzImportCursor(f *testing.F) {
 				}
 				delete(logs, id)
 			case 3:
-				s.TrimBelow(id, arg, int(ops[i+3]%4))
+				s.TrimBelow(id, arg)
 			}
 			for id, m := range logs {
 				l := s.Log(id)
@@ -669,7 +673,7 @@ func readOracle(l *Log, from, to, n int) ([]Record, int) {
 // (capacity and a prefix it must keep), returns exactly the records and the
 // next sequence of the per-sequence Get loop it replaces, trimmed gaps and
 // ranges past the head included. Each op takes four bytes: kind and three
-// arguments.
+// arguments (a trim uses two).
 func FuzzLogRead(f *testing.F) {
 	f.Add([]byte{0, 200, 0, 0, 3, 10, 100, 70})
 	f.Add([]byte{0, 130, 0, 0, 1, 70, 0, 0, 3, 0, 200, 65, 3, 64, 10, 1})
@@ -694,7 +698,7 @@ func FuzzLogRead(f *testing.F) {
 					s.Append(id, rec(h, 10+h))
 				}
 			case 1:
-				s.TrimBelow(id, (a|b<<8)%(head()+8), int(int8(c))%4)
+				s.TrimBelow(id, (a|b<<8)%(head()+8))
 			case 2:
 				s.ImportCursor(Cursor{SensorID: id, Head: head() + a%100 - 20})
 			case 3:
