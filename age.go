@@ -301,52 +301,19 @@ type SimulationConfig = simulator.RunConfig
 // attacker-observable message sizes.
 type SimulationResult = simulator.RunResult
 
-// SocketResult is a socket-mode run's outcome: server-side error plus the
-// attacker-observable message sizes.
-type SocketResult = simulator.SocketResult
-
-// Simulate runs the full pipeline in-process under an energy budget.
-//
-// Deprecated: Use SimulateContext, which takes a caller context so a long
-// sweep can be cancelled between sequences. Simulate remains as a thin
-// wrapper over SimulateContext with context.Background() and will not be
-// removed.
-func Simulate(cfg SimulationConfig) (*SimulationResult, error) {
-	return SimulateContext(context.Background(), cfg)
-}
-
-// SimulateContext is Simulate under a caller context, mirroring
-// SimulateFleetContext: cancellation is honored between sequences, and the
-// partial result folded so far is returned alongside the cancellation
-// error.
+// SimulateContext runs the full pipeline in-process under an energy
+// budget. Cancellation is honored between sequences, and the partial result
+// folded so far is returned alongside the cancellation error.
 func SimulateContext(ctx context.Context, cfg SimulationConfig) (*SimulationResult, error) {
 	return simulator.RunContext(ctx, cfg)
 }
 
-// SimulateOverSocket runs the pipeline through a real TCP loopback
-// connection as a one-sensor fleet: the sensor streams through an ingest
-// Client to an ingest Server.
-//
-// Deprecated: Use SimulateOverSocketContext, which takes a caller context
-// that closes the listener and the live connection on cancellation.
-// SimulateOverSocket remains as a thin wrapper over it with
-// context.Background() and will not be removed.
-func SimulateOverSocket(cfg SimulationConfig) (*SocketResult, error) {
-	return SimulateOverSocketContext(context.Background(), cfg)
-}
-
-// SimulateOverSocketContext is SimulateOverSocket under a caller context,
-// mirroring SimulateFleetContext: cancellation closes the listener and the
-// live connection and reports the cancellation as the run's error.
-func SimulateOverSocketContext(ctx context.Context, cfg SimulationConfig) (*SocketResult, error) {
-	return simulator.RunOverSocketContext(ctx, cfg)
-}
-
 // FleetConfig drives a multi-sensor deployment: the dataset's sequences are
 // partitioned across concurrent sensors, each with its own key and TCP
-// connection to the server. Transport knobs (DialTimeout, DialAttempts,
-// DialBackoff, IOTimeout, WriteAttempts, Timeout) bound every network
-// operation; zero values select generous defaults.
+// connection to the server; Sensors: 1 is the single sensor/server socket
+// run. Transport knobs (DialTimeout, DialAttempts, DialBackoff, IOTimeout,
+// ReconnectAttempts) bound every network operation; zero values select
+// generous defaults. The caller's context bounds the whole run.
 type FleetConfig = simulator.FleetConfig
 
 // FleetResult aggregates a fleet run: per-sensor error plus the pooled
@@ -363,22 +330,12 @@ type FleetSensorStatus = simulator.FleetSensorStatus
 // resilience testing.
 type FleetFaults = simulator.FleetFaults
 
-// SimulateFleet runs a concurrent multi-sensor deployment (FarmBeats fields,
-// ZebraNet herds) against one server. Per-sensor failures land in
-// FleetResult.Sensors; it returns an error only when setup fails, every
-// sensor fails, or the run is cancelled.
-//
-// Deprecated: Use SimulateFleetContext, which takes a caller context that
-// closes the listener and every live connection on cancellation and returns
-// the partial FleetResult folded so far. SimulateFleet remains as a thin
-// wrapper over it with context.Background() and will not be removed.
-func SimulateFleet(cfg FleetConfig) (*FleetResult, error) {
-	return SimulateFleetContext(context.Background(), cfg)
-}
-
-// SimulateFleetContext is SimulateFleet under a caller context: cancellation
-// closes the listener and every live connection, and the partial FleetResult
-// is returned alongside the cancellation error.
+// SimulateFleetContext runs a concurrent multi-sensor deployment (FarmBeats
+// fields, ZebraNet herds) against one server over real TCP. Per-sensor
+// failures land in FleetResult.Sensors; it returns an error only when setup
+// fails, every sensor fails, or ctx ends the run. Cancellation (or a
+// deadline) closes the listener and every live connection, and the partial
+// FleetResult is returned alongside the cancellation error.
 func SimulateFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 	return simulator.RunFleetContext(ctx, cfg)
 }
@@ -563,9 +520,10 @@ func IsTerminal(err error) bool { return ingest.IsTerminal(err) }
 
 // MetricsRegistry collects the transport's observation-only instruments:
 // the ingest.* server family and the ingest.client.* sensor family. Pass
-// one in FleetConfig, ServerConfig, or ClientConfig (or SimulationConfig
-// for a socket run) and read it back with Snapshot; the in-process
-// Simulate records nothing, since the codec publishes no per-batch figures.
+// one in ServerConfig, ClientConfig, or a fleet run's
+// FleetConfig.Base.Metrics and read it back with Snapshot; the in-process
+// SimulateContext records nothing, since the codec publishes no per-batch
+// figures.
 // A nil registry disables collection at zero cost.
 type MetricsRegistry = metrics.Registry
 

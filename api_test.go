@@ -89,7 +89,7 @@ func TestFacadeSimulateAndAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := age.Simulate(age.SimulationConfig{
+	res, err := age.SimulateContext(context.Background(), age.SimulationConfig{
 		Dataset: data,
 		Policy:  age.NewUniformPolicy(0.5),
 		Encoder: age.EncAGE,
@@ -232,18 +232,6 @@ func TestFacadeSimulateContext(t *testing.T) {
 		Model:   age.DefaultEnergyModel(),
 		Seed:    1,
 	}
-	want, err := age.Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := age.SimulateContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.MAE != want.MAE {
-		t.Errorf("SimulateContext MAE %g != Simulate MAE %g", got.MAE, want.MAE)
-	}
-
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	res, err := age.SimulateContext(cancelled, cfg)
@@ -269,17 +257,18 @@ func TestFacadeSimulateOverSocketContext(t *testing.T) {
 		Model:   age.DefaultEnergyModel(),
 		Seed:    1,
 	}
-	res, err := age.SimulateOverSocketContext(context.Background(), cfg)
+	socket := age.FleetConfig{Base: cfg, Sensors: 1}
+	res, err := age.SimulateFleetContext(context.Background(), socket)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MAE <= 0 {
-		t.Errorf("socket MAE = %g", res.MAE)
+	if res.PerSensorMAE[0] <= 0 {
+		t.Errorf("socket MAE = %g", res.PerSensorMAE[0])
 	}
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := age.SimulateOverSocketContext(cancelled, cfg); !errors.Is(err, context.Canceled) {
+	if _, err := age.SimulateFleetContext(cancelled, socket); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled socket run error = %v, want context.Canceled", err)
 	}
 }

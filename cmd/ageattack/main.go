@@ -81,7 +81,7 @@ func main() {
 		log.Fatalf("unknown policy %q", *polName)
 	}
 
-	res, err := simulator.Run(simulator.RunConfig{
+	res, err := simulator.RunContext(context.Background(), simulator.RunConfig{
 		Dataset: data, Policy: pol, Encoder: simulator.EncoderKind(*encName),
 		Cipher: seccomm.ChaCha20Stream, Rate: *rate, Model: energy.Default(), Seed: *seed,
 	})

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -42,9 +43,9 @@ func main() {
 		list    = flag.Bool("list", false, "list datasets and exit")
 
 		ioTimeout    = flag.Duration("io-timeout", 0, "per-frame read/write deadline in socket/fleet mode (0 = default 5s)")
-		dialTimeout  = flag.Duration("dial-timeout", 0, "fleet: single TCP connect attempt bound (0 = default 2s)")
-		dialAttempts = flag.Int("dial-attempts", 0, "fleet: connect attempts per sensor with exponential backoff (0 = default 4)")
-		runTimeout   = flag.Duration("run-timeout", 0, "fleet: whole-run bound; on expiry the partial result is reported (0 = none)")
+		dialTimeout  = flag.Duration("dial-timeout", 0, "socket/fleet: single TCP connect attempt bound (0 = default 2s)")
+		dialAttempts = flag.Int("dial-attempts", 0, "socket/fleet: connect attempts per sensor with exponential backoff (0 = default 4)")
+		runTimeout   = flag.Duration("run-timeout", 0, "whole-run bound; on expiry a fleet's partial result is reported (0 = none)")
 
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (snapshot JSON) and /debug/pprof on this address (e.g. 127.0.0.1:8080); observation-only, results are unchanged")
 		metricsHold = flag.Duration("metrics-hold", 0, "keep the metrics endpoint up this long after the run finishes (lets scrapers read the final state)")
@@ -84,37 +85,44 @@ func main() {
 		fmt.Fprintf(os.Stderr, "metrics: serving /metrics and /debug/pprof/ on http://%s\n", srv.Addr)
 	}
 	cfg := simulator.RunConfig{
-		Dataset:   data,
-		Policy:    pol,
-		Encoder:   simulator.EncoderKind(*encName),
-		Cipher:    ck,
-		Rate:      *rate,
-		Model:     energy.Default(),
-		Seed:      *seed,
-		IOTimeout: *ioTimeout,
-		Metrics:   reg,
+		Dataset: data,
+		Policy:  pol,
+		Encoder: simulator.EncoderKind(*encName),
+		Cipher:  ck,
+		Rate:    *rate,
+		Model:   energy.Default(),
+		Seed:    *seed,
+		Metrics: reg,
+	}
+	ctx := context.Background()
+	if *runTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *runTimeout)
+		defer cancel()
+	}
+	// The socket run is a one-sensor fleet.
+	fcfg := simulator.FleetConfig{
+		Base:         cfg,
+		Sensors:      *fleet,
+		DialTimeout:  *dialTimeout,
+		DialAttempts: *dialAttempts,
+		IOTimeout:    *ioTimeout,
 	}
 
 	switch {
 	case *fleet > 0:
-		runFleet(simulator.FleetConfig{
-			Base:         cfg,
-			Sensors:      *fleet,
-			DialTimeout:  *dialTimeout,
-			DialAttempts: *dialAttempts,
-			IOTimeout:    *ioTimeout,
-			Timeout:      *runTimeout,
-		}, *dsName, *encName)
+		runFleet(ctx, fcfg, *dsName, *encName)
 	case *socket:
-		res, err := simulator.RunOverSocket(cfg)
+		fcfg.Sensors = 1
+		res, err := simulator.RunFleetContext(ctx, fcfg)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("socket run: %s / %s / %s @ %.0f%%\n", *dsName, *polName, *encName, *rate*100)
-		fmt.Printf("MAE: %.4f\n", res.MAE)
+		fmt.Printf("MAE: %.4f\n", res.PerSensorMAE[0])
 		printSizes(res.SizesByLabel, *dsName)
 	default:
-		res, err := simulator.Run(cfg)
+		res, err := simulator.RunContext(ctx, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -143,9 +151,9 @@ func main() {
 // runFleet drives N concurrent sensors against one server over real TCP
 // loopback connections and reports per-sensor delivery alongside the pooled
 // attacker view. Per-sensor failures degrade the run; only setup errors,
-// full-fleet failure, or a run timeout abort it.
-func runFleet(fcfg simulator.FleetConfig, dsName, encName string) {
-	res, err := simulator.RunFleet(fcfg)
+// full-fleet failure, or ctx's deadline abort it.
+func runFleet(ctx context.Context, fcfg simulator.FleetConfig, dsName, encName string) {
+	res, err := simulator.RunFleetContext(ctx, fcfg)
 	if err != nil {
 		if res == nil {
 			log.Fatal(err)

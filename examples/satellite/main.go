@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -43,7 +44,7 @@ func main() {
 			{"age", age.NewLinearPolicy(fit.Threshold), age.EncAGE},
 		}
 		for _, c := range cases {
-			res, err := age.Simulate(age.SimulationConfig{
+			res, err := age.SimulateContext(context.Background(), age.SimulationConfig{
 				Dataset: data,
 				Policy:  c.policy,
 				Encoder: c.encoder,
@@ -71,18 +72,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sock, err := age.SimulateOverSocket(age.SimulationConfig{
-		Dataset:   data,
-		Policy:    age.NewLinearPolicy(fit.Threshold),
-		Encoder:   age.EncAGE,
-		Cipher:    age.AES128,
-		Rate:      0.7,
-		Model:     age.DefaultEnergyModel(),
-		Seed:      3,
+	sock, err := age.SimulateFleetContext(context.Background(), age.FleetConfig{
+		Base: age.SimulationConfig{
+			Dataset: data,
+			Policy:  age.NewLinearPolicy(fit.Threshold),
+			Encoder: age.EncAGE,
+			Cipher:  age.AES128,
+			Rate:    0.7,
+			Model:   age.DefaultEnergyModel(),
+			Seed:    3,
+		},
+		Sensors:   1,
 		IOTimeout: 2 * time.Second,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\ntransport check (TCP loopback, 2s frame deadline): AGE @ 70%% MAE %.3f\n", sock.MAE)
+	fmt.Printf("\ntransport check (TCP loopback, 2s frame deadline): AGE @ 70%% MAE %.3f\n", sock.PerSensorMAE[0])
 }

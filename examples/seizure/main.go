@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -30,7 +31,7 @@ func main() {
 
 	fmt.Println("seizure detection from encrypted message sizes (Linear policy @ 70%)")
 	for _, enc := range []age.EncoderKind{age.EncStandard, age.EncAGE} {
-		res, err := age.Simulate(age.SimulationConfig{
+		res, err := age.SimulateContext(context.Background(), age.SimulationConfig{
 			Dataset: data,
 			Policy:  age.NewLinearPolicy(fit.Threshold),
 			Encoder: enc,

@@ -7,8 +7,10 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"time"
 
 	age "repro"
 )
@@ -40,13 +42,16 @@ func main() {
 			Model:   age.DefaultEnergyModel(),
 			Seed:    1,
 		}
-		// Sensor goroutine -> TCP socket -> server goroutine.
-		res, err := age.SimulateOverSocket(cfg)
+		// Sensor goroutine -> TCP socket -> server goroutine: a one-sensor
+		// fleet, every frame under a read/write deadline.
+		res, err := age.SimulateFleetContext(context.Background(), age.FleetConfig{
+			Base: cfg, Sensors: 1, IOTimeout: 5 * time.Second,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
 
-		fmt.Printf("[%s] server-side reconstruction MAE: %.4f\n", enc, res.MAE)
+		fmt.Printf("[%s] server-side reconstruction MAE: %.4f\n", enc, res.PerSensorMAE[0])
 		fmt.Printf("  eavesdropper's view (wire bytes per activity):\n")
 		var labels, sizes []int
 		for l := 0; l < data.Meta.NumLabels; l++ {

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -31,7 +32,7 @@ func main() {
 
 	const herd = 8
 	for _, enc := range []age.EncoderKind{age.EncStandard, age.EncAGE} {
-		res, err := age.SimulateFleet(age.FleetConfig{
+		res, err := age.SimulateFleetContext(context.Background(), age.FleetConfig{
 			Base: age.SimulationConfig{
 				Dataset: data,
 				Policy:  age.NewLinearPolicy(fit.Threshold),
@@ -79,7 +80,7 @@ func main() {
 	// dies mid-stream. The run degrades — surviving collars deliver and the
 	// base station reports exactly which collars went dark and why.
 	fmt.Println("\nfault injection: collar 2 never dials, collar 5 dies after 1 batch")
-	res, err := age.SimulateFleet(age.FleetConfig{
+	res, err := age.SimulateFleetContext(context.Background(), age.FleetConfig{
 		Base: age.SimulationConfig{
 			Dataset: data,
 			Policy:  age.NewLinearPolicy(fit.Threshold),

@@ -27,6 +27,10 @@ const (
 	defaultLoadFactor = 1.25
 	defaultMaxConns   = 4096
 	defaultIOTimeout  = 5 * time.Second
+	// maxRejecters bounds the goroutines that answer over-MaxConns
+	// connections with a typed reject, as the ingest server bounds its
+	// shed path; past it, overflow connections are closed outright.
+	maxRejecters = 32
 	// defaultSessionTTL mirrors the ingest server's registry default; the
 	// cluster pushes one TTL into every node so the locator and the node
 	// registries expire entries on the same schedule.
@@ -213,6 +217,7 @@ type Cluster struct {
 
 	conns     map[net.Conn]struct{} // live gateway-side conns, severed on Close
 	connSem   chan struct{}
+	rejectSem chan struct{}
 	activeCnt atomic.Int64
 
 	acceptWG sync.WaitGroup
@@ -227,12 +232,13 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	cfg = cfg.withDefaults()
 	c := &Cluster{
-		cfg:     cfg,
-		m:       newClusterMetrics(cfg.Metrics),
-		ring:    newRing(cfg.Replicas),
-		locator: map[int]*locEntry{},
-		conns:   map[net.Conn]struct{}{},
-		connSem: make(chan struct{}, cfg.MaxConns),
+		cfg:       cfg,
+		m:         newClusterMetrics(cfg.Metrics),
+		ring:      newRing(cfg.Replicas),
+		locator:   map[int]*locEntry{},
+		conns:     map[net.Conn]struct{}{},
+		connSem:   make(chan struct{}, cfg.MaxConns),
+		rejectSem: make(chan struct{}, maxRejecters),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		if _, err := c.buildNode(); err != nil {
@@ -403,14 +409,7 @@ func (c *Cluster) acceptLoop(ln net.Listener) {
 		select {
 		case c.connSem <- struct{}{}:
 		default:
-			// Past the connection bound: answer the hello with the same
-			// transient overload reject the nodes use and move on.
-			c.m.rejected.Inc()
-			c.connWG.Add(1)
-			go func() {
-				defer c.connWG.Done()
-				c.rejectConn(conn, ingest.StatusOverloaded)
-			}()
+			c.reject(conn)
 			continue
 		}
 		if !c.track(conn) {
@@ -446,18 +445,31 @@ func (c *Cluster) untrack(conn net.Conn) {
 	c.activeCnt.Add(-1)
 }
 
-// rejectConn consumes the hello (the reject ack is only valid after it)
-// and answers with a typed reject. conn is not tracked.
-func (c *Cluster) rejectConn(conn net.Conn, st ingest.Status) {
-	defer conn.Close()
-	timeout := c.cfg.IOTimeout
-	if timeout > time.Second {
-		timeout = time.Second
-	}
-	if _, err := ingest.ReadHello(conn, timeout); err != nil {
+// reject turns away a connection past the MaxConns bound. Under the
+// rejecter bound it answers the hello with the same transient overload
+// reject the nodes use; past that bound it closes the connection outright,
+// so a flood of overflow connections costs at most maxRejecters goroutines.
+func (c *Cluster) reject(conn net.Conn) {
+	c.m.rejected.Inc()
+	select {
+	case c.rejectSem <- struct{}{}:
+	default:
+		conn.Close()
 		return
 	}
-	ingest.WriteReject(conn, st, timeout)
+	c.connWG.Add(1)
+	go func() {
+		defer c.connWG.Done()
+		defer func() { <-c.rejectSem }()
+		defer conn.Close()
+		// The reject ack is only valid after the hello, so consume it
+		// first. conn is not tracked.
+		timeout := min(c.cfg.IOTimeout, time.Second)
+		if _, err := ingest.ReadHello(conn, timeout); err != nil {
+			return
+		}
+		ingest.WriteReject(conn, ingest.StatusOverloaded, timeout)
+	}()
 }
 
 // serveConn routes one sensor connection: read the hello, route, hand the
@@ -601,22 +613,26 @@ func (c *Cluster) withinBoundLocked(id int) bool {
 	return c.loads[id] <= int(math.Ceil(c.cfg.LoadFactor*float64(total)/float64(live)))
 }
 
-// migrateLocked hands a sensor's session off src to dst: ingest registry
-// state (resume index, completion) plus the staged cursor when both nodes
-// carry a cursor store. Reports false when src no longer holds usable
-// state — evicted, expired, or claimed by a racing connection.
+// migrateLocked hands a sensor's session off src to dst. Reports false
+// when src no longer holds usable state — evicted, expired, or claimed by a
+// racing connection — or dst refuses it (see adoptLocked).
 func (c *Cluster) migrateLocked(sensorID int, src, dst *node) bool {
 	st, ok := src.srv.ExportSession(sensorID)
-	if !ok {
-		return false
-	}
-	if err := dst.srv.ImportSession(st); err != nil {
-		// A racing connection claimed the sensor on dst; its server-side
-		// resume handshake already owns the truth. Drop our copy.
+	return ok && c.adoptLocked(st, src, dst)
+}
+
+// adoptLocked imports a session exported from src into dst: ingest
+// registry state (resume index, completion) plus the staged cursor when
+// both nodes carry a cursor store. It is the one session-adoption path,
+// shared by live migration and node drain. Reports false when a racing
+// connection already claimed the sensor on dst; its server-side resume
+// handshake owns the truth, so the exported copy is dropped.
+func (c *Cluster) adoptLocked(st ingest.SessionState, src, dst *node) bool {
+	if dst.srv.ImportSession(st) != nil {
 		return false
 	}
 	if src.cursors != nil && dst.cursors != nil {
-		if cur, ok := src.cursors.ExportCursor(sensorID); ok {
+		if cur, ok := src.cursors.ExportCursor(st.SensorID); ok {
 			dst.cursors.ImportCursor(cur)
 		}
 	}
@@ -749,16 +765,9 @@ func (c *Cluster) DrainNode(ctx context.Context, id int) error {
 		if !ok {
 			break // no live node left; state stays on the drained server
 		}
-		dst := c.nodes[target]
-		if dst.srv.ImportSession(st) != nil {
+		if !c.adoptLocked(st, n, c.nodes[target]) {
 			continue
 		}
-		if n.cursors != nil && dst.cursors != nil {
-			if cur, ok := n.cursors.ExportCursor(st.SensorID); ok {
-				dst.cursors.ImportCursor(cur)
-			}
-		}
-		c.m.migrations.Inc()
 		e := c.locator[st.SensorID]
 		if e == nil || e.node == id {
 			c.putEntryLocked(st.SensorID, &locEntry{node: target, done: st.Done, idleSince: c.cfg.Clock()})

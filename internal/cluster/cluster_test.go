@@ -987,3 +987,61 @@ func TestHandoffShedAtQueueBound(t *testing.T) {
 		t.Errorf("cluster.node_dial_failures = %d, want 0: shedding is not refusing", got)
 	}
 }
+
+// TestGatewayOverflowRejectsAreBounded: past MaxConns the gateway answers
+// an overflow connection's hello with StatusOverloaded, but a flood of
+// silent overflow connections must not hold one goroutine each. At most
+// maxRejecters of them wait for a hello; the rest are closed at once and
+// still count as cluster.rejected.
+func TestGatewayOverflowRejectsAreBounded(t *testing.T) {
+	const flood = 200
+	reg := metrics.NewRegistry()
+	// The node starts its workers asynchronously; one worker keeps a late
+	// start inside the slack of the goroutine count below.
+	c := startCluster(t, Config{
+		Nodes: 1,
+		Node: NodeSpec{Server: ingest.ServerConfig{
+			Handler: newRecHandler(0, 2), Shards: 1, WorkersPerShard: 1,
+		}},
+		MaxConns:  1,
+		IOTimeout: 10 * time.Second,
+		Metrics:   reg,
+	})
+	gw := c.Addr().String()
+	rejected := reg.Counter("cluster.rejected")
+
+	// A silent connection holds the only slot.
+	holder, err := net.Dial("tcp", gw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer holder.Close()
+	waitFor(t, "the holder to take the slot", func() bool { return c.activeCnt.Load() == 1 })
+
+	// An overflow connection that sends its hello gets the typed reject.
+	conn, st := rawHello(t, gw, 7)
+	conn.Close()
+	if st != ingest.StatusOverloaded {
+		t.Fatalf("overflow hello status = %v, want overloaded", st)
+	}
+	waitFor(t, "the first reject", func() bool { return rejected.Value() == 1 })
+
+	base := runtime.NumGoroutine()
+	conns := make([]net.Conn, 0, flood)
+	defer func() {
+		for _, conn := range conns {
+			conn.Close()
+		}
+	}()
+	for i := 0; i < flood; i++ {
+		conn, err := net.Dial("tcp", gw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns = append(conns, conn)
+	}
+	waitFor(t, "the flood's rejects", func() bool { return rejected.Value() == 1+flood })
+	if extra := runtime.NumGoroutine() - base; extra > maxRejecters+8 {
+		t.Errorf("%d silent overflow connections hold %d extra goroutines, want at most %d", flood, extra, maxRejecters+8)
+	}
+}

@@ -222,7 +222,7 @@ func BufferedDefense(ctx context.Context, cfg Config, name string) (*BufferedRes
 	}
 	res.MAE = acc.MAE()
 
-	ageRun, err := w.RunCell("linear", simulator.EncAGE, rate, simulator.ModeSimulation)
+	ageRun, err := w.RunCell(ctx, "linear", simulator.EncAGE, rate, simulator.ModeSimulation)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -224,12 +225,13 @@ func (w *Workload) skipPolicy(rate float64) (*policy.SkipRNN, error) {
 }
 
 // RunCell executes one (policy, encoder, rate) simulation on the workload.
-func (w *Workload) RunCell(policyKind string, enc simulator.EncoderKind, rate float64, mode simulator.Mode) (*simulator.RunResult, error) {
+// A cancelled ctx stops the run between sequences.
+func (w *Workload) RunCell(ctx context.Context, policyKind string, enc simulator.EncoderKind, rate float64, mode simulator.Mode) (*simulator.RunResult, error) {
 	p, err := w.PolicyAt(policyKind, rate)
 	if err != nil {
 		return nil, err
 	}
-	return simulator.Run(simulator.RunConfig{
+	return simulator.RunContext(ctx, simulator.RunConfig{
 		Dataset: w.Data,
 		Policy:  p,
 		Encoder: enc,

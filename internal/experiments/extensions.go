@@ -81,7 +81,7 @@ func InferenceUtility(ctx context.Context, cfg Config, name string, rate float64
 		if err != nil {
 			return err
 		}
-		run, err := simulator.Run(simulator.RunConfig{
+		run, err := simulator.RunContext(ctx, simulator.RunConfig{
 			Dataset: testData, Policy: p, Encoder: enc, Cipher: cfg.Cipher,
 			Rate: rate, Model: energy.Default(), Seed: cfg.Seed, KeepRecons: true,
 		})
@@ -177,7 +177,7 @@ func MultiEvent(ctx context.Context, cfg Config) (*MultiEventResult, error) {
 		if err != nil {
 			return err
 		}
-		run, err := simulator.Run(simulator.RunConfig{
+		run, err := simulator.RunContext(ctx, simulator.RunConfig{
 			Dataset: paired, Policy: p, Encoder: encoders[i], Cipher: cfg.Cipher,
 			Rate: rate, Model: energy.Default(), Seed: cfg.Seed,
 		})
@@ -275,7 +275,7 @@ func ablate(ctx context.Context, cfg Config, name, param string, values []int, a
 			Cipher: cfg.Cipher, Rate: k.rate, Model: energy.Default(), Seed: cfg.Seed,
 		}
 		apply(&rc, k.value)
-		run, err := simulator.Run(rc)
+		run, err := simulator.RunContext(ctx, rc)
 		if err != nil {
 			return err
 		}

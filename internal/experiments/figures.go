@@ -152,7 +152,7 @@ func Figure5(ctx context.Context, cfg Config) (*Figure5Result, error) {
 	err = cfg.sweep(ctx, labels, func(ctx context.Context, i int) error {
 		k := keys[i]
 		pk, enc := columnSpec(k.col)
-		run, err := w.RunCell(pk, enc, k.rate, simulator.ModeSimulation)
+		run, err := w.RunCell(ctx, pk, enc, k.rate, simulator.ModeSimulation)
 		if err != nil {
 			return err
 		}
@@ -225,7 +225,7 @@ func Figure6(ctx context.Context, cfg Config, datasets []string) (*Figure6Result
 		k := keys[i]
 		w := ws[k.name]
 		pk, enc := columnSpec(k.col)
-		run, err := w.RunCell(pk, enc, k.rate, simulator.ModeSimulation)
+		run, err := w.RunCell(ctx, pk, enc, k.rate, simulator.ModeSimulation)
 		if err != nil {
 			return err
 		}
@@ -294,7 +294,7 @@ func Figure7(ctx context.Context, cfg Config) (*Figure7Result, error) {
 	}
 	out := make([]cellOut, len(encoders))
 	err = cfg.sweep(ctx, labels, func(ctx context.Context, i int) error {
-		run, err := w.RunCell("linear", encoders[i], rate, simulator.ModeSimulation)
+		run, err := w.RunCell(ctx, "linear", encoders[i], rate, simulator.ModeSimulation)
 		if err != nil {
 			return err
 		}

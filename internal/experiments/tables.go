@@ -61,7 +61,7 @@ func Table1(ctx context.Context, cfg Config) (*Table1Result, error) {
 		labels[i] = fmt.Sprintf("table1/%s@%g", pk, rate)
 	}
 	err = cfg.sweep(ctx, labels, func(ctx context.Context, i int) error {
-		run, err := w.RunCell(res.Policies[i], simulator.EncStandard, rate, simulator.ModeSimulation)
+		run, err := w.RunCell(ctx, res.Policies[i], simulator.EncStandard, rate, simulator.ModeSimulation)
 		if err != nil {
 			return err
 		}
@@ -167,7 +167,7 @@ func RunErrorSweep(ctx context.Context, cfg Config, datasets []string) (*ErrorSw
 	err = cfg.sweep(ctx, labels, func(ctx context.Context, i int) error {
 		k := keys[i]
 		pk, enc := columnSpec(k.col)
-		run, err := ws[k.name].RunCell(pk, enc, k.rate, simulator.ModeSimulation)
+		run, err := ws[k.name].RunCell(ctx, pk, enc, k.rate, simulator.ModeSimulation)
 		if err != nil {
 			return fmt.Errorf("experiments: %s/%s@%g: %w", k.name, k.col, k.rate, err)
 		}
@@ -309,7 +309,7 @@ func Table6(ctx context.Context, cfg Config, datasets []string) (*Table6Result, 
 	out := make([]cellOut, len(keys))
 	err = cfg.sweep(ctx, labels, func(ctx context.Context, i int) error {
 		k := keys[i]
-		run, err := ws[k.name].RunCell(k.pk, k.enc, k.rate, simulator.ModeSimulation)
+		run, err := ws[k.name].RunCell(ctx, k.pk, k.enc, k.rate, simulator.ModeSimulation)
 		if err != nil {
 			return err
 		}
@@ -392,7 +392,7 @@ func Table7(ctx context.Context, cfg Config, datasets []string) ([]Table7Row, er
 	err = cfg.sweep(ctx, labels, func(ctx context.Context, i int) error {
 		k := keys[i]
 		w := ws[k.name]
-		run, err := w.RunCell("skiprnn", k.enc, k.rate, simulator.ModeSimulation)
+		run, err := w.RunCell(ctx, "skiprnn", k.enc, k.rate, simulator.ModeSimulation)
 		if err != nil {
 			return err
 		}
@@ -475,7 +475,7 @@ func Table8(ctx context.Context, cfg Config, datasets []string) (*Table8Result, 
 	err = cfg.sweep(ctx, labels, func(ctx context.Context, i int) error {
 		k := keys[i]
 		w := ws[k.name]
-		base, err := w.RunCell(k.pk, simulator.EncAGE, k.rate, simulator.ModeSimulation)
+		base, err := w.RunCell(ctx, k.pk, simulator.EncAGE, k.rate, simulator.ModeSimulation)
 		if err != nil {
 			return err
 		}
@@ -484,7 +484,7 @@ func Table8(ctx context.Context, cfg Config, datasets []string) (*Table8Result, 
 		}
 		c := cellOut{valid: true}
 		for vi, v := range variants {
-			run, err := w.RunCell(k.pk, v, k.rate, simulator.ModeSimulation)
+			run, err := w.RunCell(ctx, k.pk, v, k.rate, simulator.ModeSimulation)
 			if err != nil {
 				return err
 			}
@@ -576,7 +576,7 @@ func TableMCU(ctx context.Context, cfg Config, name string) (*MCUResult, error) 
 	err = mcuCfg.sweep(ctx, labels, func(ctx context.Context, i int) error {
 		k := keys[i]
 		pk, enc := columnSpec(k.col)
-		run, err := w.RunCell(pk, enc, k.rate, simulator.ModeMCU)
+		run, err := w.RunCell(ctx, pk, enc, k.rate, simulator.ModeMCU)
 		if err != nil {
 			return err
 		}

@@ -20,8 +20,10 @@ import (
 // the server demultiplexes by a cleartext sensor id, which is realistic
 // (radio MACs identify senders) and is what lets the attacker attribute
 // messages to sensors, an assumption the threat model makes explicitly
-// (§3.1). RunFleet drives every sensor concurrently over its own real TCP
-// connection and aggregates the eavesdropper's view across the fleet.
+// (§3.1). RunFleetContext drives every sensor concurrently over its own
+// real TCP connection and aggregates the eavesdropper's view across the
+// fleet. A one-sensor fleet is the paper's single sensor/server socket
+// testbed.
 //
 // The transport is the ingest package: the base station is an
 // ingest.Server (sharded accept loops, bounded queues, typed backpressure,
@@ -55,7 +57,8 @@ type FleetConfig struct {
 
 	// The transport knobs below are passed to each sensor's
 	// ingest.ClientConfig (IOTimeout also to the ingest.ServerConfig);
-	// zero values select the ingest defaults, quoted here.
+	// zero values select the ingest defaults, quoted here. The caller's
+	// context bounds the whole run.
 
 	// DialTimeout bounds a single TCP connect attempt (default 2s).
 	DialTimeout time.Duration
@@ -68,19 +71,12 @@ type FleetConfig struct {
 	// link (default 5s). A peer that stalls longer than this fails its own
 	// status instead of hanging the run.
 	IOTimeout time.Duration
-	// WriteAttempts bounds per-frame write retries: a frame write that
-	// times out without transmitting is retried up to WriteAttempts times
-	// in total (default 2). Non-timeout errors are never retried.
-	WriteAttempts int
 	// ReconnectAttempts is how many times a sensor may redial and resume
 	// after a transport failure mid-stream (default 0: a dropped link fails
 	// the sensor, the pre-resume behavior). Injected sensor faults
 	// (NeverDial, DieAfterFrames, StallAfterFrames) are never resumed — a
 	// dead node stays dead.
 	ReconnectAttempts int
-	// Timeout, when nonzero, bounds the whole run; on expiry the run is
-	// cancelled and RunFleet returns the partial result with an error.
-	Timeout time.Duration
 
 	// Faults injects transport failures for resilience testing (nil = none).
 	Faults *FleetFaults
@@ -245,21 +241,16 @@ func (r *FleetResult) MeanAoIMicros() float64 {
 // be set before the run starts and not mutated during it.
 var fleetFrameHook func(sensorID int, msg []byte)
 
-// RunFleet partitions the configured dataset across n concurrent sensors,
-// each streaming encrypted frames over its own TCP loopback connection to an
-// ingest.Server, and returns the pooled attacker view plus per-sensor
-// status. Individual sensor failures degrade the result (see
-// FleetResult.Sensors) rather than aborting the run; RunFleet returns a
-// non-nil error only for setup failures, run cancellation, or a fleet in
-// which every sensor failed.
-func RunFleet(cfg FleetConfig) (*FleetResult, error) {
-	return RunFleetContext(context.Background(), cfg)
-}
-
-// RunFleetContext is RunFleet under a caller-supplied context. Cancelling
-// the context hard-closes the server (listener and every live connection)
-// and aborts every sensor, unblocking all goroutines; the partial result
-// gathered so far is returned with the context's error.
+// RunFleetContext partitions the configured dataset across n concurrent
+// sensors, each streaming encrypted frames over its own TCP loopback
+// connection to an ingest.Server, and returns the pooled attacker view plus
+// per-sensor status. Individual sensor failures degrade the result (see
+// FleetResult.Sensors) rather than aborting the run; it returns a non-nil
+// error only for setup failures, run cancellation, or a fleet in which
+// every sensor failed. Cancelling ctx (or its deadline expiring)
+// hard-closes the server (listener and every live connection) and aborts
+// every sensor, unblocking all goroutines; the partial result gathered so
+// far is returned with an error wrapping the context's.
 func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 	n := cfg.Sensors
 	if n < 1 {
@@ -323,17 +314,12 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	}
 	addr := srv.Addr().String()
 
-	var cancel context.CancelFunc
-	if cfg.Timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
-	}
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve() }()
-	// Cancellation (parent context or Timeout expiry) hard-closes the
+	// Cancellation (the caller's cancel or deadline) hard-closes the
 	// server — listener and every live connection — so no server-side
 	// read or write outlives the run. Sensor-side connections are closed
 	// by the client's own context watchdog.
@@ -605,7 +591,6 @@ func runFleetSensor(ctx context.Context, sensorID int, addr string, cfg FleetCon
 		DialAttempts:      cfg.DialAttempts,
 		DialBackoff:       cfg.DialBackoff,
 		IOTimeout:         cfg.IOTimeout,
-		WriteAttempts:     cfg.WriteAttempts,
 		ReconnectAttempts: cfg.ReconnectAttempts,
 		Metrics:           cfg.Base.Metrics,
 	}

@@ -1,6 +1,7 @@
 package simulator
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -19,7 +20,7 @@ func TestFleetMetricsHealthyRun(t *testing.T) {
 	cfg := fleetConfig(t, EncAGE, 4)
 	reg := metrics.NewRegistry()
 	cfg.Base.Metrics = reg
-	res, err := RunFleet(cfg)
+	res, err := RunFleetContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestFleetMetricsIndependentOfData(t *testing.T) {
 			},
 			Sensors: 4,
 		}
-		if _, err := RunFleet(cfg); err != nil {
+		if _, err := RunFleetContext(context.Background(), cfg); err != nil {
 			t.Fatal(err)
 		}
 		return reg.Snapshot()
@@ -143,7 +144,7 @@ func TestFleetMetricsMatchFaultSchedule(t *testing.T) {
 	})
 	reg := metrics.NewRegistry()
 	cfg.Base.Metrics = reg
-	res, err := runBounded(t, cfg)
+	res, err := runBounded(t, context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestFleetReconnectResumesWithDistinctNonces(t *testing.T) {
 	}
 	defer func() { fleetFrameHook = nil }()
 
-	res, err := runBounded(t, cfg)
+	res, err := runBounded(t, context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,11 +264,11 @@ func TestFleetReconnectMatchesUndisturbedRun(t *testing.T) {
 			Faults:            faults,
 		}
 	}
-	clean, err := runBounded(t, build(nil))
+	clean, err := runBounded(t, context.Background(), build(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty, err := runBounded(t, build(&FleetFaults{ServerCloseAfterFrames: map[int]int{1: 1}}))
+	faulty, err := runBounded(t, context.Background(), build(&FleetFaults{ServerCloseAfterFrames: map[int]int{1: 1}}))
 	if err != nil {
 		t.Fatal(err)
 	}

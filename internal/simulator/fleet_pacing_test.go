@@ -1,6 +1,7 @@
 package simulator
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -41,7 +42,7 @@ func TestFleetPacingDeliveryIdentity(t *testing.T) {
 	// per-label delivered-frame tallies must match the unpaced run exactly,
 	// and the wire sizes may differ only by the 1-byte in-payload marker.
 	const sensors = 3
-	base, err := runBounded(t, pacedFleetConfig(t, sensors, FleetPacing{}))
+	base, err := runBounded(t, context.Background(), pacedFleetConfig(t, sensors, FleetPacing{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestFleetPacingDeliveryIdentity(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tap := &countingTap{}
 			tc.pacing.Observer = tap.observe
-			res, err := runBounded(t, pacedFleetConfig(t, sensors, tc.pacing))
+			res, err := runBounded(t, context.Background(), pacedFleetConfig(t, sensors, tc.pacing))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,7 +147,7 @@ func TestFleetPacedDummiesMatchRealSize(t *testing.T) {
 				}
 				reg := metrics.NewRegistry()
 				cfg.Base.Metrics = reg
-				res, err := runBounded(t, cfg)
+				res, err := runBounded(t, context.Background(), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -167,12 +168,12 @@ func TestFleetPacingOffIsByteIdenticalWithObserver(t *testing.T) {
 	// An Observer alone (no pacing mode) must not perturb results: it is
 	// observation-only, like the metrics registry.
 	const sensors = 2
-	base, err := runBounded(t, pacedFleetConfig(t, sensors, FleetPacing{}))
+	base, err := runBounded(t, context.Background(), pacedFleetConfig(t, sensors, FleetPacing{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	tap := &countingTap{}
-	res, err := runBounded(t, pacedFleetConfig(t, sensors, FleetPacing{Observer: tap.observe}))
+	res, err := runBounded(t, context.Background(), pacedFleetConfig(t, sensors, FleetPacing{Observer: tap.observe}))
 	if err != nil {
 		t.Fatal(err)
 	}

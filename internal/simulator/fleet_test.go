@@ -2,6 +2,7 @@ package simulator
 
 import (
 	"context"
+	"errors"
 	"sort"
 	"strings"
 	"testing"
@@ -31,7 +32,7 @@ func fleetConfig(t *testing.T, enc EncoderKind, sensors int) FleetConfig {
 
 func TestFleetDeliversEverything(t *testing.T) {
 	cfg := fleetConfig(t, EncAGE, 4)
-	res, err := RunFleet(cfg)
+	res, err := RunFleetContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,9 +70,9 @@ func fastFaultConfig(t *testing.T, sensors int, faults *FleetFaults) FleetConfig
 	return cfg
 }
 
-// runBounded fails the test if RunFleet does not return within the
-// acceptance deadline (a hang is exactly the bug this PR fixes).
-func runBounded(t *testing.T, cfg FleetConfig) (*FleetResult, error) {
+// runBounded fails the test if RunFleetContext does not return within the
+// acceptance deadline: a fleet run must never hang.
+func runBounded(t *testing.T, ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 	t.Helper()
 	type out struct {
 		res *FleetResult
@@ -79,14 +80,14 @@ func runBounded(t *testing.T, cfg FleetConfig) (*FleetResult, error) {
 	}
 	done := make(chan out, 1)
 	go func() {
-		res, err := RunFleet(cfg)
+		res, err := RunFleetContext(ctx, cfg)
 		done <- out{res, err}
 	}()
 	select {
 	case o := <-done:
 		return o.res, o.err
 	case <-time.After(5 * time.Second):
-		t.Fatal("RunFleet hung past the 5s acceptance deadline")
+		t.Fatal("RunFleetContext hung past the 5s acceptance deadline")
 		return nil, nil
 	}
 }
@@ -94,7 +95,7 @@ func runBounded(t *testing.T, cfg FleetConfig) (*FleetResult, error) {
 func TestFleetSensorDiesMidStream(t *testing.T) {
 	const victim = 1
 	cfg := fastFaultConfig(t, 4, &FleetFaults{DieAfterFrames: map[int]int{victim: 1}})
-	res, err := runBounded(t, cfg)
+	res, err := runBounded(t, context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("one dead sensor must degrade, not abort: %v", err)
 	}
@@ -129,7 +130,7 @@ func TestFleetSensorDiesMidStream(t *testing.T) {
 func TestFleetSensorNeverDials(t *testing.T) {
 	const ghost = 2
 	cfg := fastFaultConfig(t, 4, &FleetFaults{NeverDial: map[int]bool{ghost: true}})
-	res, err := runBounded(t, cfg)
+	res, err := runBounded(t, context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestFleetSensorNeverDials(t *testing.T) {
 func TestFleetSensorStallsReadDeadlineFires(t *testing.T) {
 	const quiet = 0
 	cfg := fastFaultConfig(t, 3, &FleetFaults{StallAfterFrames: map[int]int{quiet: 1}})
-	res, err := runBounded(t, cfg)
+	res, err := runBounded(t, context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestFleetSensorStallsReadDeadlineFires(t *testing.T) {
 func TestFleetServerClosesEarly(t *testing.T) {
 	const dropped = 0
 	cfg := fastFaultConfig(t, 3, &FleetFaults{ServerCloseAfterFrames: map[int]int{dropped: 1}})
-	res, err := runBounded(t, cfg)
+	res, err := runBounded(t, context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestFleetAllSensorsFailReturnsError(t *testing.T) {
 	cfg := fastFaultConfig(t, 3, &FleetFaults{
 		NeverDial: map[int]bool{0: true, 1: true, 2: true},
 	})
-	res, err := runBounded(t, cfg)
+	res, err := runBounded(t, context.Background(), cfg)
 	if err == nil {
 		t.Fatal("a fleet in which every sensor failed must surface an error")
 	}
@@ -210,13 +211,44 @@ func TestFleetContextCancellation(t *testing.T) {
 
 func TestFleetRunTimeout(t *testing.T) {
 	cfg := fastFaultConfig(t, 3, nil)
-	cfg.Timeout = time.Nanosecond
-	_, err := runBounded(t, cfg)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	_, err := runBounded(t, ctx, cfg)
 	if err == nil {
 		t.Fatal("an expired run deadline must produce an error")
 	}
 	if !strings.Contains(err.Error(), "cancelled") {
 		t.Errorf("timeout error %q not descriptive", err)
+	}
+}
+
+// TestFleetDeadlineExpiresMidRun: the caller's deadline is the only bound
+// on a fleet run. A stalled sensor keeps the run from finishing first, so
+// the deadline ends it mid-stream: the partial result comes back with what
+// was delivered, and the error wraps context.DeadlineExceeded.
+func TestFleetDeadlineExpiresMidRun(t *testing.T) {
+	cfg := fastFaultConfig(t, 3, &FleetFaults{StallAfterFrames: map[int]int{0: 1}})
+	// The stall lasts past two IO timeouts; the deadline falls well inside
+	// it, and before the server's read deadline could fail the sensor.
+	cfg.IOTimeout = 2 * time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
+	res, err := runBounded(t, ctx, cfg)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("error = %v, want one wrapping context.DeadlineExceeded", err)
+	}
+	if res == nil {
+		t.Fatal("no partial result returned with the deadline error")
+	}
+	delivered := 0
+	for _, st := range res.Sensors {
+		delivered += st.Delivered
+	}
+	if delivered == 0 || res.Messages != delivered {
+		t.Errorf("partial result delivered %d frames (Messages %d), want a nonzero matching count", delivered, res.Messages)
+	}
+	if st := res.Sensors[0]; st.Delivered != 1 {
+		t.Errorf("stalled sensor delivered %d frames, want the 1 sent before stalling", st.Delivered)
 	}
 }
 
@@ -232,7 +264,7 @@ func TestFleet200SensorsRace(t *testing.T) {
 		},
 		Sensors: 200,
 	}
-	res, err := runBounded(t, cfg)
+	res, err := runBounded(t, context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +284,7 @@ func TestFleet200SensorsRace(t *testing.T) {
 func TestFleetAGEZeroNMIAcrossSensors(t *testing.T) {
 	// The attacker pools observations across the whole fleet; AGE's
 	// protection must survive aggregation.
-	res, err := RunFleet(fleetConfig(t, EncAGE, 3))
+	res, err := RunFleetContext(context.Background(), fleetConfig(t, EncAGE, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +301,7 @@ func TestFleetAGEZeroNMIAcrossSensors(t *testing.T) {
 }
 
 func TestFleetStandardLeaksAcrossSensors(t *testing.T) {
-	res, err := RunFleet(fleetConfig(t, EncStandard, 3))
+	res, err := RunFleetContext(context.Background(), fleetConfig(t, EncStandard, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,11 +336,11 @@ func TestFleetKeysAreDistinct(t *testing.T) {
 
 func TestFleetErrors(t *testing.T) {
 	cfg := fleetConfig(t, EncAGE, 0)
-	if _, err := RunFleet(cfg); err == nil {
+	if _, err := RunFleetContext(context.Background(), cfg); err == nil {
 		t.Error("zero sensors accepted")
 	}
 	cfg = fleetConfig(t, EncAGE, 10000)
-	if _, err := RunFleet(cfg); err == nil {
+	if _, err := RunFleetContext(context.Background(), cfg); err == nil {
 		t.Error("fleet larger than dataset accepted")
 	}
 }
@@ -331,7 +363,7 @@ func TestFleetSingleSensorMatchesSocketPath(t *testing.T) {
 		},
 		Sensors: 1,
 	}
-	res, err := RunFleet(cfg)
+	res, err := RunFleetContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +381,7 @@ func TestFleetSingleSensorMatchesSocketPath(t *testing.T) {
 func TestFleetMatchesDirectPipeline(t *testing.T) {
 	const sensors = 4
 	cfg := fleetConfig(t, EncAGE, sensors)
-	res, err := runBounded(t, cfg)
+	res, err := runBounded(t, context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package simulator
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -39,7 +40,7 @@ func baseConfig(d *dataset.Dataset, p policy.Policy, enc EncoderKind, rate float
 
 func TestRunStandardVariesSizes(t *testing.T) {
 	d, p := fixture(t, 0.7)
-	res, err := Run(baseConfig(d, p, EncStandard, 0.7))
+	res, err := RunContext(context.Background(), baseConfig(d, p, EncStandard, 0.7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestRunStandardVariesSizes(t *testing.T) {
 
 func TestRunAGEFixedSizes(t *testing.T) {
 	d, p := fixture(t, 0.7)
-	res, err := Run(baseConfig(d, p, EncAGE, 0.7))
+	res, err := RunContext(context.Background(), baseConfig(d, p, EncAGE, 0.7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestRunAGEFixedSizes(t *testing.T) {
 
 func TestRunStandardLeaks(t *testing.T) {
 	d, p := fixture(t, 0.7)
-	res, err := Run(baseConfig(d, p, EncStandard, 0.7))
+	res, err := RunContext(context.Background(), baseConfig(d, p, EncStandard, 0.7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestRunStandardLeaks(t *testing.T) {
 
 func TestRunAGEWithinBudget(t *testing.T) {
 	d, p := fixture(t, 0.5)
-	res, err := Run(baseConfig(d, p, EncAGE, 0.5))
+	res, err := RunContext(context.Background(), baseConfig(d, p, EncAGE, 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestRunAGEWithinBudget(t *testing.T) {
 
 func TestRunPaddedViolatesTightBudget(t *testing.T) {
 	d, p := fixture(t, 0.3)
-	res, err := Run(baseConfig(d, p, EncPadded, 0.3))
+	res, err := RunContext(context.Background(), baseConfig(d, p, EncPadded, 0.3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestRunPaddedViolatesTightBudget(t *testing.T) {
 		t.Error("padded policy never violated a 30% budget; padding overhead should exceed it")
 	}
 	// And its error should be far worse than AGE's under the same budget.
-	ageRes, err := Run(baseConfig(d, p, EncAGE, 0.3))
+	ageRes, err := RunContext(context.Background(), baseConfig(d, p, EncAGE, 0.3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestRunPaddedViolatesTightBudget(t *testing.T) {
 func TestRunUniformZeroNMI(t *testing.T) {
 	d, _ := fixture(t, 0.7)
 	cfg := baseConfig(d, policy.NewUniform(0.7), EncStandard, 0.7)
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestRunMCUModeKeepsRunning(t *testing.T) {
 	d, p := fixture(t, 0.3)
 	cfg := baseConfig(d, p, EncPadded, 0.3)
 	cfg.Mode = ModeMCU
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestRunBlockCipher(t *testing.T) {
 	d, p := fixture(t, 0.7)
 	cfg := baseConfig(d, p, EncAGE, 0.7)
 	cfg.Cipher = seccomm.AES128Block
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,18 +211,18 @@ func TestRunBlockCipher(t *testing.T) {
 func TestRunRejectsEmptyDataset(t *testing.T) {
 	_, p := fixture(t, 0.5)
 	cfg := baseConfig(&dataset.Dataset{}, p, EncAGE, 0.5)
-	if _, err := Run(cfg); err == nil {
+	if _, err := RunContext(context.Background(), cfg); err == nil {
 		t.Error("empty dataset accepted")
 	}
 }
 
 func TestRunDeterministic(t *testing.T) {
 	d, p := fixture(t, 0.6)
-	a, err := Run(baseConfig(d, p, EncAGE, 0.6))
+	a, err := RunContext(context.Background(), baseConfig(d, p, EncAGE, 0.6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(baseConfig(d, p, EncAGE, 0.6))
+	b, err := RunContext(context.Background(), baseConfig(d, p, EncAGE, 0.6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestVariantsErrorOrdering(t *testing.T) {
 	d, p := fixture(t, 0.4)
 	mae := map[EncoderKind]float64{}
 	for _, enc := range []EncoderKind{EncAGE, EncSingle, EncPruned} {
-		res, err := Run(baseConfig(d, p, enc, 0.4))
+		res, err := RunContext(context.Background(), baseConfig(d, p, enc, 0.4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,12 +269,13 @@ func TestRandomGuessMAE(t *testing.T) {
 func TestRunOverSocketMatchesInProcess(t *testing.T) {
 	d, p := fixture(t, 0.7)
 	cfg := baseConfig(d, p, EncAGE, 0.7)
-	sock, err := RunOverSocket(cfg)
+	// The socket testbed is a one-sensor fleet.
+	sock, err := RunFleetContext(context.Background(), FleetConfig{Base: cfg, Sensors: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sock.MAE <= 0 {
-		t.Errorf("socket MAE = %g", sock.MAE)
+	if sock.PerSensorMAE[0] <= 0 {
+		t.Errorf("socket MAE = %g", sock.PerSensorMAE[0])
 	}
 	// AGE sizes over the socket are fixed too.
 	var size int
@@ -290,7 +292,7 @@ func TestRunOverSocketMatchesInProcess(t *testing.T) {
 
 	// Under a random policy the sampling stream decides the result, so these
 	// cases pin that the socket sensor draws from the same replayable
-	// stream as Run, and builds the same codec (the MinWidth override
+	// stream as RunContext, and builds the same codec (the MinWidth override
 	// included): equal MAE bit for bit and equal attacker views.
 	for _, c := range []struct {
 		rate     float64
@@ -299,19 +301,19 @@ func TestRunOverSocketMatchesInProcess(t *testing.T) {
 		rcfg := baseConfig(d, policy.NewRandom(0.6), EncAGE, c.rate)
 		rcfg.Mode = ModeMCU
 		rcfg.MinWidth = c.minWidth
-		run, err := Run(rcfg)
+		run, err := RunContext(context.Background(), rcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if run.Violations != 0 {
 			t.Fatalf("MinWidth %d: in-process run has %d budget violations; the comparison needs 0", c.minWidth, run.Violations)
 		}
-		rsock, err := RunOverSocket(rcfg)
+		rsock, err := RunFleetContext(context.Background(), FleetConfig{Base: rcfg, Sensors: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Float64bits(rsock.MAE) != math.Float64bits(run.MAE) {
-			t.Errorf("MinWidth %d: socket MAE %.17g, in-process MAE %.17g", c.minWidth, rsock.MAE, run.MAE)
+		if math.Float64bits(rsock.PerSensorMAE[0]) != math.Float64bits(run.MAE) {
+			t.Errorf("MinWidth %d: socket MAE %.17g, in-process MAE %.17g", c.minWidth, rsock.PerSensorMAE[0], run.MAE)
 		}
 		if !reflect.DeepEqual(rsock.SizesByLabel, run.SizesByLabel) {
 			t.Errorf("MinWidth %d: socket sizes %v, in-process sizes %v", c.minWidth, rsock.SizesByLabel, run.SizesByLabel)
@@ -322,7 +324,7 @@ func TestRunOverSocketMatchesInProcess(t *testing.T) {
 func TestRunOverSocketStandard(t *testing.T) {
 	d, p := fixture(t, 0.7)
 	cfg := baseConfig(d, p, EncStandard, 0.7)
-	sock, err := RunOverSocket(cfg)
+	sock, err := RunFleetContext(context.Background(), FleetConfig{Base: cfg, Sensors: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +360,7 @@ func BenchmarkRunAGEEpilepsy(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg); err != nil {
+		if _, err := RunContext(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -368,7 +370,7 @@ func TestRunKeepRecons(t *testing.T) {
 	d, p := fixture(t, 0.7)
 	cfg := baseConfig(d, p, EncAGE, 0.7)
 	cfg.KeepRecons = true
-	res, err := Run(cfg)
+	res, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +384,7 @@ func TestRunKeepRecons(t *testing.T) {
 	}
 	// Without the flag, reconstructions are not retained.
 	cfg.KeepRecons = false
-	res, err = Run(cfg)
+	res, err = RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,13 +398,13 @@ func TestRunMinWidthOverride(t *testing.T) {
 	// delivered measurement count must not increase.
 	d, p := fixture(t, 0.3)
 	base := baseConfig(d, p, EncAGE, 0.3)
-	narrow, err := Run(base)
+	narrow, err := RunContext(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wide := base
 	wide.MinWidth = 12
-	wideRes, err := Run(wide)
+	wideRes, err := RunContext(context.Background(), wide)
 	if err != nil {
 		t.Fatal(err)
 	}
