@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"sort"
 
 	age "repro"
 )
@@ -44,14 +45,21 @@ func main() {
 			log.Fatal(err)
 		}
 
-		// The attacker's task: seizure (label 0) vs everything else.
+		// The attacker's task: seizure (label 0) vs everything else. Labels
+		// pool in ascending order so the samples drawn below are the same
+		// on every run.
+		labels := make([]int, 0, len(res.SizesByLabel))
+		for l := range res.SizesByLabel {
+			labels = append(labels, l)
+		}
+		sort.Ints(labels)
 		binary := map[int][]int{}
-		for l, sizes := range res.SizesByLabel {
+		for _, l := range labels {
 			b := 1
 			if l == 0 {
 				b = 0
 			}
-			binary[b] = append(binary[b], sizes...)
+			binary[b] = append(binary[b], res.SizesByLabel[l]...)
 		}
 		samples, err := age.BuildAttackSamples(binary, 600, rng)
 		if err != nil {

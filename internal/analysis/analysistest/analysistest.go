@@ -18,8 +18,6 @@
 package analysistest
 
 import (
-	"fmt"
-	"go/token"
 	"regexp"
 	"strconv"
 	"strings"
@@ -111,13 +109,4 @@ func unquote(q string) (string, error) {
 		return strings.Trim(q, "`"), nil
 	}
 	return strconv.Unquote(q)
-}
-
-// Format renders diagnostics one per line for failure messages.
-func Format(fset *token.FileSet, diags []analysis.Diagnostic) string {
-	var b strings.Builder
-	for _, d := range diags {
-		fmt.Fprintf(&b, "%v\n", d)
-	}
-	return b.String()
 }

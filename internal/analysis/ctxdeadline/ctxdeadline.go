@@ -8,7 +8,7 @@
 // function marked //age:transport — the analyzer flags Read/Write method
 // calls on net.Conn-shaped values and io.ReadFull/ReadAtLeast/Copy calls fed
 // a conn, unless the enclosing function also calls a Set*Deadline method
-// (the seccomm.ReadFrameDeadline pattern: arm the deadline, do the I/O,
+// (the seccomm.ReadFullDeadline pattern: arm the deadline, do the I/O,
 // disarm). Functions that legitimately defer deadline management to their
 // caller carry //age:allow ctxdeadline with a reason.
 package ctxdeadline

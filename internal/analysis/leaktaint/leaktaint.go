@@ -39,8 +39,9 @@
 //   - Write on a net.Conn-shaped value and seccomm.AppendFrame payloads
 //     (size shaping: an unsealed secret-derived buffer's length is the
 //     paper's size channel);
-//   - metrics series labels (Series.Counter keys) and fmt/log output —
-//     operational surfaces an observer may scrape;
+//   - metric names (the string passed to a Counter method, such as
+//     metrics.(*Registry).Counter) and fmt/log output — operational
+//     surfaces an observer may scrape;
 //   - any if/switch/for condition — secret-dependent control flow in
 //     transport code modulates everything downstream of it.
 //
@@ -647,8 +648,9 @@ func (t *taint) sinkHit(call *ast.CallExpr, useSummaries bool) string {
 	return ""
 }
 
-// isSeriesLike matches the metrics.Series shape: a Counter method taking a
-// string label. Shape matching keeps testdata stdlib-only.
+// isSeriesLike matches a metric-name lookup: a Counter method taking a
+// string name, the shape of metrics.(*Registry).Counter. Shape matching keeps
+// testdata stdlib-only.
 func isSeriesLike(t types.Type) bool {
 	ms := types.NewMethodSet(t)
 	if _, ok := t.(*types.Pointer); !ok {

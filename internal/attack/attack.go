@@ -135,32 +135,34 @@ func CrossValidate(samples []Sample, numClasses, k int, cfg AdaBoostConfig, rng 
 	if numClasses < 2 {
 		return CVResult{}, fmt.Errorf("attack: need numClasses >= 2, got %d", numClasses)
 	}
-	// Stratify: deal each label's samples round-robin into folds.
-	byLabel := map[int][]int{}
+	// Stratify: deal each label's samples round-robin into folds, labels in
+	// ascending order.
+	byLabel := make([][]int, numClasses)
+	distinct := 0
 	for i, s := range samples {
 		if s.Label < 0 || s.Label >= numClasses {
 			return CVResult{}, fmt.Errorf("attack: sample %d has label %d outside [0, %d)", i, s.Label, numClasses)
+		}
+		if len(byLabel[s.Label]) == 0 {
+			distinct++
 		}
 		byLabel[s.Label] = append(byLabel[s.Label], i)
 	}
 	// A classifier cross-validated on one class is vacuous (every fold is
 	// single-class and accuracy is trivially 1), and a label rarer than k
 	// leaves it absent from some training splits, silently skewing the folds.
-	// Both are almost certainly caller bugs, so fail loudly.
-	if len(byLabel) < 2 {
-		return CVResult{}, fmt.Errorf("attack: samples contain %d distinct label(s); stratified CV needs at least 2", len(byLabel))
+	// Both are almost certainly caller bugs, so fail loudly, naming the
+	// lowest such label.
+	if distinct < 2 {
+		return CVResult{}, fmt.Errorf("attack: samples contain %d distinct label(s); stratified CV needs at least 2", distinct)
 	}
 	for l, idx := range byLabel {
-		if len(idx) < k {
+		if len(idx) > 0 && len(idx) < k {
 			return CVResult{}, fmt.Errorf("attack: label %d has %d sample(s), fewer than k=%d — some folds would miss the class", l, len(idx), k)
 		}
 	}
 	folds := make([][]int, k)
-	for l := 0; l <= maxKeySamples(byLabel); l++ {
-		idx, ok := byLabel[l]
-		if !ok {
-			continue
-		}
+	for _, idx := range byLabel {
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		for i, si := range idx {
 			folds[i%k] = append(folds[i%k], si)
@@ -205,14 +207,4 @@ func CrossValidate(samples []Sample, numClasses, k int, cfg AdaBoostConfig, rng 
 	}
 	res.MeanAccuracy = stats.Mean(res.FoldAccuracies)
 	return res, nil
-}
-
-func maxKeySamples(m map[int][]int) int {
-	max := 0
-	for k := range m {
-		if k > max {
-			max = k
-		}
-	}
-	return max
 }

@@ -294,6 +294,24 @@ func TestCrossValidateErrors(t *testing.T) {
 	}
 }
 
+// TestCrossValidateNamesLowestRareLabel pins the "fewer than k" error to
+// the lowest failing label, so its text does not depend on map order.
+func TestCrossValidateNamesLowestRareLabel(t *testing.T) {
+	var samples []Sample
+	for i := 0; i < 10; i++ {
+		samples = append(samples, Sample{Features: []float64{float64(i)}, Label: 0})
+	}
+	samples = append(samples,
+		Sample{Features: []float64{20}, Label: 3},
+		Sample{Features: []float64{30}, Label: 5}, Sample{Features: []float64{31}, Label: 5})
+	for call := 0; call < 50; call++ {
+		_, err := CrossValidate(samples, 6, 5, DefaultAdaBoostConfig(), rand.New(rand.NewSource(8)))
+		if err == nil || !strings.Contains(err.Error(), "label 3 has 1 sample(s)") {
+			t.Fatalf("call %d: err = %v, want it to name label 3", call, err)
+		}
+	}
+}
+
 func TestSeizureScenario(t *testing.T) {
 	// The Figure 7 shape: seizure (25%) vs other (75%), fully separated
 	// sizes -> 100% accuracy; fixed sizes -> all predictions collapse to

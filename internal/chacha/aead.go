@@ -28,9 +28,6 @@ func NewAEAD(key []byte) (*AEAD, error) {
 	return &AEAD{key: append([]byte(nil), key...)}, nil
 }
 
-// Overhead returns the ciphertext expansion (the tag).
-func (a *AEAD) Overhead() int { return TagSize }
-
 // Seal encrypts and authenticates plaintext with the 12-byte nonce and
 // optional additional data, returning ciphertext || tag.
 func (a *AEAD) Seal(nonce, plaintext, aad []byte) ([]byte, error) {

@@ -837,11 +837,6 @@ type Stats struct {
 	ActiveConns int
 }
 
-// Nodes lists every node, including dead ones (ids are stable).
-func (c *Cluster) Nodes() []NodeInfo {
-	return c.Stats().Nodes
-}
-
 // Stats snapshots the cluster's routing state.
 func (c *Cluster) Stats() Stats {
 	c.mu.Lock()

@@ -63,9 +63,6 @@ const maxRunLen = 65535
 // measurements, where every group is pinned at maxRunLen) are rejected.
 const maxWireGroups = 255
 
-// Name implements Encoder.
-func (a *AGE) Name() string { return "age" }
-
 // PayloadBytes returns the fixed message size M_B.
 func (a *AGE) PayloadBytes() int { return a.cfg.TargetBytes }
 

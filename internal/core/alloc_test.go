@@ -86,20 +86,34 @@ func TestStandardEncodeDecodeAllocs(t *testing.T) {
 // All package encoders must offer both reuse interfaces: core.NewEncoder
 // returns them, and the simulator's hot loop has no other path.
 func TestAllEncodersImplementReusePaths(t *testing.T) {
-	cfg := testConfig(220)
+	for _, c := range allEncoders(t, testConfig(220)) {
+		if _, ok := c.e.(AppendEncoder); !ok {
+			t.Errorf("%s does not implement AppendEncoder", c.kind)
+		}
+		if _, ok := c.e.(IntoDecoder); !ok {
+			t.Errorf("%s does not implement IntoDecoder", c.kind)
+		}
+	}
+}
+
+// kindedEncoder pairs an encoder with the Kind that names it in failures.
+type kindedEncoder struct {
+	kind Kind
+	e    Encoder
+}
+
+// allEncoders builds every encoder variant from its own constructor.
+func allEncoders(t *testing.T, cfg Config) []kindedEncoder {
+	t.Helper()
 	age := mustAGE(t, cfg)
 	std, _ := NewStandard(cfg)
 	pad, _ := NewPadded(cfg)
 	single, _ := NewSingle(cfg)
 	unsh, _ := NewUnshifted(cfg)
 	pruned, _ := NewPruned(cfg)
-	for _, e := range []Encoder{age, std, pad, single, unsh, pruned} {
-		if _, ok := e.(AppendEncoder); !ok {
-			t.Errorf("%s does not implement AppendEncoder", e.Name())
-		}
-		if _, ok := e.(IntoDecoder); !ok {
-			t.Errorf("%s does not implement IntoDecoder", e.Name())
-		}
+	return []kindedEncoder{
+		{KindAGE, age}, {KindStandard, std}, {KindPadded, pad},
+		{KindSingle, single}, {KindUnshifted, unsh}, {KindPruned, pruned},
 	}
 }
 
@@ -108,14 +122,9 @@ func TestAllEncodersImplementReusePaths(t *testing.T) {
 // refactor must be invisible on the wire.
 func TestReusePathsMatchAllocatingPaths(t *testing.T) {
 	cfg := testConfig(220)
-	age := mustAGE(t, cfg)
-	std, _ := NewStandard(cfg)
-	pad, _ := NewPadded(cfg)
-	single, _ := NewSingle(cfg)
-	unsh, _ := NewUnshifted(cfg)
-	pruned, _ := NewPruned(cfg)
 	rng := rand.New(rand.NewSource(23))
-	for _, e := range []Encoder{age, std, pad, single, unsh, pruned} {
+	for _, c := range allEncoders(t, cfg) {
+		e := c.e
 		var buf []byte
 		var dec Batch
 		for trial := 0; trial < 20; trial++ {
@@ -123,32 +132,32 @@ func TestReusePathsMatchAllocatingPaths(t *testing.T) {
 			b := randomBatch(rng, cfg.T, cfg.D, k, 3.5)
 			direct, err := e.Encode(b)
 			if err != nil {
-				t.Fatalf("%s: %v", e.Name(), err)
+				t.Fatalf("%s: %v", c.kind, err)
 			}
 			buf, err = e.(AppendEncoder).AppendEncode(buf[:0], b)
 			if err != nil {
-				t.Fatalf("%s append: %v", e.Name(), err)
+				t.Fatalf("%s append: %v", c.kind, err)
 			}
 			if string(direct) != string(buf) {
-				t.Fatalf("%s trial %d: AppendEncode bytes differ from Encode", e.Name(), trial)
+				t.Fatalf("%s trial %d: AppendEncode bytes differ from Encode", c.kind, trial)
 			}
 			want, err := e.(Decoder).Decode(direct)
 			if err != nil {
-				t.Fatalf("%s decode: %v", e.Name(), err)
+				t.Fatalf("%s decode: %v", c.kind, err)
 			}
 			if err := e.(IntoDecoder).DecodeInto(&dec, buf); err != nil {
-				t.Fatalf("%s decode into: %v", e.Name(), err)
+				t.Fatalf("%s decode into: %v", c.kind, err)
 			}
 			if len(dec.Indices) != len(want.Indices) {
-				t.Fatalf("%s trial %d: DecodeInto %d indices, Decode %d", e.Name(), trial, len(dec.Indices), len(want.Indices))
+				t.Fatalf("%s trial %d: DecodeInto %d indices, Decode %d", c.kind, trial, len(dec.Indices), len(want.Indices))
 			}
 			for i := range want.Indices {
 				if dec.Indices[i] != want.Indices[i] {
-					t.Fatalf("%s trial %d: index %d differs", e.Name(), trial, i)
+					t.Fatalf("%s trial %d: index %d differs", c.kind, trial, i)
 				}
 				for f := range want.Values[i] {
 					if dec.Values[i][f] != want.Values[i][f] {
-						t.Fatalf("%s trial %d: value [%d][%d] differs", e.Name(), trial, i, f)
+						t.Fatalf("%s trial %d: value [%d][%d] differs", c.kind, trial, i, f)
 					}
 				}
 			}

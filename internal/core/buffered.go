@@ -57,7 +57,7 @@ func NewBuffered(cfg Config, bufferLimit int) (*Buffered, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	per := buffMeasurementsPerMessage(cfg)
+	per := buffCapacity(cfg)
 	if per < 1 {
 		return nil, fmt.Errorf("core: buffered target %dB cannot hold one measurement: %w", cfg.TargetBytes, ErrTargetTooSmall)
 	}
@@ -67,21 +67,15 @@ func NewBuffered(cfg Config, bufferLimit int) (*Buffered, error) {
 	return &Buffered{cfg: cfg, perMessage: per, maxBuffer: bufferLimit}, nil
 }
 
-// buffMeasurementsPerMessage computes how many tagged full-width
-// measurements fit in the target.
-func buffMeasurementsPerMessage(cfg Config) int {
+// buffCapacity computes how many tagged full-width measurements fit in the
+// target.
+func buffCapacity(cfg Config) int {
 	perBits := ageBits + indexBits(cfg.T) + cfg.D*cfg.Format.Width
 	return (8*cfg.TargetBytes - 8) / perBits
 }
 
-// PerMessage returns the fixed measurement capacity of one message.
-func (b *Buffered) PerMessage() int { return b.perMessage }
-
 // PayloadBytes returns the fixed message size.
 func (b *Buffered) PayloadBytes() int { return b.cfg.TargetBytes }
-
-// Name identifies the encoder.
-func (b *Buffered) Name() string { return "buffered" }
 
 // Push enqueues one window's batch and emits that window's fixed-size
 // message (oldest measurements first). Excess measurements wait; if the

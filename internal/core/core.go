@@ -97,8 +97,6 @@ type Encoder interface {
 	// Encode serializes the batch. Size-standardizing encoders always
 	// return exactly TargetBytes.
 	Encode(b Batch) ([]byte, error)
-	// Name identifies the encoder in reports.
-	Name() string
 }
 
 // Decoder recovers a batch from a payload.

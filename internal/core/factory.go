@@ -28,15 +28,6 @@ func Kinds() []Kind {
 // collection count.
 func (k Kind) FixedSize() bool { return k != KindStandard }
 
-// Valid reports whether k names an implemented encoder.
-func (k Kind) Valid() bool {
-	switch k {
-	case KindStandard, KindPadded, KindAGE, KindSingle, KindUnshifted, KindPruned:
-		return true
-	}
-	return false
-}
-
 // NewEncoder is the unified constructor over every encoder variant: it
 // builds the encoder/decoder pair for kind with the given configuration.
 // All six concrete types implement both halves, reuse paths included, on

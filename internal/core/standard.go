@@ -26,9 +26,6 @@ func NewStandard(cfg Config) (*Standard, error) {
 	return &Standard{cfg: cfg}, nil
 }
 
-// Name implements Encoder.
-func (s *Standard) Name() string { return "standard" }
-
 // MaxPayloadBytes returns the size of a full batch (k = T), which the Padded
 // defense pads every message to.
 func (s *Standard) MaxPayloadBytes() int {
@@ -247,9 +244,6 @@ func NewPadded(cfg Config) (*Padded, error) {
 	}
 	return &Padded{std: std, max: std.MaxPayloadBytes()}, nil
 }
-
-// Name implements Encoder.
-func (p *Padded) Name() string { return "padded" }
 
 // PayloadBytes returns the fixed message size (the maximum batch size).
 func (p *Padded) PayloadBytes() int { return p.max }

@@ -36,9 +36,6 @@ func NewSingle(cfg Config) (*Single, error) {
 	return &Single{cfg: cfg}, nil
 }
 
-// Name implements Encoder.
-func (s *Single) Name() string { return "single" }
-
 // PayloadBytes returns the fixed message size M_B.
 func (s *Single) PayloadBytes() int { return s.cfg.TargetBytes }
 
@@ -169,9 +166,6 @@ func NewUnshifted(cfg Config) (*Unshifted, error) {
 	}
 	return &Unshifted{cfg: cfg}, nil
 }
-
-// Name implements Encoder.
-func (u *Unshifted) Name() string { return "unshifted" }
 
 // PayloadBytes returns the fixed message size M_B.
 func (u *Unshifted) PayloadBytes() int { return u.cfg.TargetBytes }
@@ -364,9 +358,6 @@ func NewPruned(cfg Config) (*Pruned, error) {
 	p.scratch.New = func() any { return new(ageScratch) }
 	return p, nil
 }
-
-// Name implements Encoder.
-func (p *Pruned) Name() string { return "pruned" }
 
 // PayloadBytes returns the fixed message size M_B.
 func (p *Pruned) PayloadBytes() int { return p.cfg.TargetBytes }

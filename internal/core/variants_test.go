@@ -282,21 +282,3 @@ func TestVariantsRejectTinyTargets(t *testing.T) {
 		t.Error("Pruned accepted 2-byte target")
 	}
 }
-
-func TestEncoderNames(t *testing.T) {
-	cfg := testConfig(100)
-	encs := newVariants(t, cfg)
-	for want, enc := range encs {
-		if enc.Name() != want {
-			t.Errorf("Name = %q, want %q", enc.Name(), want)
-		}
-	}
-	std, _ := NewStandard(cfg)
-	if std.Name() != "standard" {
-		t.Errorf("standard Name = %q", std.Name())
-	}
-	pad, _ := NewPadded(cfg)
-	if pad.Name() != "padded" {
-		t.Errorf("padded Name = %q", pad.Name())
-	}
-}

@@ -167,9 +167,6 @@ func (t *Meter) Charge(mj float64) bool {
 // Exceeded reports whether cumulative spending exceeds the budget.
 func (t *Meter) Exceeded() bool { return t.SpentMJ > t.BudgetMJ }
 
-// RemainingMJ returns the budget remaining (never negative).
-func (t *Meter) RemainingMJ() float64 { return math.Max(0, t.BudgetMJ-t.SpentMJ) }
-
 // UniformSequenceMJ returns the per-sequence energy of a Uniform sampler
 // collecting a fraction rate of a T-step, d-feature sequence whose standard
 // message payload is sized by payloadBytes (a function of the collected
@@ -199,33 +196,4 @@ func CollectCount(T int, rate float64) int {
 		k = T
 	}
 	return k
-}
-
-// Budget describes one energy constraint in the evaluation grid.
-type Budget struct {
-	// Rate is the Uniform collection fraction that defines the budget
-	// (0.3 .. 1.0 in the paper).
-	Rate float64
-	// PerSeqMJ is the corresponding per-sequence energy allowance.
-	PerSeqMJ float64
-	// TotalMJ is PerSeqMJ times the number of sequences in the workload.
-	TotalMJ float64
-}
-
-// BudgetGrid returns the paper's eight budgets (rates 0.3, 0.4, ..., 1.0)
-// for a workload of numSeq sequences.
-func (m Model) BudgetGrid(T, d, numSeq int, payloadBytes func(k int) int) ([]Budget, error) {
-	if numSeq < 1 {
-		return nil, fmt.Errorf("energy: budget grid for %d sequences (need at least 1)", numSeq)
-	}
-	var out []Budget
-	for r := 3; r <= 10; r++ {
-		rate := float64(r) / 10
-		per, err := m.UniformSequenceMJ(T, d, rate, payloadBytes)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Budget{Rate: rate, PerSeqMJ: per, TotalMJ: per * float64(numSeq)})
-	}
-	return out, nil
 }

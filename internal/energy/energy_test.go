@@ -153,17 +153,11 @@ func TestMeter(t *testing.T) {
 	if !mt.Charge(60) {
 		t.Error("first charge flagged as exceeded")
 	}
-	if mt.RemainingMJ() != 40 {
-		t.Errorf("remaining = %g", mt.RemainingMJ())
-	}
 	if mt.Charge(50) {
 		t.Error("overcharge not flagged")
 	}
 	if !mt.Exceeded() {
 		t.Error("meter not exceeded after overcharge")
-	}
-	if mt.RemainingMJ() != 0 {
-		t.Errorf("remaining after exceed = %g, want 0", mt.RemainingMJ())
 	}
 }
 
@@ -202,35 +196,6 @@ func TestUniformSequenceMJUsesPayload(t *testing.T) {
 	want := mj(m.SequenceMJ(25, 2, 250, EncodeStandard))
 	if got != want {
 		t.Errorf("UniformSequenceMJ = %g, want %g", got, want)
-	}
-}
-
-func TestBudgetGrid(t *testing.T) {
-	m := Default()
-	payload := func(k int) int { return 2 * k }
-	grid, err := m.BudgetGrid(50, 2, 100, payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(grid) != 8 {
-		t.Fatalf("grid size %d", len(grid))
-	}
-	for i, b := range grid {
-		if b.Rate != float64(i+3)/10 {
-			t.Errorf("budget %d rate = %g", i, b.Rate)
-		}
-		if math.Abs(b.TotalMJ-b.PerSeqMJ*100) > 1e-9 {
-			t.Errorf("budget %d total inconsistent", i)
-		}
-		if i > 0 && grid[i].PerSeqMJ <= grid[i-1].PerSeqMJ {
-			t.Errorf("budgets not increasing at %d", i)
-		}
-	}
-	if _, err := m.BudgetGrid(50, 2, 0, payload); err == nil {
-		t.Error("empty workload accepted")
-	}
-	if _, err := m.BudgetGrid(0, 2, 100, payload); err == nil {
-		t.Error("zero-step sequences accepted")
 	}
 }
 

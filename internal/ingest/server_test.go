@@ -154,6 +154,17 @@ func dialHello(t *testing.T, addr string, id int) (net.Conn, Status, int) {
 	return conn, st, resume
 }
 
+// writeFrame sends one frame on a raw connection the way the client's
+// release loop does: AppendFrame, then one write under a deadline.
+func writeFrame(conn net.Conn, msg []byte) error {
+	buf, err := seccomm.AppendFrame(nil, msg)
+	if err != nil {
+		return err
+	}
+	_, err = writeFullDeadline(conn, buf, time.Second)
+	return err
+}
+
 func TestServerDeliversAndConfirms(t *testing.T) {
 	h := newTestHandler(8)
 	_, addr, _ := startServer(t, ServerConfig{Handler: h, IOTimeout: 2 * time.Second})
@@ -194,7 +205,7 @@ func TestDrainCompletesInFlightSessions(t *testing.T) {
 		drainDone <- srv.Drain(context.Background())
 	}()
 	for _, msg := range framesFor(5) {
-		if err := seccomm.WriteFrameDeadline(conn, msg, time.Second); err != nil {
+		if err := writeFrame(conn, msg); err != nil {
 			t.Fatalf("frame write: %v", err)
 		}
 		time.Sleep(25 * time.Millisecond)
@@ -613,7 +624,7 @@ func TestEvictionSparesIncompleteStreams(t *testing.T) {
 		t.Fatalf("hello ack = %v/%d", st, resume)
 	}
 	for _, msg := range framesFor(6)[:3] {
-		if err := seccomm.WriteFrameDeadline(conn, msg, time.Second); err != nil {
+		if err := writeFrame(conn, msg); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,6 @@
 // Package metrics is the repo's instrumentation library: atomic counters,
-// gauges, fixed-bucket histograms, and labeled per-sensor series, collected
-// into a Registry with a snapshot API and an expvar-style JSON dump.
+// gauges and fixed-bucket histograms, collected into a Registry with a
+// snapshot API and an expvar-style JSON dump.
 //
 // The package exists because message counts and sizes are this paper's whole
 // threat model (§3.1): an operator of the fleet server should be able to see
@@ -11,14 +11,13 @@
 //
 //  1. Hot-path updates are allocation-free and lock-free: Counter.Add,
 //     Gauge.Set, and Histogram.Observe are single atomic operations (Observe
-//     adds a bounded bucket scan). The encoder hot loops are verified
-//     zero-alloc by core's AllocsPerRun tests with instrumentation attached.
+//     adds a bounded bucket scan). TestUpdatesDoNotAllocate pins this.
 //  2. Observation only: nothing in this package feeds back into simulation
 //     RNG, cell ordering, or transport behavior, so enabling metrics cannot
 //     perturb the deterministic-sweep contract (DESIGN.md).
 //  3. Get-or-create registration: Registry.Counter(name) et al. return the
 //     existing instrument on repeated calls, so the fleet's n sensors share
-//     one family of series without coordination.
+//     one set of instruments without coordination.
 //
 // Callers cache instrument pointers outside their loops; name lookup takes
 // the registry lock and is not for hot paths.
@@ -145,22 +144,6 @@ func (h *Histogram) ObserveSince(start time.Time) {
 	h.Observe(time.Since(start).Nanoseconds())
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
 // LatencyBuckets returns the default nanosecond bounds for encode/decode and
 // frame-service latency: 1µs to 1s, roughly logarithmic.
 func LatencyBuckets() []int64 {
@@ -184,41 +167,6 @@ func SizeBuckets() []int64 {
 	return b
 }
 
-// Series is a named family of counters keyed by label, such as a per-node
-// series ("cluster.node.sessions"{node="2"}). Callers resolve the labeled
-// counter once (Counter takes a lock) and cache the pointer for the hot
-// path. Keep label sets bounded: a label per sensor grows with the fleet.
-type Series struct {
-	mu sync.Mutex
-	m  map[string]*Counter
-}
-
-// Counter returns the counter for label, creating it on first use.
-func (s *Series) Counter(label string) *Counter {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.m[label]
-	if !ok {
-		c = &Counter{}
-		s.m[label] = c
-	}
-	return c
-}
-
-// snapshot copies the family's current values.
-func (s *Series) snapshot() map[string]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int64, len(s.m))
-	for label, c := range s.m {
-		out[label] = c.Value()
-	}
-	return out
-}
-
 // Registry holds named instruments. All lookup methods are get-or-create and
 // safe for concurrent use; a nil *Registry is a valid no-op sink (every
 // lookup returns nil, and nil instruments swallow updates), so call sites can
@@ -229,7 +177,6 @@ type Registry struct {
 	gauges     map[string]*Gauge
 	gaugeFuncs map[string]func() int64
 	hists      map[string]*Histogram
-	series     map[string]*Series
 	// histConflicts counts, per histogram name, how often a later Histogram
 	// call asked for bounds that disagree with the registered instrument.
 	histConflicts map[string]int64
@@ -242,7 +189,6 @@ func NewRegistry() *Registry {
 		gauges:        map[string]*Gauge{},
 		gaugeFuncs:    map[string]func() int64{},
 		hists:         map[string]*Histogram{},
-		series:        map[string]*Series{},
 		histConflicts: map[string]int64{},
 	}
 }
@@ -294,9 +240,9 @@ func (r *Registry) GaugeFunc(name string, f func() int64) {
 // registrations of one family agree — but a later call passing *different*
 // bounds is almost certainly a caller bug (two sites disagreeing about a
 // family's bucket layout, with one silently losing). The mismatch is
-// recorded as a conflict: HistogramConflicts reports it, and every snapshot
-// carries a metrics.histogram_bounds_conflict.<name> counter so the
-// disagreement is visible wherever the metrics land.
+// recorded as a conflict: every snapshot carries a
+// metrics.histogram_bounds_conflict.<name> counter so the disagreement is
+// visible wherever the metrics land.
 func (r *Registry) Histogram(name string, bounds ...int64) *Histogram {
 	if r == nil {
 		return nil
@@ -329,37 +275,6 @@ func (h *Histogram) sameBounds(bounds []int64) bool {
 	return true
 }
 
-// HistogramConflicts returns, per histogram name, how many Histogram calls
-// requested bounds that disagreed with the registered instrument. An empty
-// map means every registration site agrees on its family's bucket layout.
-func (r *Registry) HistogramConflicts() map[string]int64 {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]int64, len(r.histConflicts))
-	for name, n := range r.histConflicts {
-		out[name] = n
-	}
-	return out
-}
-
-// Series returns the named labeled-counter family, creating it on first use.
-func (r *Registry) Series(name string) *Series {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, ok := r.series[name]
-	if !ok {
-		s = &Series{m: map[string]*Counter{}}
-		r.series[name] = s
-	}
-	return s
-}
-
 // Bucket is one histogram bucket in a snapshot: the count of observations at
 // most LE. The overflow bucket carries LE = math.MaxInt64 and marshals as
 // "+Inf" via its JSON tag being a large number; readers should treat it as
@@ -387,7 +302,6 @@ type Snapshot struct {
 	Counters      map[string]int64             `json:"counters,omitempty"`
 	Gauges        map[string]int64             `json:"gauges,omitempty"`
 	Histograms    map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Series        map[string]map[string]int64  `json:"series,omitempty"`
 }
 
 // Snapshot copies the registry's current state. A nil registry yields a zero
@@ -414,10 +328,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.hists {
 		hists[k] = v
 	}
-	series := make(map[string]*Series, len(r.series))
-	for k, v := range r.series {
-		series[k] = v
-	}
 	histConflicts := make(map[string]int64, len(r.histConflicts))
 	for k, v := range r.histConflicts {
 		histConflicts[k] = v
@@ -441,10 +351,6 @@ func (r *Registry) Snapshot() Snapshot {
 	snap.Histograms = make(map[string]HistogramSnapshot, len(hists))
 	for name, h := range hists {
 		snap.Histograms[name] = h.snapshot()
-	}
-	snap.Series = make(map[string]map[string]int64, len(series))
-	for name, s := range series {
-		snap.Series[name] = s.snapshot()
 	}
 	return snap
 }

@@ -2,12 +2,12 @@ package metrics
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -40,7 +40,6 @@ func TestNilRegistryAndInstrumentsAreNoOps(t *testing.T) {
 	c.Add(5)
 	r.Gauge("y").Set(1)
 	r.Histogram("z").Observe(7)
-	r.Series("s").Counter("0").Inc()
 	r.GaugeFunc("f", func() int64 { return 1 })
 	if c.Value() != 0 {
 		t.Error("nil counter stored a value")
@@ -84,21 +83,6 @@ func TestHistogramRejectsUnsortedBounds(t *testing.T) {
 	NewHistogram(10, 10)
 }
 
-func TestSeriesPerLabelCounters(t *testing.T) {
-	r := NewRegistry()
-	s := r.Series("fleet.sensor.frames")
-	s.Counter("0").Add(3)
-	s.Counter("1").Inc()
-	if s.Counter("0") != s.Counter("0") {
-		t.Error("label lookup not stable")
-	}
-	snap := r.Snapshot()
-	got := snap.Series["fleet.sensor.frames"]
-	if got["0"] != 3 || got["1"] != 1 {
-		t.Errorf("series snapshot = %v", got)
-	}
-}
-
 func TestGaugeFunc(t *testing.T) {
 	r := NewRegistry()
 	v := int64(41)
@@ -114,7 +98,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r.Counter("a").Add(7)
 	r.Gauge("b").Set(-2)
 	r.Histogram("lat", LatencyBuckets()...).Observe(1500)
-	r.Series("per").Counter("x").Inc()
 
 	var buf jsonBuffer
 	if err := r.Snapshot().WriteJSON(&buf); err != nil {
@@ -129,9 +112,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 	if back.Histograms["lat"].Count != 1 {
 		t.Errorf("histogram lost: %+v", back.Histograms)
-	}
-	if back.Series["per"]["x"] != 1 {
-		t.Errorf("series lost: %+v", back.Series)
 	}
 	if back.TakenUnixNano == 0 {
 		t.Error("snapshot missing timestamp")
@@ -198,18 +178,15 @@ func TestConcurrentUpdatesRace(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
-		go func(id int) {
+		go func() {
 			defer wg.Done()
 			c := r.Counter("shared")
 			h := r.Histogram("lat", 100, 1000)
-			s := r.Series("per")
-			mine := s.Counter(fmt.Sprintf("%d", id))
 			for i := 0; i < 1000; i++ {
 				c.Inc()
 				h.Observe(int64(i))
-				mine.Inc()
 			}
-		}(w)
+		}()
 	}
 	for i := 0; i < 20; i++ {
 		_ = r.Snapshot()
@@ -219,26 +196,23 @@ func TestConcurrentUpdatesRace(t *testing.T) {
 	if got := r.Counter("shared").Value(); got != 8000 {
 		t.Errorf("shared counter = %d, want 8000", got)
 	}
-	if got := r.Histogram("lat").Count(); got != 8000 {
+	if got := r.Snapshot().Histograms["lat"].Count; got != 8000 {
 		t.Errorf("histogram count = %d, want 8000", got)
 	}
 }
 
 // The hot-path contract: once instruments are resolved, updates never
-// allocate. This is what lets the encoder loops stay zero-alloc with
-// instrumentation attached.
+// allocate, so an instrumented hot path stays allocation-free.
 func TestUpdatesDoNotAllocate(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")
 	g := r.Gauge("g")
 	h := r.Histogram("h", LatencyBuckets()...)
-	sc := r.Series("s").Counter("7")
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	if got := testing.AllocsPerRun(100, func() {
 		c.Inc()
 		g.Add(1)
 		h.Observe(123_456)
-		sc.Add(2)
 	}); got != 0 {
 		t.Errorf("hot-path update allocates %.1f/op, want 0", got)
 	}
@@ -265,13 +239,23 @@ func TestSizeBucketsCoverFrameRange(t *testing.T) {
 // bounds still gets the existing instrument (so updates keep landing in one
 // family) but the disagreement is recorded and surfaces in snapshots.
 func TestHistogramBoundsConflict(t *testing.T) {
+	const prefix = "metrics.histogram_bounds_conflict."
+	conflicts := func(r *Registry) map[string]int64 {
+		out := map[string]int64{}
+		for name, n := range r.Snapshot().Counters {
+			if family, ok := strings.CutPrefix(name, prefix); ok {
+				out[family] = n
+			}
+		}
+		return out
+	}
 	r := NewRegistry()
 	a := r.Histogram("lat", 10, 20, 30)
 	b := r.Histogram("lat", 10, 20, 30)
 	if a != b {
 		t.Fatal("same bounds must return the same histogram")
 	}
-	if n := len(r.HistogramConflicts()); n != 0 {
+	if n := len(conflicts(r)); n != 0 {
 		t.Fatalf("agreeing registrations recorded %d conflicts", n)
 	}
 
@@ -280,24 +264,23 @@ func TestHistogramBoundsConflict(t *testing.T) {
 		t.Fatal("mismatched bounds must still return the registered histogram")
 	}
 	r.Histogram("lat", 10, 25, 30) // mismatched values, same length
-	conflicts := r.HistogramConflicts()
-	if conflicts["lat"] != 2 {
-		t.Fatalf("conflicts[lat] = %d, want 2", conflicts["lat"])
+	if got := conflicts(r)["lat"]; got != 2 {
+		t.Fatalf("conflicts[lat] = %d, want 2", got)
 	}
 	snap := r.Snapshot()
-	if got := snap.Counters["metrics.histogram_bounds_conflict.lat"]; got != 2 {
+	if got := snap.Counters[prefix+"lat"]; got != 2 {
 		t.Fatalf("snapshot conflict counter = %d, want 2", got)
 	}
 
 	// Another family stays clean.
 	r.Histogram("other")
 	r.Histogram("other")
-	if _, ok := r.HistogramConflicts()["other"]; ok {
+	if _, ok := conflicts(r)["other"]; ok {
 		t.Fatal("boundless family recorded a conflict")
 	}
 	// Nil registry degrades like every other lookup.
 	var nilReg *Registry
-	if nilReg.Histogram("x", 1) != nil || nilReg.HistogramConflicts() != nil {
+	if nilReg.Histogram("x", 1) != nil || len(conflicts(nilReg)) != 0 {
 		t.Fatal("nil registry must no-op")
 	}
 }

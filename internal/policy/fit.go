@@ -163,7 +163,3 @@ func (r *thresholdReplay) rate(th float64) float64 {
 	}
 	return float64(collected) / float64(r.total)
 }
-
-// Sequences extracts the raw value matrices from labeled sequences, the
-// form Fit consumes.
-func Sequences(values ...[][]float64) [][][]float64 { return values }

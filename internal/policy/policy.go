@@ -20,8 +20,6 @@ import (
 
 // Policy selects which time steps of a sequence to collect.
 type Policy interface {
-	// Name identifies the policy in reports ("uniform", "linear", ...).
-	Name() string
 	// Sample returns the collected indices, strictly increasing, each in
 	// [0, len(seq)). seq is the full T x d ground-truth sequence; adaptive
 	// implementations must only inspect rows they chose to collect.
@@ -47,12 +45,6 @@ type Uniform struct {
 
 // NewUniform returns a Uniform policy with the given collection rate.
 func NewUniform(rate float64) *Uniform { return &Uniform{rate: rate} }
-
-// Name implements Policy.
-func (u *Uniform) Name() string { return "uniform" }
-
-// Rate returns the configured collection fraction.
-func (u *Uniform) Rate() float64 { return u.rate }
 
 // Sample implements Policy.
 func (u *Uniform) Sample(seq [][]float64, rng *rand.Rand) []int {
@@ -87,9 +79,6 @@ type Random struct {
 // NewRandom returns a Random policy with the given collection rate.
 func NewRandom(rate float64) *Random { return &Random{rate: rate} }
 
-// Name implements Policy.
-func (r *Random) Name() string { return "random" }
-
 // Sample implements Policy.
 func (r *Random) Sample(seq [][]float64, rng *rand.Rand) []int {
 	T := len(seq)
@@ -113,12 +102,6 @@ type Linear struct {
 
 // NewLinear returns a Linear policy with an already-fitted threshold.
 func NewLinear(threshold float64) *Linear { return &Linear{threshold: threshold, maxPeriod: 16} }
-
-// Name implements Policy.
-func (l *Linear) Name() string { return "linear" }
-
-// Threshold returns the fitted comparison threshold.
-func (l *Linear) Threshold() float64 { return l.threshold }
 
 // Sample implements Policy. It never reads rng.
 func (l *Linear) Sample(seq [][]float64, _ *rand.Rand) []int {
@@ -178,12 +161,6 @@ type Deviation struct {
 func NewDeviation(threshold float64) *Deviation {
 	return &Deviation{threshold: threshold, gamma: 0.7, beta: 0.3, maxPeriod: 4}
 }
-
-// Name implements Policy.
-func (d *Deviation) Name() string { return "deviation" }
-
-// Threshold returns the fitted deviation threshold.
-func (d *Deviation) Threshold() float64 { return d.threshold }
 
 // Sample implements Policy. It never reads rng.
 func (d *Deviation) Sample(seq [][]float64, _ *rand.Rand) []int {

@@ -29,9 +29,6 @@ func NewSkipRNN(pred *rnn.Predictor, gate *rnn.Gate, bias float64) *SkipRNN {
 	return &SkipRNN{pred: pred, gate: gate, bias: bias}
 }
 
-// Name implements Policy.
-func (s *SkipRNN) Name() string { return "skiprnn" }
-
 // Bias returns the fitted rate-adjustment bias.
 func (s *SkipRNN) Bias() float64 { return s.bias }
 

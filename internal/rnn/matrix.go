@@ -46,12 +46,6 @@ func matOver(buf *[]float64, rows, cols int) *Mat {
 	return &Mat{Rows: rows, Cols: cols, Data: carve(buf, rows*cols)}
 }
 
-// At returns m[r, c].
-func (m *Mat) At(r, c int) float64 { return m.Data[r*m.Cols+c] }
-
-// Set assigns m[r, c] = v.
-func (m *Mat) Set(r, c int, v float64) { m.Data[r*m.Cols+c] = v }
-
 // MulVec computes out = m * x. out must have length m.Rows and x length
 // m.Cols; it panics otherwise.
 //
@@ -127,20 +121,6 @@ func (m *Mat) AddOuter(a, b []float64) {
 			row[c] += ar * b[c]
 		}
 	}
-}
-
-// Zero clears the matrix in place.
-func (m *Mat) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
-// Clone returns a deep copy.
-func (m *Mat) Clone() *Mat {
-	c := NewMat(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
 }
 
 // vector helpers

@@ -67,8 +67,6 @@ type Sealer interface {
 	// WireSize predicts the sealed size for a payload length — the
 	// quantity the attacker observes.
 	WireSize(plaintextLen int) int
-	// Kind reports the cipher in use.
-	Kind() CipherKind
 }
 
 // sealerInstance hands out a process-unique 4-byte prefix per sealer. The
@@ -133,8 +131,6 @@ type chachaSealer struct {
 	counter  uint64
 }
 
-func (s *chachaSealer) Kind() CipherKind { return ChaCha20Stream }
-
 func (s *chachaSealer) WireSize(plaintextLen int) int {
 	return chacha.NonceSize + plaintextLen
 }
@@ -165,8 +161,6 @@ type aesSealer struct {
 	instance uint32
 	counter  uint64
 }
-
-func (s *aesSealer) Kind() CipherKind { return AES128Block }
 
 func (s *aesSealer) WireSize(plaintextLen int) int {
 	padded := (plaintextLen/aes.BlockSize + 1) * aes.BlockSize // PKCS#7 always pads
@@ -232,8 +226,6 @@ type aeadSealer struct {
 	counter  uint64
 }
 
-func (s *aeadSealer) Kind() CipherKind { return ChaCha20Poly1305 }
-
 func (s *aeadSealer) WireSize(plaintextLen int) int {
 	return chacha.NonceSize + plaintextLen + chacha.TagSize
 }
@@ -277,25 +269,13 @@ func RoundTargetToCipher(target int, kind CipherKind) int {
 // MaxFrameSize bounds a frame's payload, set by the 2-byte length prefix.
 const MaxFrameSize = 1<<16 - 1
 
-// WriteFrame writes a length-prefixed message: 2-byte big-endian length
-// followed by the bytes. The prefix models the link layer; the attacker
-// reads it (and the observable packet length) to learn the message size.
-// Header and body go out in a single Write so a timed-out attempt that
-// transmitted nothing can be retried without corrupting the stream.
-func WriteFrame(w io.Writer, msg []byte) error {
-	buf, err := AppendFrame(nil, msg)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
 // AppendFrame appends msg's wire encoding (2-byte big-endian length prefix
-// plus the bytes) to dst and returns the extended slice. Callers gathering
+// plus the bytes) to dst and returns the extended slice. The prefix models
+// the link layer; the attacker reads it (and the observable packet length)
+// to learn the message size. Callers gathering
 // several frames into one Write — the ingest client's batched frame path —
 // build the buffer with repeated AppendFrame calls; a receiver sees the same
-// byte stream as per-frame WriteFrame calls produce.
+// byte stream as one write per frame produces.
 func AppendFrame(dst, msg []byte) ([]byte, error) {
 	if len(msg) > MaxFrameSize {
 		return dst, fmt.Errorf("seccomm: frame %dB exceeds max %d", len(msg), MaxFrameSize)
@@ -316,43 +296,6 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 		return nil, err
 	}
 	return msg, nil
-}
-
-// Deadline-aware framing: the hardened transport path used by the fleet and
-// socket simulators. A frame-level timeout bounds how long a peer can stall
-// the pipeline — the lossy, intermittent links of the paper's deployments
-// (FarmBeats fields, ZebraNet herds, §2.1/§3.3) make "the other side went
-// quiet" a normal event the server must survive, not a hang.
-
-// ReadFrameDeadline reads one frame from conn, failing with a net timeout
-// error if the whole frame has not arrived within timeout. A timeout <= 0
-// reads without a deadline. The deadline is cleared before returning so the
-// connection can keep being used by deadline-free code.
-func ReadFrameDeadline(conn net.Conn, timeout time.Duration) ([]byte, error) {
-	if timeout <= 0 {
-		return ReadFrame(conn)
-	}
-	if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-		return nil, err
-	}
-	msg, err := ReadFrame(conn)
-	conn.SetReadDeadline(time.Time{})
-	return msg, err
-}
-
-// WriteFrameDeadline writes one frame to conn, failing with a net timeout
-// error if the write has not completed within timeout. A timeout <= 0 writes
-// without a deadline.
-func WriteFrameDeadline(conn net.Conn, msg []byte, timeout time.Duration) error {
-	if timeout <= 0 {
-		return WriteFrame(conn, msg)
-	}
-	if err := conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
-		return err
-	}
-	err := WriteFrame(conn, msg)
-	conn.SetWriteDeadline(time.Time{})
-	return err
 }
 
 // FrameReader reads length-prefixed frames from a connection through an
