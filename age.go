@@ -432,19 +432,13 @@ type ProtocolError = ingest.ProtocolError
 type Cluster = cluster.Cluster
 
 // ClusterConfig sizes a Cluster: node count (or a per-node spec builder),
-// consistent-hash geometry, the gateway's connection cap and I/O deadline,
-// and the shared session TTL/clock every node registry and the gateway's
-// locator map agree on. Zero values select sensible defaults.
+// the gateway's connection cap and I/O deadline, and the shared session
+// TTL/clock every node registry and the gateway's locator map agree on.
+// Zero values select sensible defaults.
 type ClusterConfig = cluster.Config
 
-// ClusterNodeSpec is one node's build recipe: its ingest ServerConfig plus
-// an optional CursorStore migrations carry staged cursors between.
+// ClusterNodeSpec is one node's build recipe: its ingest ServerConfig.
 type ClusterNodeSpec = cluster.NodeSpec
-
-// CursorStore is the staging-tier half of session migration: export
-// captures and removes a sensor's staged cursor, import resumes it on the
-// receiving node. *staging.Stage and the projection engine implement it.
-type CursorStore = cluster.CursorStore
 
 // ClusterStats is a point-in-time snapshot of the cluster's routing state.
 type ClusterStats = cluster.Stats
@@ -477,8 +471,7 @@ const (
 
 // PacerConfig configures the client-side pacer (ClientConfig.Pacer): the
 // mode, release interval, jitter fraction, and the sealed dummy-frame
-// generator. It has no seed field (an earlier Seed field is removed): the
-// jittered schedule is seeded from ClientConfig.Seed.
+// generator. The jittered schedule is seeded from ClientConfig.Seed.
 type PacerConfig = ingest.PacerConfig
 
 // ParsePaceMode parses a mode name ("off", "live", "constant", "jitter").

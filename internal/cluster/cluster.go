@@ -18,15 +18,17 @@ import (
 
 	"repro/internal/ingest"
 	"repro/internal/metrics"
-	"repro/internal/staging"
 )
 
 // Gateway defaults, applied when the corresponding Config knob is zero.
 const (
-	defaultNodes      = 3
-	defaultLoadFactor = 1.25
-	defaultMaxConns   = 4096
-	defaultIOTimeout  = 5 * time.Second
+	defaultNodes     = 3
+	defaultMaxConns  = 4096
+	defaultIOTimeout = 5 * time.Second
+	// loadFactor is the bounded-load ceiling factor c: a node accepts new
+	// sensors only while its assigned-session count is below
+	// ceil(c * (total+1) / liveNodes).
+	loadFactor = 1.25
 	// maxRejecters bounds the goroutines that answer over-MaxConns
 	// connections with a typed reject, as the ingest server bounds its
 	// shed path; past it, overflow connections are closed outright.
@@ -40,21 +42,9 @@ const (
 // ErrClosed is returned for operations on a closed cluster.
 var ErrClosed = errors.New("cluster: closed")
 
-// CursorStore is the staging-tier migration hook: the gateway exports a
-// sensor's staged cursor from the old node's store and imports it into the
-// new node's, alongside the ingest registry state. *staging.Stage satisfies
-// it; so does projection.Engine.
-type CursorStore interface {
-	ExportCursor(sensorID int) (staging.Cursor, bool)
-	ImportCursor(c staging.Cursor)
-}
-
-// NodeSpec is one node's build recipe: its ingest server config plus the
-// optional staging-tier store migrations should carry cursors between.
+// NodeSpec is one node's build recipe: its ingest server config.
 type NodeSpec struct {
 	Server ingest.ServerConfig
-	// Cursors, when set, receives/supplies staged cursors on migration.
-	Cursors CursorStore
 }
 
 // Config configures a Cluster.
@@ -69,14 +59,6 @@ type Config struct {
 	// Node is the template spec used when NewNode is nil.
 	Node NodeSpec
 
-	// Replicas is the virtual-node count per node on the hash ring
-	// (default 128).
-	Replicas int
-	// LoadFactor is the bounded-load ceiling factor c: a node accepts new
-	// sensors only while its assigned-session count is below
-	// ceil(c * (total+1) / liveNodes) (default 1.25; <1 disables the
-	// bound, falling back to plain consistent hashing).
-	LoadFactor float64
 	// MaxConns bounds concurrently routed connections (default 4096);
 	// beyond it new connections are shed with StatusOverloaded, the same
 	// transient reject the nodes use, so clients back off and retry.
@@ -101,12 +83,6 @@ type Config struct {
 func (cfg Config) withDefaults() Config {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = defaultNodes
-	}
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = defaultReplicas
-	}
-	if cfg.LoadFactor == 0 {
-		cfg.LoadFactor = defaultLoadFactor
 	}
 	if cfg.MaxConns <= 0 {
 		cfg.MaxConns = defaultMaxConns
@@ -149,12 +125,9 @@ func (s nodeState) String() string {
 
 // node is one in-process ingest node under the gateway.
 type node struct {
-	id      int
-	srv     *ingest.Server
-	cursors CursorStore
-	state   nodeState
-	// serveDone closes when the node's ServeHandoffs loop exits.
-	serveDone chan struct{}
+	id    int
+	srv   *ingest.Server
+	state nodeState
 }
 
 // locEntry is the locator map's per-sensor record: which node holds the
@@ -234,7 +207,7 @@ func New(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg:       cfg,
 		m:         newClusterMetrics(cfg.Metrics),
-		ring:      newRing(cfg.Replicas),
+		ring:      &ring{},
 		locator:   map[int]*locEntry{},
 		conns:     map[net.Conn]struct{}{},
 		connSem:   make(chan struct{}, cfg.MaxConns),
@@ -277,7 +250,7 @@ func (c *Cluster) buildNode() (*node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: node %d: %w", id, err)
 	}
-	n := &node{id: id, srv: srv, cursors: spec.Cursors, serveDone: make(chan struct{})}
+	n := &node{id: id, srv: srv}
 	c.nodes = append(c.nodes, n)
 	c.loads = append(c.loads, 0)
 	return n, nil
@@ -338,13 +311,12 @@ func (c *Cluster) markDoneLocked(e *locEntry, done bool) {
 	e.done = done
 }
 
-// startNode serves a built node, then puts it on the ring. A node binds
-// no listener: every connection reaches it by the gateway's Handoff.
+// startNode starts a built node's workers, then puts it on the ring. A
+// node binds no listener: every connection reaches it by the gateway's
+// Handoff. Its workers are started when this returns; its Drain or Close
+// joins them.
 func (c *Cluster) startNode(n *node) {
-	go func() {
-		n.srv.ServeHandoffs()
-		close(n.serveDone)
-	}()
+	n.srv.ServeHandoffs()
 	c.mu.Lock()
 	n.state = nodeLive
 	c.ring.add(n.id)
@@ -352,8 +324,8 @@ func (c *Cluster) startNode(n *node) {
 }
 
 // Start binds the gateway to addr (e.g. "127.0.0.1:0"), starts every node,
-// and begins accepting in the background. It returns once the gateway is
-// reachable.
+// and begins accepting in the background. It returns once every node's
+// workers are started and the gateway is reachable.
 func (c *Cluster) Start(addr string) error {
 	c.mu.Lock()
 	if c.closed {
@@ -592,10 +564,7 @@ func (c *Cluster) ringTargetLocked(sensorID int) (int, bool) {
 	if live == 0 {
 		return 0, false
 	}
-	cap := 0
-	if c.cfg.LoadFactor >= 1 {
-		cap = int(math.Ceil(c.cfg.LoadFactor * float64(total+1) / float64(live)))
-	}
+	cap := int(math.Ceil(loadFactor * float64(total+1) / float64(live)))
 	// The ring holds live nodes only, so lookupBounded consults loads for
 	// live nodes alone — entries parked on draining/dead nodes never count
 	// against the bound, matching the pre-counter semantics.
@@ -604,13 +573,13 @@ func (c *Cluster) ringTargetLocked(sensorID int) (int, bool) {
 
 // withinBoundLocked reports whether a live node's load, which already
 // counts the sensor being routed, is within the bounded-load ceiling
-// ceil(LoadFactor·total/live). False when the bound is disabled.
+// ceil(loadFactor·total/live).
 func (c *Cluster) withinBoundLocked(id int) bool {
 	live, total := c.liveLoadLocked()
-	if live == 0 || c.cfg.LoadFactor < 1 {
+	if live == 0 {
 		return false
 	}
-	return c.loads[id] <= int(math.Ceil(c.cfg.LoadFactor*float64(total)/float64(live)))
+	return c.loads[id] <= int(math.Ceil(loadFactor*float64(total)/float64(live)))
 }
 
 // migrateLocked hands a sensor's session off src to dst. Reports false
@@ -618,23 +587,17 @@ func (c *Cluster) withinBoundLocked(id int) bool {
 // racing connection — or dst refuses it (see adoptLocked).
 func (c *Cluster) migrateLocked(sensorID int, src, dst *node) bool {
 	st, ok := src.srv.ExportSession(sensorID)
-	return ok && c.adoptLocked(st, src, dst)
+	return ok && c.adoptLocked(st, dst)
 }
 
-// adoptLocked imports a session exported from src into dst: ingest
-// registry state (resume index, completion) plus the staged cursor when
-// both nodes carry a cursor store. It is the one session-adoption path,
-// shared by live migration and node drain. Reports false when a racing
-// connection already claimed the sensor on dst; its server-side resume
-// handshake owns the truth, so the exported copy is dropped.
-func (c *Cluster) adoptLocked(st ingest.SessionState, src, dst *node) bool {
+// adoptLocked imports a session's ingest registry state (resume index,
+// completion) into dst. It is the one session-adoption path, shared by
+// live migration and node drain. Reports false when a racing connection
+// already claimed the sensor on dst; its server-side resume handshake owns
+// the truth, so the exported copy is dropped.
+func (c *Cluster) adoptLocked(st ingest.SessionState, dst *node) bool {
 	if dst.srv.ImportSession(st) != nil {
 		return false
-	}
-	if src.cursors != nil && dst.cursors != nil {
-		if cur, ok := src.cursors.ExportCursor(st.SensorID); ok {
-			dst.cursors.ImportCursor(cur)
-		}
 	}
 	c.m.migrations.Inc()
 	return true
@@ -765,7 +728,7 @@ func (c *Cluster) DrainNode(ctx context.Context, id int) error {
 		if !ok {
 			break // no live node left; state stays on the drained server
 		}
-		if !c.adoptLocked(st, n, c.nodes[target]) {
+		if !c.adoptLocked(st, c.nodes[target]) {
 			continue
 		}
 		e := c.locator[st.SensorID]
@@ -775,7 +738,6 @@ func (c *Cluster) DrainNode(ctx context.Context, id int) error {
 	}
 	n.state = nodeDead
 	c.mu.Unlock()
-	<-n.serveDone
 	return drainErr
 }
 
@@ -795,7 +757,6 @@ func (c *Cluster) KillNode(id int) error {
 		c.mu.Unlock()
 		return err
 	}
-	prev := n.state
 	n.state = nodeDead
 	c.ring.remove(id)
 	// Drop through the counter-maintenance helper, not an inline decrement:
@@ -809,9 +770,6 @@ func (c *Cluster) KillNode(id int) error {
 	c.mu.Unlock()
 
 	n.srv.Close()
-	if prev != nodePending {
-		<-n.serveDone
-	}
 	return nil
 }
 
@@ -899,7 +857,6 @@ func (c *Cluster) Drain(ctx context.Context) error {
 			if derr := n.srv.Drain(ctx); derr != nil && err == nil {
 				err = derr
 			}
-			<-n.serveDone
 		case nodePending:
 			n.srv.Close() // never served; nothing to drain or join
 		}
@@ -935,12 +892,8 @@ func (c *Cluster) Close() error {
 			c.ring.remove(n.id)
 		}
 		c.mu.Unlock()
-		if prev == nodeDead {
-			continue
-		}
-		n.srv.Close()
-		if prev != nodePending {
-			<-n.serveDone
+		if prev != nodeDead {
+			n.srv.Close()
 		}
 	}
 	return nil

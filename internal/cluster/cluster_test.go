@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"runtime"
 	"sync"
@@ -293,6 +294,48 @@ func TestNodesBindNoListener(t *testing.T) {
 	}
 	c.Close()
 	waitGoroutines(t, base)
+}
+
+// TestStartReturnsWithWorkersRunning: Start returns only once every node's
+// handoff workers run, so a goroutine count read right after it already
+// holds nodes × shards × workers of them.
+func TestStartReturnsWithWorkersRunning(t *testing.T) {
+	const nodes, shards, workers = 3, 4, 8
+	base := runtime.NumGoroutine()
+	startCluster(t, Config{
+		Nodes: nodes,
+		Node: NodeSpec{Server: ingest.ServerConfig{
+			Handler: newRecHandler(0, 1), Shards: shards, WorkersPerShard: workers,
+		}},
+	})
+	if got := runtime.NumGoroutine() - base; got < nodes*shards*workers {
+		t.Fatalf("%d goroutines started by Start, want at least %d handoff workers", got, nodes*shards*workers)
+	}
+}
+
+// TestFreshPlacementsRespectLoadCeiling routes fresh sensors on a started
+// 3-node cluster and checks, after each placement, that no live node
+// carries more than ceil(1.25·total/live) sessions and that the load
+// counters match a recount of the locator.
+func TestFreshPlacementsRespectLoadCeiling(t *testing.T) {
+	const sensors = 1000
+	c, _ := testCluster(t, 3, 1, nil)
+	for id := 0; id < sensors; id++ {
+		if _, ok := c.route(id); !ok {
+			t.Fatalf("sensor %d not placed", id)
+		}
+		c.mu.Lock()
+		live, total := c.liveLoadLocked()
+		ceiling := int(math.Ceil(1.25 * float64(total) / float64(live)))
+		for _, n := range c.nodes {
+			if n.state == nodeLive && c.loads[n.id] > ceiling {
+				c.mu.Unlock()
+				t.Fatalf("after sensor %d: node %d carries %d of %d sessions, ceiling %d", id, n.id, c.loads[n.id], total, ceiling)
+			}
+		}
+		c.mu.Unlock()
+		assertLoadCounters(t, c)
+	}
 }
 
 func TestClusterKillNodeResumesElsewhere(t *testing.T) {
@@ -996,13 +1039,9 @@ func TestHandoffShedAtQueueBound(t *testing.T) {
 func TestGatewayOverflowRejectsAreBounded(t *testing.T) {
 	const flood = 200
 	reg := metrics.NewRegistry()
-	// The node starts its workers asynchronously; one worker keeps a late
-	// start inside the slack of the goroutine count below.
 	c := startCluster(t, Config{
-		Nodes: 1,
-		Node: NodeSpec{Server: ingest.ServerConfig{
-			Handler: newRecHandler(0, 2), Shards: 1, WorkersPerShard: 1,
-		}},
+		Nodes:     1,
+		Node:      NodeSpec{Server: ingest.ServerConfig{Handler: newRecHandler(0, 2)}},
 		MaxConns:  1,
 		IOTimeout: 10 * time.Second,
 		Metrics:   reg,

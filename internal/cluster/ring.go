@@ -1,19 +1,19 @@
 // Package cluster fronts N in-process ingest nodes with a gateway: a
 // consistent-hash ring routes each sensor to a node, a bounded-load check
 // keeps hot key ranges from pinning one node, and a session-locator map
-// plus node-to-node handoff of registry state and staging cursors lets a
-// sensor resume on a different node than the one that first served it —
-// the existing hello/resume/final-ack handshake carries everything else.
+// plus node-to-node handoff of registry state lets a sensor resume on a
+// different node than the one that first served it — the existing
+// hello/resume/final-ack handshake carries everything else.
 package cluster
 
 import (
 	"sort"
 )
 
-// defaultReplicas is the virtual-node count per physical node. 128 points
-// per node keeps the ring's load spread within a few percent of uniform at
+// replicas is the virtual-node count per physical node. 128 points per
+// node keeps the ring's load spread within a few percent of uniform at
 // single-digit node counts while lookup stays a ~10-deep binary search.
-const defaultReplicas = 128
+const replicas = 128
 
 // ringPoint is one virtual node: a position on the hash circle owned by a
 // physical node.
@@ -25,15 +25,7 @@ type ringPoint struct {
 // ring is a consistent-hash ring over physical node indices. It is not
 // concurrency-safe; the cluster guards it with its own mutex.
 type ring struct {
-	replicas int
-	points   []ringPoint // sorted by hash
-}
-
-func newRing(replicas int) *ring {
-	if replicas <= 0 {
-		replicas = defaultReplicas
-	}
-	return &ring{replicas: replicas}
+	points []ringPoint // sorted by hash
 }
 
 // splitmix64 is the finalizer from the SplitMix64 generator — a cheap,
@@ -60,7 +52,7 @@ func virtualPoint(node, replica int) uint64 {
 
 // add inserts node's virtual points into the ring.
 func (r *ring) add(node int) {
-	for i := 0; i < r.replicas; i++ {
+	for i := 0; i < replicas; i++ {
 		r.points = append(r.points, ringPoint{hash: virtualPoint(node, i), node: node})
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
@@ -110,9 +102,9 @@ func (r *ring) lookup(sensorID int) (node int, ok bool) {
 // bounded loads): walk clockwise from the sensor's position, skipping nodes
 // whose current load is at or above the cap, so a hot key range spills onto
 // its ring successors instead of pinning one node. load reports a node's
-// current assignment count; cap is the per-node ceiling (<=0 disables the
-// bound). Falls back to the unbounded primary when every node is full —
-// shedding is the caller's decision, not the ring's.
+// current assignment count; cap is the per-node ceiling. Falls back to the
+// unbounded primary when every node is full — shedding is the caller's
+// decision, not the ring's.
 func (r *ring) lookupBounded(sensorID int, load func(node int) int, cap int) (node int, ok bool) {
 	if len(r.points) == 0 {
 		return 0, false
@@ -121,9 +113,6 @@ func (r *ring) lookupBounded(sensorID int, load func(node int) int, cap int) (no
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if start == len(r.points) {
 		start = 0
-	}
-	if cap <= 0 {
-		return r.points[start].node, true
 	}
 	tried := map[int]bool{}
 	for i := 0; i < len(r.points); i++ {

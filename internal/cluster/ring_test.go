@@ -17,7 +17,7 @@ func ringMap(r *ring, keys int) map[int]int {
 }
 
 func TestRingLookupDeterministicAndSpread(t *testing.T) {
-	r := newRing(0)
+	r := &ring{}
 	for n := 0; n < 3; n++ {
 		r.add(n)
 	}
@@ -42,7 +42,7 @@ func TestRingLookupDeterministicAndSpread(t *testing.T) {
 // cluster's rebalance relies on: adding a node may claim keys, but no key
 // moves between pre-existing nodes.
 func TestRingJoinMovesOnlyAffectedKeys(t *testing.T) {
-	r := newRing(0)
+	r := &ring{}
 	for n := 0; n < 3; n++ {
 		r.add(n)
 	}
@@ -70,7 +70,7 @@ func TestRingJoinMovesOnlyAffectedKeys(t *testing.T) {
 }
 
 func TestRingLeaveMovesOnlyOrphanedKeys(t *testing.T) {
-	r := newRing(0)
+	r := &ring{}
 	for n := 0; n < 4; n++ {
 		r.add(n)
 	}
@@ -92,7 +92,7 @@ func TestRingLeaveMovesOnlyOrphanedKeys(t *testing.T) {
 // TestRingBoundedLoad fills nodes sequentially and asserts the bounded
 // lookup never assigns past the cap while any node has room.
 func TestRingBoundedLoad(t *testing.T) {
-	r := newRing(0)
+	r := &ring{}
 	for n := 0; n < 3; n++ {
 		r.add(n)
 	}
@@ -120,7 +120,7 @@ func TestRingBoundedLoad(t *testing.T) {
 // TestRingBoundedLoadFallsBack proves the full-ring fallback: with every
 // node at cap the primary still answers — shedding is the caller's call.
 func TestRingBoundedLoadFallsBack(t *testing.T) {
-	r := newRing(0)
+	r := &ring{}
 	r.add(0)
 	r.add(1)
 	primary, _ := r.lookup(42)
@@ -131,7 +131,7 @@ func TestRingBoundedLoadFallsBack(t *testing.T) {
 }
 
 func TestRingEmpty(t *testing.T) {
-	r := newRing(0)
+	r := &ring{}
 	if _, ok := r.lookup(1); ok {
 		t.Error("lookup on empty ring reported ok")
 	}

@@ -18,9 +18,11 @@ const (
 	defaultDialTimeout    = 2 * time.Second
 	defaultDialAttempts   = 4
 	defaultDialBackoff    = 25 * time.Millisecond
-	defaultDialBackoffMax = 2 * time.Second
 	defaultWriteAttempts  = 2
 	defaultRejectAttempts = 8
+	// dialBackoffMax caps the dial backoff, raised to DialBackoff when that
+	// is larger.
+	dialBackoffMax = 2 * time.Second
 )
 
 // ClientConfig configures one sensor's Client.
@@ -34,13 +36,12 @@ type ClientConfig struct {
 	DialTimeout time.Duration
 	// DialAttempts is how many connect attempts one stream makes before
 	// reporting failure (default 4), separated by an exponential backoff
-	// starting at DialBackoff (default 25ms, doubling) and capped at
-	// DialBackoffMax (default 2s). Each pause is jittered — drawn
+	// starting at DialBackoff (default 25ms, doubling) and capped at 2s,
+	// or at DialBackoff when that is larger. Each pause is jittered — drawn
 	// uniformly from [backoff/2, backoff] by the client's seeded RNG — so
 	// a fleet that loses its server does not redial in lockstep.
-	DialAttempts   int
-	DialBackoff    time.Duration
-	DialBackoffMax time.Duration
+	DialAttempts int
+	DialBackoff  time.Duration
 	// IOTimeout is the per-frame read/write deadline (default 5s).
 	IOTimeout time.Duration
 	// WriteAttempts bounds per-frame write retries on a timeout (default
@@ -92,12 +93,6 @@ func (cfg ClientConfig) withDefaults() ClientConfig {
 	}
 	if cfg.DialBackoff <= 0 {
 		cfg.DialBackoff = defaultDialBackoff
-	}
-	if cfg.DialBackoffMax <= 0 {
-		cfg.DialBackoffMax = defaultDialBackoffMax
-	}
-	if cfg.DialBackoffMax < cfg.DialBackoff {
-		cfg.DialBackoffMax = cfg.DialBackoff
 	}
 	if cfg.IOTimeout <= 0 {
 		cfg.IOTimeout = DefaultIOTimeout
@@ -442,41 +437,46 @@ func (c *Client) send(ctx context.Context, conn net.Conn, src FrameSource, st *C
 			if paced {
 				for {
 					slot = slot.Add(sched.next())
+					// Decide against the scheduled slot time, before the
+					// slot's sleep, so the decision is reproducible for a
+					// fixed seed and gap sequence and the slot's frame is
+					// sealed and framed before the slot begins.
+					//age:declassify reviewed: the decision reads only avail and the scheduled slot, is made before the sleep, and both arms then write one frame sealed and framed before it, of the same size
+					realSlot := !avail.After(slot)
+					frame := msg
+					if !realSlot {
+						if frame, err = p.Dummy(); err != nil {
+							return Terminal(fmt.Errorf("dummy frame: %w", err))
+						}
+					}
+					if gather, err = seccomm.AppendFrame(gather[:0], frame); err != nil {
+						return Terminal(fmt.Errorf("frame %d: %w", fi, err))
+					}
 					if d := time.Until(slot); d > 0 && !sleepCtx(ctx.Done(), d) {
 						return ctx.Err()
 					}
-					// Decide against the scheduled slot time, not the wall
-					// clock after the sleep, so the decision is reproducible
-					// for a fixed seed and gap sequence.
-					//age:declassify reviewed: the decision collapses to one bit and both arms emit one sealed same-size frame in this slot
-					if !avail.After(slot) {
+					if realSlot {
 						break
-					}
-					dummy, err := p.Dummy()
-					if err != nil {
-						return Terminal(fmt.Errorf("dummy frame: %w", err))
-					}
-					if gather, err = seccomm.AppendFrame(gather[:0], dummy); err != nil {
-						return Terminal(fmt.Errorf("frame %d: %w", fi, err))
 					}
 					if err := c.writeGather(ctx, conn, gather, st, fi); err != nil {
 						return err
 					}
 					st.DummyFrames++
-					st.DummyBytesSent += len(dummy)
+					st.DummyBytesSent += len(frame)
 					c.m.dummyFrames.Inc()
 				}
-				gather = gather[:0]
-			} else if live {
-				//age:declassify PaceLive is the undefended baseline: releasing on the data-driven schedule is the leak under study
-				if d := time.Until(avail); d > 0 && !sleepCtx(ctx.Done(), d) {
-					return ctx.Err()
+			} else {
+				if live {
+					//age:declassify PaceLive is the undefended baseline: releasing on the data-driven schedule is the leak under study
+					if d := time.Until(avail); d > 0 && !sleepCtx(ctx.Done(), d) {
+						return ctx.Err()
+					}
 				}
-			}
-			gather, err = seccomm.AppendFrame(gather, msg)
-			if err != nil {
-				srcErr = Terminal(fmt.Errorf("frame %d: %w", fi+n, err))
-				break
+				gather, err = seccomm.AppendFrame(gather, msg)
+				if err != nil {
+					srcErr = Terminal(fmt.Errorf("frame %d: %w", fi+n, err))
+					break
+				}
 			}
 			payloadBytes += len(msg)
 		}
@@ -528,11 +528,11 @@ func (c *Client) writeGather(ctx context.Context, conn net.Conn, gather []byte, 
 // dialWithBackoff connects to cfg.Addr, retrying up to cfg.DialAttempts
 // times with capped, jittered exponential backoff: the k-th pause is drawn
 // uniformly from [b/2, b] where b doubles from DialBackoff up to
-// DialBackoffMax. The jitter comes from the caller's seeded RNG, so a fixed
-// config reproduces the same schedule while distinct sensors decorrelate —
-// an uncapped, unjittered fleet redials its fallen server in lockstep and
-// thunders it straight back down. It returns the connection and the number
-// of attempts made.
+// dialBackoffMax (or DialBackoff, if larger). The jitter comes from the
+// caller's seeded RNG, so a fixed config reproduces the same schedule while
+// distinct sensors decorrelate — an uncapped, unjittered fleet redials its
+// fallen server in lockstep and thunders it straight back down. It returns
+// the connection and the number of attempts made.
 func dialWithBackoff(ctx context.Context, cfg ClientConfig, rng jitterSource) (net.Conn, int, error) {
 	backoff := cfg.DialBackoff
 	var lastErr error
@@ -547,7 +547,7 @@ func dialWithBackoff(ctx context.Context, cfg ClientConfig, rng jitterSource) (n
 			return nil, attempt, fmt.Errorf("dial (attempt %d/%d): %w", attempt, cfg.DialAttempts, lastErr)
 		}
 		var pause time.Duration
-		pause, backoff = nextDialPause(backoff, cfg.DialBackoffMax, rng)
+		pause, backoff = nextDialPause(backoff, max(dialBackoffMax, cfg.DialBackoff), rng)
 		select {
 		case <-ctx.Done():
 			return nil, attempt, fmt.Errorf("dial cancelled after attempt %d: %w", attempt, ctx.Err())

@@ -144,8 +144,9 @@ func handoffGateway(t *testing.T, srv *Server) (addr string, stop func()) {
 
 // TestServeHandoffsWithoutListener runs a server that binds no listener:
 // every connection arrives by Handoff. Sensors complete through it, the
-// server reports no address, and a Drain (or a Close with a session still
-// in flight) leaves no goroutine behind.
+// server reports no address, a Drain (or a Close with a session still in
+// flight) leaves no goroutine behind, and the stopped server refuses to
+// serve again.
 func TestServeHandoffsWithoutListener(t *testing.T) {
 	for _, stopBy := range []string{"drain", "close"} {
 		t.Run(stopBy, func(t *testing.T) {
@@ -158,8 +159,9 @@ func TestServeHandoffsWithoutListener(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			serveErr := make(chan error, 1)
-			go func() { serveErr <- srv.ServeHandoffs() }()
+			if err := srv.ServeHandoffs(); err != nil {
+				t.Fatalf("ServeHandoffs: %v", err)
+			}
 			addr, stopGateway := handoffGateway(t, srv)
 
 			var wg sync.WaitGroup
@@ -193,8 +195,8 @@ func TestServeHandoffsWithoutListener(t *testing.T) {
 				}
 				srv.Close()
 			}
-			if err := <-serveErr; !errors.Is(err, ErrClosed) {
-				t.Errorf("ServeHandoffs returned %v, want ErrClosed", err)
+			if err := srv.ServeHandoffs(); err == nil {
+				t.Error("ServeHandoffs served again on a stopped server")
 			}
 			stopGateway()
 			for id := 0; id < 6; id++ {

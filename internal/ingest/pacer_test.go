@@ -467,6 +467,49 @@ func TestPacedConfigErrorsAreTerminal(t *testing.T) {
 	}
 }
 
+// TestPacedDummySealedBeforeSlot pins when a slot's dummy is made: the
+// real/dummy decision reads only the generation clock and the scheduled
+// slot, so the slot's dummy is sealed and framed before the client sleeps
+// toward the slot, not after. With a 1 h interval and a first frame due
+// after 2 h, the first slot carries a dummy, and Dummy must be called while
+// that hour-long sleep is still running.
+func TestPacedDummySealedBeforeSlot(t *testing.T) {
+	h := &unmarkHandler{testHandler: newTestHandler(1)}
+	_, addr, _ := startServer(t, ServerConfig{Handler: h, IOTimeout: 2 * time.Second})
+	sealed := make(chan struct{}, 1)
+	dummy := testDummy(8)
+	client := NewClient(ClientConfig{
+		Addr: addr, SensorID: 1, IOTimeout: 2 * time.Second,
+		Pacer: PacerConfig{Mode: PaceConstant, Interval: time.Hour, Dummy: func() ([]byte, error) {
+			select {
+			case sealed <- struct{}{}:
+			default:
+			}
+			return dummy()
+		}},
+	})
+	src := &timedSource{
+		sliceSource: sliceSource{frames: markedFrames(framesFor(1))},
+		gaps:        []time.Duration{2 * time.Hour},
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := client.Run(ctx, src)
+		done <- err
+	}()
+	select {
+	case <-sealed:
+	case <-time.After(5 * time.Second):
+		t.Error("no dummy sealed 5s into a 1h slot: the dummy waits for the slot's sleep")
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled paced run returned %v, want context.Canceled", err)
+	}
+}
+
 // TestPacerStatsConcurrencySafety runs two paced clients against one server
 // under the race detector: distinct Client values share nothing, and server
 // accounting is registry-locked.

@@ -317,7 +317,7 @@ func (r *sessionRegistry) size() int {
 
 // Server is a long-lived, sharded ingest endpoint. Create with NewServer,
 // bind with Listen, run with Serve (or, when every connection arrives by
-// Handoff, run unbound with ServeHandoffs), and stop with Drain or Close.
+// Handoff, start unbound with ServeHandoffs), and stop with Drain or Close.
 // All methods are safe for concurrent use.
 type Server struct {
 	cfg ServerConfig
@@ -438,17 +438,19 @@ func (s *Server) Serve() error {
 	return s.serve(true)
 }
 
-// ServeHandoffs runs the worker pools without a listener, blocking until
-// the server is stopped, for a server whose every connection arrives by
-// Handoff (a cluster node behind its gateway). It returns ErrClosed after
-// a deliberate Drain/Close. A server bound with Listen uses Serve instead:
-// ServeHandoffs never accepts on a listener.
+// ServeHandoffs starts the worker pools without a listener and returns
+// with every worker started, for a server whose every connection arrives by Handoff (a
+// cluster node behind its gateway). The pools serve until Drain or Close,
+// which wait for them to exit. It returns ErrClosed on a server already
+// stopping. A server bound with Listen uses Serve instead: ServeHandoffs
+// never accepts on a listener.
 func (s *Server) ServeHandoffs() error {
 	return s.serve(false)
 }
 
 // serve starts one worker pool per shard and, when accept is set, one
 // accept loop per shard on the bound listener, then waits for teardown.
+// Without accept loops it returns at once and teardown waits for the stop.
 func (s *Server) serve(accept bool) error {
 	s.mu.Lock()
 	if accept && s.ln == nil {
@@ -480,7 +482,11 @@ func (s *Server) serve(accept bool) error {
 		}
 	}
 	if !accept {
-		<-s.stop
+		go func() {
+			<-s.stop
+			s.finishOnce.Do(s.teardown)
+		}()
+		return nil
 	}
 	s.finishOnce.Do(s.teardown)
 

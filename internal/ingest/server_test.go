@@ -766,7 +766,9 @@ func BenchmarkSessionFrame(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	go srv.ServeHandoffs()
+	if err := srv.ServeHandoffs(); err != nil {
+		b.Fatal(err)
+	}
 	defer srv.Close()
 	conn, peer := net.Pipe()
 	defer peer.Close()

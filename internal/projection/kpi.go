@@ -182,27 +182,22 @@ type EventSnapshot struct {
 	// positive; LabelTransitions counts per-sensor label changes.
 	LabelDetections  int64 `json:"label_detections"`
 	LabelTransitions int64 `json:"label_transitions"`
-	// ThresholdDetections counts records with any measurement at or
-	// above Config.EventThreshold in magnitude.
-	ThresholdDetections int64 `json:"threshold_detections"`
 }
 
-// eventKPI counts label- and threshold-based detections.
+// eventKPI counts label-based detections.
 type eventKPI struct {
-	threshold float64
-	state     eventState
+	state eventState
 }
 
 type eventState struct {
-	Records             int64       `json:"records"`
-	LabelDetections     int64       `json:"label_detections"`
-	LabelTransitions    int64       `json:"label_transitions"`
-	ThresholdDetections int64       `json:"threshold_detections"`
-	LastLabel           map[int]int `json:"last_label"`
+	Records          int64       `json:"records"`
+	LabelDetections  int64       `json:"label_detections"`
+	LabelTransitions int64       `json:"label_transitions"`
+	LastLabel        map[int]int `json:"last_label"`
 }
 
-func newEventKPI(cfg Config) *eventKPI {
-	return &eventKPI{threshold: cfg.EventThreshold, state: eventState{LastLabel: map[int]int{}}}
+func newEventKPI() *eventKPI {
+	return &eventKPI{state: eventState{LastLabel: map[int]int{}}}
 }
 
 func (k *eventKPI) apply(sensorID int, rec staging.Record) {
@@ -216,24 +211,13 @@ func (k *eventKPI) apply(sensorID int, rec staging.Record) {
 		}
 		k.state.LastLabel[sensorID] = rec.Label
 	}
-	if k.threshold > 0 {
-		for _, row := range rec.Values {
-			for _, v := range row {
-				if v >= k.threshold || v <= -k.threshold {
-					k.state.ThresholdDetections++
-					return
-				}
-			}
-		}
-	}
 }
 
 func (k *eventKPI) snapshot() EventSnapshot {
 	return EventSnapshot{
-		Records:             k.state.Records,
-		LabelDetections:     k.state.LabelDetections,
-		LabelTransitions:    k.state.LabelTransitions,
-		ThresholdDetections: k.state.ThresholdDetections,
+		Records:          k.state.Records,
+		LabelDetections:  k.state.LabelDetections,
+		LabelTransitions: k.state.LabelTransitions,
 	}
 }
 
@@ -257,15 +241,15 @@ func (k *eventKPI) unmarshal(data json.RawMessage) {
 type PrivacySnapshot struct {
 	// Records is how many watermark-visible records were folded in.
 	Records int64 `json:"records"`
-	// SizeEntropyBits is the Shannon entropy of the observed (bucketed)
-	// message sizes — 0 means perfectly uniform sizes, the AGE goal.
+	// SizeEntropyBits is the Shannon entropy of the observed message
+	// sizes — 0 means perfectly uniform sizes, the AGE goal.
 	SizeEntropyBits float64 `json:"size_entropy_bits"`
 	// LabelEntropyBits is the entropy of the observed event labels.
 	LabelEntropyBits float64 `json:"label_entropy_bits"`
 	// NMI is the normalized mutual information between message sizes
 	// and labels (Eq. 3) — the paper's leakage figure, live.
 	NMI float64 `json:"nmi"`
-	// DistinctSizes is how many size buckets have been observed.
+	// DistinctSizes is how many distinct sizes have been observed.
 	DistinctSizes int `json:"distinct_sizes"`
 	// PerSensor reports arrival age per sensor id (JSON-keyed string).
 	PerSensor map[string]ArrivalSnapshot `json:"per_sensor"`
@@ -287,8 +271,7 @@ type ArrivalSnapshot struct {
 // records from different sensors interleave, which (with the watermark
 // bound) makes quiesced snapshots deterministic.
 type privacyKPI struct {
-	bucket int
-	state  privacyState
+	state privacyState
 }
 
 type privacyState struct {
@@ -342,9 +325,8 @@ type arrival struct {
 	MaxInter int64 `json:"max_inter"`
 }
 
-func newPrivacyKPI(cfg Config) *privacyKPI {
+func newPrivacyKPI() *privacyKPI {
 	return &privacyKPI{
-		bucket: cfg.SizeBucket,
 		state: privacyState{
 			Sizes:    map[int]int64{},
 			Labels:   map[int]int64{},
@@ -356,11 +338,10 @@ func newPrivacyKPI(cfg Config) *privacyKPI {
 
 func (k *privacyKPI) apply(sensorID int, rec staging.Record) {
 	k.state.Records++
-	size := rec.WireBytes / k.bucket
-	k.state.Sizes[size]++
+	k.state.Sizes[rec.WireBytes]++
 	if rec.Label >= 0 {
 		k.state.Labels[rec.Label]++
-		k.state.Joint[[2]int{rec.Label, size}]++
+		k.state.Joint[[2]int{rec.Label, rec.WireBytes}]++
 	}
 	a := k.state.Arrivals[sensorID]
 	if a == nil {

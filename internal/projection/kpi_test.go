@@ -61,7 +61,8 @@ func TestRestoreMAERingForeignCheckpoint(t *testing.T) {
 }
 
 // privacyFixtureRecords is a four-sensor stream with three labels, some
-// unlabelled records and several wire sizes per label.
+// unlabelled records and several wire sizes per label. The sizes are those
+// of a stream of 40 + 8·label + 4·k byte frames counted in 4-byte buckets.
 func privacyFixtureRecords() (ids []int, recs []staging.Record) {
 	for s := 0; s < 4; s++ {
 		for i := 0; i < 30; i++ {
@@ -72,7 +73,7 @@ func privacyFixtureRecords() (ids []int, recs []staging.Record) {
 			ids = append(ids, s)
 			recs = append(recs, staging.Record{
 				Index:        i,
-				WireBytes:    40 + 8*label + 4*((s*5+i)%3),
+				WireBytes:    10 + 2*label + (s*5+i)%3,
 				Label:        label,
 				RecvUnixNano: int64(1e9 + s*1e6 + i*1000 + (i*i%7)*100),
 			})
@@ -97,12 +98,12 @@ const (
 // TestPrivacyCheckpointMatchesFixture pins the privacy KPI's checkpoint
 // bytes and NMI bits, both when folded and after a restore.
 func TestPrivacyCheckpointMatchesFixture(t *testing.T) {
-	k := newPrivacyKPI(Config{SizeBucket: 4}.withDefaults())
+	k := newPrivacyKPI()
 	ids, recs := privacyFixtureRecords()
 	for i, rec := range recs {
 		k.apply(ids[i], rec)
 	}
-	restored := newPrivacyKPI(Config{SizeBucket: 4}.withDefaults())
+	restored := newPrivacyKPI()
 	restored.unmarshal(json.RawMessage(privacyFixtureCheckpoint))
 	for name, kpi := range map[string]*privacyKPI{"folded": k, "restored": restored} {
 		if got := string(kpi.marshal()); got != privacyFixtureCheckpoint {
@@ -117,7 +118,7 @@ func TestPrivacyCheckpointMatchesFixture(t *testing.T) {
 // TestPrivacyRestoreSkipsMalformedJointKeys checks that a joint key that
 // is not "label,size" is dropped on restore rather than failing it.
 func TestPrivacyRestoreSkipsMalformedJointKeys(t *testing.T) {
-	k := newPrivacyKPI(Config{}.withDefaults())
+	k := newPrivacyKPI()
 	k.unmarshal(json.RawMessage(`{"records":3,"joint":{"0,10":2,"x,1":5,"7":1,"1,":4,"1,12":1}}`))
 	want := jointCounts{{0, 10}: 2, {1, 12}: 1}
 	if k.state.Records != 3 || !reflect.DeepEqual(k.state.Joint, want) {
@@ -136,7 +137,7 @@ func BenchmarkMAEApply(b *testing.B) {
 }
 
 func BenchmarkEventApply(b *testing.B) {
-	k := newEventKPI(Config{T: testT, D: testD, EventThreshold: 2.5}.withDefaults())
+	k := newEventKPI()
 	rec := feedRecord(0, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -146,7 +147,7 @@ func BenchmarkEventApply(b *testing.B) {
 }
 
 func BenchmarkPrivacyApply(b *testing.B) {
-	k := newPrivacyKPI(Config{}.withDefaults())
+	k := newPrivacyKPI()
 	ids, recs := privacyFixtureRecords()
 	b.ReportAllocs()
 	b.ResetTimer()

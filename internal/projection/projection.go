@@ -11,8 +11,7 @@
 //     standard deviation, in one walk and without materializing the
 //     reconstruction (plain and deviation-weighted MAE, mirroring the
 //     offline reconstruct.Accumulator, plus a rolling window mean).
-//   - events: label-based detections and per-sensor label transitions,
-//     plus a threshold detector over the decoded measurements.
+//   - events: label-based detections and per-sensor label transitions.
 //   - privacy: the live leakage monitor — Shannon entropy of the
 //     observed message sizes, NMI between sizes and event labels
 //     (stats.EntropyCounts / stats.NMICounts over count tables, so the
@@ -28,14 +27,14 @@
 // # Sequence = index invariant
 //
 // The tap stages every delivered frame exactly once (a replayed frame,
-// after a server-side eviction or a cursor import, is dropped when its
-// index is below the sensor's staged log head), and frames that fail to unseal or decode are staged as empty
-// records rather than skipped. A sensor's staged sequence numbers
-// therefore equal its frame indices, which is what makes checkpoints
-// refeedable: Restore rebuilds the stage at each sensor's lowest worker
-// cursor, and feeding the frames from that index onward reproduces the
-// engine's state (workers skip what their checkpointed cursors already
-// cover).
+// after a server-side eviction or a restore, is dropped when its index is
+// below the sensor's staged log head), and frames that fail to unseal or
+// decode are staged as empty records rather than skipped. A sensor's
+// staged sequence numbers therefore equal its frame indices, which is what
+// makes checkpoints refeedable: Restore rebuilds the stage at each
+// sensor's lowest worker cursor, and feeding the frames from that index
+// onward reproduces the engine's state (workers skip what their
+// checkpointed cursors already cover).
 package projection
 
 import (
@@ -67,8 +66,7 @@ type Config struct {
 	// ever sees real frames.
 	Unmark bool
 	// Decode turns a plaintext payload into a batch. Nil disables the
-	// batch-level KPIs (mae, threshold events); size/arrival KPIs still
-	// run.
+	// batch-level mae KPI; the event, size and arrival KPIs still run.
 	Decode core.Decoder
 	// Truth supplies ground truth for frame index of a sensor: the full
 	// T×D window (nil when unknown — the mae KPI skips the record) and
@@ -78,17 +76,6 @@ type Config struct {
 
 	// Window is the rolling-MAE window length (default 64).
 	Window int
-	// EventThreshold fires the threshold detector when any decoded
-	// measurement's absolute value reaches it (0 disables).
-	EventThreshold float64
-	// SizeBucket coarsens wire sizes for the entropy/NMI tables (bytes
-	// per bucket, default 1 = exact sizes).
-	SizeBucket int
-
-	// CheckpointEvery emits a checkpoint to CheckpointSink every N
-	// staged records (0 disables).
-	CheckpointEvery int
-	CheckpointSink  func(Checkpoint)
 
 	// Now supplies the arrival clock (UnixNano); defaults to time.Now.
 	// Tests inject a fixed clock to make arrival KPIs deterministic.
@@ -98,9 +85,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = 64
-	}
-	if c.SizeBucket <= 0 {
-		c.SizeBucket = 1
 	}
 	if c.Now == nil {
 		c.Now = func() int64 { return time.Now().UnixNano() }
@@ -119,7 +103,6 @@ type Engine struct {
 	assigned  map[int]int  // per-sensor Total from the latest Admit; guarded by mu
 	staged    atomic.Int64 // records appended
 	decodeErr atomic.Int64 // frames that failed to open/unmark/decode
-	lastCp    atomic.Int64 // staged count at the last periodic checkpoint
 
 	workers []*worker
 	closing chan struct{}
@@ -147,11 +130,10 @@ func newEngine(cfg Config, stage *staging.Stage, cp Checkpoint) *Engine {
 		resumed += int64(s.Resume)
 	}
 	e.staged.Store(resumed)
-	e.lastCp.Store(resumed)
 	e.workers = []*worker{
 		newWorker("mae", false, newMAEKPI(cfg)),
-		newWorker("events", false, newEventKPI(cfg)),
-		newWorker("privacy", true, newPrivacyKPI(cfg)),
+		newWorker("events", false, newEventKPI()),
+		newWorker("privacy", true, newPrivacyKPI()),
 	}
 	for _, w := range e.workers {
 		if wc, ok := cp.Workers[w.name]; ok {
@@ -159,10 +141,6 @@ func newEngine(cfg Config, stage *staging.Stage, cp Checkpoint) *Engine {
 		}
 		e.wg.Add(1)
 		go e.runWorker(w)
-	}
-	if cfg.CheckpointEvery > 0 && cfg.CheckpointSink != nil {
-		e.wg.Add(1)
-		go e.runCheckpointer()
 	}
 	return e
 }
@@ -259,23 +237,6 @@ func (e *Engine) SessionEnd(sensorID int, completed bool) {
 	}
 }
 
-// ExportCursor removes and returns the sensor's staged coordinate for
-// migration to another node's engine (the cluster gateway's CursorStore
-// hook). The tap's dedupe point, the log's head, leaves with the log: the
-// sensor's frames now stage elsewhere.
-func (e *Engine) ExportCursor(sensorID int) (staging.Cursor, bool) {
-	e.mu.Lock()
-	delete(e.assigned, sensorID)
-	e.mu.Unlock()
-	return e.stage.ExportCursor(sensorID)
-}
-
-// ImportCursor seeds the sensor's staged log from a migrated cursor; see
-// staging.Stage.ImportCursor for the merge rules.
-func (e *Engine) ImportCursor(c staging.Cursor) {
-	e.stage.ImportCursor(c)
-}
-
 // Close drains the workers — every staged record is projected — and
 // stops them. Call after the ingest server has drained, so no more
 // StageFrame calls arrive; the snapshot taken after Close is then a pure
@@ -361,28 +322,6 @@ func (e *Engine) trim(ids []int) {
 	}
 }
 
-// runCheckpointer emits a checkpoint every CheckpointEvery staged
-// records.
-func (e *Engine) runCheckpointer() {
-	defer e.wg.Done()
-	ch := e.stage.Subscribe()
-	for {
-		// Check before blocking: records staged before the subscription
-		// took effect would otherwise never trigger a signal.
-		n := e.staged.Load()
-		if n-e.lastCp.Load() >= int64(e.cfg.CheckpointEvery) {
-			e.lastCp.Store(n)
-			e.cfg.CheckpointSink(e.Checkpoint())
-			continue
-		}
-		select {
-		case <-ch:
-		case <-e.closing:
-			return
-		}
-	}
-}
-
 // Checkpoint captures the engine's durable state: each worker's cursors
 // and aggregates, and per-sensor completion flags. The stage's restart
 // coordinate for a sensor is the minimum worker cursor — everything below
@@ -459,8 +398,7 @@ func (e *Engine) Feed(sensorID int, rec staging.Record) {
 
 // replayed reports whether the sensor's frame index is already staged.
 // Staged seq == frame index, so that is every index below the log's head,
-// whether appended here, restored from a checkpoint or imported with a
-// migrated cursor. No lock: the ingest registry admits one session per
+// whether appended here or restored from a checkpoint. No lock: the ingest registry admits one session per
 // sensor, so one goroutine stages a sensor's frames at a time.
 func (e *Engine) replayed(sensorID, index int) bool {
 	l := e.stage.Log(sensorID)

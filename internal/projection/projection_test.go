@@ -327,19 +327,19 @@ func TestCheckpointRestartEquivalence(t *testing.T) {
 }
 
 // TestImportedCursorDedupesReplays pins the tap's dedupe point to the
-// staged log's head: a sensor whose cursor migrated in at head 5 and is
-// then re-admitted from 0 replays frames the cursor already covers, and
-// none of them may stage a second time.
+// staged log's head: a sensor whose engine was restored at Resume 5 and is
+// then re-admitted from 0 replays frames the restored log already covers,
+// and none of them may stage a second time.
 func TestImportedCursorDedupesReplays(t *testing.T) {
-	e := New(Config{T: testT, D: testD, Now: func() int64 { return 5e9 }})
-	e.ImportCursor(staging.Cursor{SensorID: 1, Head: 5, Complete: true})
+	e := Restore(Config{T: testT, D: testD, Now: func() int64 { return 5e9 }},
+		Checkpoint{Sensors: map[int]SensorCheckpoint{1: {Resume: 5, Complete: true}}})
 	e.Admit(1, 0, 5)
 	for i := 0; i < 5; i++ {
 		e.StageFrame(1, i, []byte{byte(i)})
 	}
 	e.Close()
-	if got := e.Snapshot().StagedRecords; got != 0 {
-		t.Fatalf("staged %d records for frames the imported cursor covers, want 0", got)
+	if got := e.Snapshot().StagedRecords; got != 5 {
+		t.Fatalf("staged %d records after replaying the restored prefix, want the restored 5", got)
 	}
 	if head := e.stage.Log(1).Head(); head != 5 {
 		t.Errorf("log head = %d after replays, want 5", head)
@@ -399,50 +399,6 @@ func TestWatermarkBoundsPrivacyOnceSensorSeen(t *testing.T) {
 	}
 	if snap.Events.Records != 7 || snap.MAE.Count != 7 {
 		t.Errorf("event records = %d, mae count = %d, want 7 each", snap.Events.Records, snap.MAE.Count)
-	}
-}
-
-// TestPeriodicCheckpointsEmitted checks the CheckpointEvery plumbing.
-func TestPeriodicCheckpointsEmitted(t *testing.T) {
-	var mu sync.Mutex
-	var got []Checkpoint
-	e := New(Config{
-		T: testT, D: testD,
-		CheckpointEvery: 10,
-		CheckpointSink: func(cp Checkpoint) {
-			mu.Lock()
-			got = append(got, cp)
-			mu.Unlock()
-		},
-		Now: func() int64 { return 5e9 },
-	})
-	feedAll(e, 2, 0, 30)
-	e.CompleteSensor(0)
-	e.CompleteSensor(1)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		n := len(got)
-		mu.Unlock()
-		if n > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no periodic checkpoint after 60 staged records")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	e.Close()
-	mu.Lock()
-	defer mu.Unlock()
-	cp := got[len(got)-1]
-	if len(cp.Workers) != 3 {
-		t.Fatalf("checkpoint carries %d workers", len(cp.Workers))
-	}
-	for id := 0; id < 2; id++ {
-		if _, ok := cp.Sensors[id]; !ok {
-			t.Errorf("checkpoint missing sensor %d", id)
-		}
 	}
 }
 

@@ -196,7 +196,7 @@ type Log struct {
 type Stage struct {
 	mu sync.Mutex // serializes changes to the set of logs and subscribers
 	// view is the sorted snapshot of the logs, replaced under mu whenever
-	// a log is created or exported and read without a lock.
+	// a log is created and read without a lock.
 	view atomic.Pointer[view]
 	// subs is the subscriber list, copied on write under mu so notify
 	// reads it without a lock.
@@ -217,8 +217,8 @@ func New() *Stage {
 }
 
 // Log returns the sensor's log, or nil when the sensor has none. It never
-// creates one: only Append, Complete, Reopen and ImportCursor do, so a
-// read, a trim or a worker scan cannot bring back a log ExportCursor took.
+// creates one: only Append, Complete and Reopen do, so a read, a trim or a
+// worker scan leaves the set of logs as it is.
 func (s *Stage) Log(sensorID int) *Log {
 	v := s.view.Load()
 	if i, ok := slices.BinarySearch(v.ids, sensorID); ok {
@@ -249,7 +249,7 @@ func (s *Stage) logFor(sensorID int) *Log {
 
 // Logs returns every known log and its sensor id, sorted by id: logs[i]
 // belongs to ids[i]. Both slices are a shared snapshot, replaced only when
-// a log is created or exported; callers must not modify them.
+// a log is created; callers must not modify them.
 func (s *Stage) Logs() (ids []int, logs []*Log) {
 	v := s.view.Load()
 	return v.ids, v.logs
@@ -422,66 +422,6 @@ func Restore(cp Checkpoint) *Stage {
 	s := &Stage{}
 	s.view.Store(v)
 	return s
-}
-
-// Cursor is one sensor's migratable staging coordinate: the head sequence
-// its log resumes at on another node, plus its completion flag. Record
-// storage does not migrate — the cluster's crash-restart contract is the
-// same as Checkpoint/Restore's ("sequence numbers survive, record storage
-// does not"), so the receiving node's projections start from a trimmed log.
-type Cursor struct {
-	SensorID int  `json:"sensor_id"`
-	Head     int  `json:"head"`
-	Complete bool `json:"complete"`
-}
-
-// ExportCursor captures and removes sensorID's log for migration to
-// another node's stage. ok is false when the sensor has no log. After
-// export the watermark no longer bounds on the sensor here; the importing
-// stage takes over. Trims and worker scans never recreate the log, but
-// the exporting node must have severed the sensor's connection first — a
-// racing append would recreate an empty one.
-func (s *Stage) ExportCursor(sensorID int) (Cursor, bool) {
-	s.mu.Lock()
-	v := s.view.Load()
-	i, ok := slices.BinarySearch(v.ids, sensorID)
-	if !ok {
-		s.mu.Unlock()
-		return Cursor{}, false
-	}
-	l := v.logs[i]
-	s.view.Store(&view{
-		ids:  slices.Delete(slices.Clone(v.ids), i, i+1),
-		logs: slices.Delete(slices.Clone(v.logs), i, i+1),
-	})
-	s.mu.Unlock()
-	head, complete := l.state()
-	return Cursor{SensorID: sensorID, Head: head, Complete: complete}, true
-}
-
-// ImportCursor seeds the sensor's log to resume at the migrated cursor,
-// with all prior storage trimmed (the next append receives sequence
-// c.Head). When a log already exists it merges forward — the head only
-// advances and completion only latches true on a completed cursor — so a
-// duplicated or delayed import can never rewind a log another connection
-// has already appended to.
-func (s *Stage) ImportCursor(c Cursor) {
-	if c.Head < 0 {
-		return
-	}
-	l := s.logFor(c.SensorID)
-	l.mu.Lock()
-	if c.Head > l.next {
-		l.next = c.Head
-		if c.Head > l.trimmed {
-			l.trimmed = c.Head
-			l.segs = nil
-		}
-	}
-	if c.Complete {
-		l.complete = true
-	}
-	l.mu.Unlock()
 }
 
 // tailLocked returns the last segment, or nil. Caller holds l.mu.

@@ -213,177 +213,6 @@ func TestConcurrentAppendersAndReaders(t *testing.T) {
 	}
 }
 
-// TestExportCursorRemovesLog pins the handoff side of migration: the cursor
-// carries exactly {head, complete}, and after export the sensor no longer
-// exists here — its head stops bounding the watermark and lookups miss.
-func TestExportCursorRemovesLog(t *testing.T) {
-	s := New()
-	for i := 0; i < 5; i++ {
-		s.Append(3, rec(i, 10))
-	}
-	for i := 0; i < 9; i++ {
-		s.Append(4, rec(i, 10))
-	}
-	s.Complete(4)
-	if got := s.Watermark(); got != 5 {
-		t.Fatalf("watermark before export = %d, want 5", got)
-	}
-
-	c, ok := s.ExportCursor(3)
-	if !ok || c.SensorID != 3 || c.Head != 5 || c.Complete {
-		t.Fatalf("cursor = %+v ok=%v, want {3 5 false}", c, ok)
-	}
-	if got := s.Watermark(); got != 9 {
-		t.Fatalf("watermark after export = %d, want 9 (sensor 3 gone)", got)
-	}
-	if ids := s.Sensors(); len(ids) != 1 || ids[0] != 4 {
-		t.Fatalf("sensors after export = %v, want [4]", ids)
-	}
-	if _, ok := s.ExportCursor(3); ok {
-		t.Fatal("second export of a removed sensor succeeded")
-	}
-	if _, ok := s.ExportCursor(99); ok {
-		t.Fatal("export of an unknown sensor succeeded")
-	}
-
-	done, ok := s.ExportCursor(4)
-	if !ok || done.Head != 9 || !done.Complete {
-		t.Fatalf("completed cursor = %+v ok=%v, want {4 9 true}", done, ok)
-	}
-}
-
-// TestImportCursorResumesSequences pins the receiving side: the next append
-// after an import receives sequence Head, storage below Head is absent, and
-// the completion flag carries over.
-func TestImportCursorResumesSequences(t *testing.T) {
-	s := New()
-	s.ImportCursor(Cursor{SensorID: 7, Head: 12})
-	if seq := s.Append(7, rec(12, 10)); seq != 12 {
-		t.Fatalf("first append after import got seq %d, want 12", seq)
-	}
-	l := s.Log(7)
-	if l.Trimmed() != 12 {
-		t.Fatalf("trimmed = %d, want 12: pre-migration storage must be absent", l.Trimmed())
-	}
-	if _, ok := l.Get(11); ok {
-		t.Fatal("read below the imported head succeeded")
-	}
-	if r, ok := l.Get(12); !ok || r.Seq != 12 {
-		t.Fatalf("get(12) = %+v ok=%v", r, ok)
-	}
-	if got := s.Watermark(); got != 13 {
-		t.Fatalf("watermark = %d, want 13", got)
-	}
-
-	s.ImportCursor(Cursor{SensorID: 8, Head: 4, Complete: true})
-	if !s.Log(8).Complete() {
-		t.Fatal("completed cursor imported as incomplete")
-	}
-	// Negative heads are a corrupt handoff; they must be ignored entirely.
-	s.ImportCursor(Cursor{SensorID: 9, Head: -1})
-	if seq := s.Append(9, rec(0, 10)); seq != 0 {
-		t.Fatalf("append after rejected import got seq %d, want 0", seq)
-	}
-}
-
-// TestImportCursorMergesForward is the duplicate-delivery guard: a stale or
-// repeated import never rewinds a log that has advanced past it, and
-// completion only latches true.
-func TestImportCursorMergesForward(t *testing.T) {
-	s := New()
-	for i := 0; i < 8; i++ {
-		s.Append(5, rec(i, 10))
-	}
-	s.ImportCursor(Cursor{SensorID: 5, Head: 3})
-	l := s.Log(5)
-	if l.Head() != 8 {
-		t.Fatalf("head = %d after stale import, want 8", l.Head())
-	}
-	if r, ok := l.Get(6); !ok || r.Seq != 6 {
-		t.Fatalf("stale import dropped live records: get(6) = %+v ok=%v", r, ok)
-	}
-	if l.Complete() {
-		t.Fatal("stale incomplete import should not change completion")
-	}
-
-	// A forward import on a live log advances the head and drops storage.
-	s.ImportCursor(Cursor{SensorID: 5, Head: 20, Complete: true})
-	if l.Head() != 20 || l.Trimmed() != 20 || !l.Complete() {
-		t.Fatalf("forward import: head=%d trimmed=%d complete=%v, want 20/20/true",
-			l.Head(), l.Trimmed(), l.Complete())
-	}
-	// Completion latches: a later incomplete duplicate cannot clear it.
-	s.ImportCursor(Cursor{SensorID: 5, Head: 20})
-	if !l.Complete() {
-		t.Fatal("incomplete duplicate cleared the completion latch")
-	}
-}
-
-// TestCursorRoundTripAcrossStages drives a full node-to-node migration at
-// the staging layer: export from A, import into B, continue appending on B,
-// and the combined sequence space is gapless and byte-consistent.
-func TestCursorRoundTripAcrossStages(t *testing.T) {
-	a, b := New(), New()
-	for i := 0; i < 6; i++ {
-		a.Append(2, rec(i, 100+i))
-	}
-	c, ok := a.ExportCursor(2)
-	if !ok {
-		t.Fatal("export failed")
-	}
-	b.ImportCursor(c)
-	for i := 6; i < 10; i++ {
-		if seq := b.Append(2, rec(i, 100+i)); seq != i {
-			t.Fatalf("append %d on importing stage got seq %d", i, seq)
-		}
-	}
-	b.Complete(2)
-	l := b.Log(2)
-	if l.Head() != 10 || !l.Complete() {
-		t.Fatalf("migrated log head=%d complete=%v, want 10/true", l.Head(), l.Complete())
-	}
-	for i := 6; i < 10; i++ {
-		r, ok := l.Get(i)
-		if !ok || r.Index != i || r.WireBytes != 100+i {
-			t.Fatalf("post-migration record %d = %+v ok=%v", i, r, ok)
-		}
-	}
-	if got := b.Watermark(); got != 10 {
-		t.Fatalf("importing stage watermark = %d, want 10", got)
-	}
-}
-
-// TestTrimAfterExportKeepsLogGone pins that only appends, completions,
-// reopens and imports create logs: a trim that races an export must not
-// bring the exported log back as an empty, incomplete one that drags the
-// watermark to 0.
-func TestTrimAfterExportKeepsLogGone(t *testing.T) {
-	s := New()
-	for i := 0; i < 5; i++ {
-		s.Append(1, rec(i, 10))
-	}
-	for i := 0; i < 3; i++ {
-		s.Append(2, rec(i, 10))
-	}
-	s.Complete(2)
-	if _, ok := s.ExportCursor(1); !ok {
-		t.Fatal("export failed")
-	}
-	if got := s.Watermark(); got != 3 {
-		t.Fatalf("watermark after export = %d, want 3", got)
-	}
-	s.TrimBelow(1, 2)
-	if got := s.Watermark(); got != 3 {
-		t.Fatalf("watermark after trimming the exported sensor = %d, want 3", got)
-	}
-	if ids := s.Sensors(); len(ids) != 1 || ids[0] != 2 {
-		t.Fatalf("sensors after trimming the exported sensor = %v, want [2]", ids)
-	}
-	if s.Log(1) != nil {
-		t.Fatal("lookup of the exported sensor returned a log")
-	}
-}
-
 // batchRecord returns a record whose batch has rows rows of width d, the
 // values derived from (index, row, column) so every copy is checkable.
 func batchRecord(index, rows, d int) Record {
@@ -536,15 +365,14 @@ func BenchmarkTrimBelow(b *testing.B) {
 	}
 }
 
-// FuzzImportCursor drives random sequences of ImportCursor, Append,
-// ExportCursor and TrimBelow over three sensors against a model of each
-// log's (head, complete) and checks that a log's head never rewinds, that
-// the next append after an import gets max(head, cursor head), that
-// completion only latches while the log lives, and that exporting and
-// importing into a fresh Stage round-trips (Head, Complete). Each op takes
-// four bytes: kind, sensor, a signed head or trim point, and a flag (unused
-// by trims).
-func FuzzImportCursor(f *testing.F) {
+// FuzzStageModel drives random sequences of Complete, Append, a whole-stage
+// Checkpoint→Restore and TrimBelow over three sensors against a model of
+// each log's (head, complete) and checks that a log's head never rewinds,
+// that the next append gets the head, that completion only latches, and
+// that every head and completion flag survives the Checkpoint→Restore round
+// trip. Each op takes four bytes: kind, sensor, a signed trim point, and a
+// flag (unused).
+func FuzzStageModel(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 5, 1, 1, 0, 0, 0, 2, 0, 0, 0})
 	f.Add([]byte{0, 1, 20, 0, 1, 1, 0, 0, 0, 1, 3, 1, 3, 1, 10, 0, 2, 1, 0, 0})
 	f.Add([]byte{0, 2, 0xff, 1, 1, 2, 0, 0, 3, 2, 1, 1, 2, 2, 0, 0, 0, 2, 7, 0})
@@ -556,28 +384,18 @@ func FuzzImportCursor(f *testing.F) {
 		s := New()
 		logs := map[int]*model{}
 		for i := 0; i+4 <= len(ops); i += 4 {
-			id, arg, flag := int(ops[i+1]%3), int(int8(ops[i+2])), ops[i+3]&1 == 1
+			id, arg := int(ops[i+1]%3), int(int8(ops[i+2]))
 			m := logs[id]
+			if m == nil && ops[i]%4 < 2 {
+				m = &model{}
+				logs[id] = m
+			}
 			switch ops[i] % 4 {
 			case 0:
-				s.ImportCursor(Cursor{SensorID: id, Head: arg, Complete: flag})
-				if arg < 0 {
-					break
-				}
-				if m == nil {
-					m = &model{}
-					logs[id] = m
-				}
-				m.head = max(m.head, arg)
-				m.complete = m.complete || flag
+				s.Complete(id)
+				m.complete = true
 			case 1:
-				want := 0
-				if m != nil {
-					want = m.head
-				} else {
-					m = &model{}
-					logs[id] = m
-				}
+				want := m.head
 				if seq := s.Append(id, rec(want, 10)); seq != want {
 					t.Fatalf("op %d: append on sensor %d got seq %d, want %d", i/4, id, seq, want)
 				}
@@ -586,22 +404,7 @@ func FuzzImportCursor(f *testing.F) {
 					t.Fatalf("op %d: get(%d) = %+v ok=%v", i/4, want, r, ok)
 				}
 			case 2:
-				c, ok := s.ExportCursor(id)
-				if ok != (m != nil) {
-					t.Fatalf("op %d: export of sensor %d ok=%v, want %v", i/4, id, ok, m != nil)
-				}
-				if !ok {
-					break
-				}
-				if c.SensorID != id || c.Head != m.head || c.Complete != m.complete {
-					t.Fatalf("op %d: exported %+v, want head %d complete %v", i/4, c, m.head, m.complete)
-				}
-				fresh := New()
-				fresh.ImportCursor(c)
-				if back, ok := fresh.ExportCursor(id); !ok || back != c {
-					t.Fatalf("op %d: cursor %+v came back from a fresh stage as %+v ok=%v", i/4, c, back, ok)
-				}
-				delete(logs, id)
+				s = Restore(s.Checkpoint())
 			case 3:
 				s.TrimBelow(id, arg)
 			}
@@ -668,8 +471,8 @@ func readOracle(l *Log, from, to, n int) ([]Record, int) {
 	return got, cur
 }
 
-// FuzzLogRead drives random schedules of Append, TrimBelow and ImportCursor
-// on one log and checks that Read over a fuzzed range, into a fuzzed dst
+// FuzzLogRead drives random schedules of Append, TrimBelow and a whole-stage
+// Checkpoint→Restore on one log and checks that Read over a fuzzed range, into a fuzzed dst
 // (capacity and a prefix it must keep), returns exactly the records and the
 // next sequence of the per-sequence Get loop it replaces, trimmed gaps and
 // ranges past the head included. Each op takes four bytes: kind and three
@@ -700,7 +503,7 @@ func FuzzLogRead(f *testing.F) {
 			case 1:
 				s.TrimBelow(id, (a|b<<8)%(head()+8))
 			case 2:
-				s.ImportCursor(Cursor{SensorID: id, Head: head() + a%100 - 20})
+				s = Restore(s.Checkpoint())
 			case 3:
 				l := s.Log(id)
 				if l == nil {
