@@ -314,13 +314,17 @@ func (c *Cluster) markDoneLocked(e *locEntry, done bool) {
 // startNode starts a built node's workers, then puts it on the ring. A
 // node binds no listener: every connection reaches it by the gateway's
 // Handoff. Its workers are started when this returns; its Drain or Close
-// joins them.
-func (c *Cluster) startNode(n *node) {
-	n.srv.ServeHandoffs()
+// joins them. A node a KillNode or Close stopped first stays off the ring.
+func (c *Cluster) startNode(n *node) error {
+	err := n.srv.ServeHandoffs()
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err != nil || n.state != nodePending {
+		return fmt.Errorf("cluster: node %d stopped before it went live", n.id)
+	}
 	n.state = nodeLive
 	c.ring.add(n.id)
-	c.mu.Unlock()
+	return nil
 }
 
 // Start binds the gateway to addr (e.g. "127.0.0.1:0"), starts every node,
@@ -341,7 +345,7 @@ func (c *Cluster) Start(addr string) error {
 	c.mu.Unlock()
 
 	for _, n := range nodes {
-		c.startNode(n)
+		c.startNode(n) // a node killed before Start stays dead
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -670,7 +674,9 @@ func (c *Cluster) AddNode() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.startNode(n)
+	if err := c.startNode(n); err != nil {
+		return 0, err
+	}
 	c.rebalanceTo(n)
 	return n.id, nil
 }

@@ -313,6 +313,29 @@ func TestStartReturnsWithWorkersRunning(t *testing.T) {
 	}
 }
 
+// TestStartNodeSkipsKilledNode: a node killed between its build and its
+// start (AddNode starts it outside the lock, and Start starts nodes that a
+// KillNode may already have stopped) must stay dead and off the ring, or
+// the gateway would route fresh sensors to a stopped server.
+func TestStartNodeSkipsKilledNode(t *testing.T) {
+	c, err := New(Config{Nodes: 1, Node: NodeSpec{Server: ingest.ServerConfig{Handler: newRecHandler(0, 1)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	n := c.nodes[0]
+	if err := c.KillNode(n.id); err != nil {
+		t.Fatal(err)
+	}
+	c.startNode(n)
+	c.mu.Lock()
+	state, ringed := n.state, len(c.ring.nodes()) > 0
+	c.mu.Unlock()
+	if state != nodeDead || ringed {
+		t.Fatalf("killed node after startNode: state %v, on ring %v; want dead and off the ring", state, ringed)
+	}
+}
+
 // TestFreshPlacementsRespectLoadCeiling routes fresh sensors on a started
 // 3-node cluster and checks, after each placement, that no live node
 // carries more than ceil(1.25·total/live) sessions and that the load

@@ -96,8 +96,9 @@ func ReadHello(conn net.Conn, timeout time.Duration) (int, error) {
 }
 
 // WriteHello writes the cleartext hello identifying sensorID under a write
-// deadline — what a client sends first, and what a gateway replays to the
-// node it routed a connection to.
+// deadline — what a client sends first. A gateway does not replay it: it
+// reads the hello and hands the connection, with the sensor id, to a node's
+// Server.Handoff.
 func WriteHello(conn net.Conn, sensorID int, timeout time.Duration) error {
 	var hello [helloLen]byte
 	hello[0] = helloMagic

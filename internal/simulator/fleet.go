@@ -4,14 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/ingest"
 	"repro/internal/reconstruct"
-	"repro/internal/seccomm"
 )
 
 // Fleet simulation: the paper's deployments are networks of sensors —
@@ -29,18 +26,8 @@ import (
 // ingest.Server (sharded accept loops, bounded queues, typed backpressure,
 // a session registry that hands reconnecting sensors their resume index),
 // and each sensor is an ingest.Client (dial backoff, per-frame deadlines,
-// write retries, redial-and-resume). The fleet's job here reduces to the
-// domain halves of that contract: a FrameSource that samples, encodes, and
-// seals on the sensor side, and a Handler/Session pair that opens, decodes,
-// and reconstructs on the server side. The sensor keeps ONE sealer for its
-// whole lifetime, so the nonce counter stays monotonic across redials and a
-// resumed stream can never repeat a (key, nonce) pair.
-//
-// The server is deliberately sized so a healthy fleet never sees
-// backpressure (enough workers for every sensor): fleet results must be
-// byte-identical to the direct pipeline at a fixed seed, and a shed
-// connection would perturb delivery. Overload behavior is exercised by
-// cmd/ageload and the ingest package's own tests, not here.
+// write retries, redial-and-resume). The fleet wraps pipeline.go's sensor
+// and station in that contract.
 
 // FleetConfig drives a multi-sensor run. All sensors share the task shape
 // (T, d, format) and encoder kind but hold distinct keys.
@@ -265,7 +252,6 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	if cfg.IOTimeout <= 0 {
 		cfg.IOTimeout = ingest.DefaultIOTimeout
 	}
-	coreCfg := coreConfig(cfg.Base)
 
 	// Partition sequences round-robin.
 	parts := make([][]int, n) // sequence indices per sensor
@@ -286,10 +272,7 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	// accs accumulate per-sensor reconstruction error across connections.
 	accs := make([]reconstruct.Accumulator, n)
 
-	handler := &fleetHandler{
-		cfg: cfg, coreCfg: coreCfg, parts: parts,
-		res: res, mu: &mu, accs: accs,
-	}
+	handler := &fleetHandler{cfg: cfg, parts: parts, res: res, mu: &mu, accs: accs}
 	// Size the server so a healthy fleet never queues or sheds: enough
 	// workers for every sensor plus reconnect transients. Results must be
 	// byte-identical to the direct pipeline; backpressure is exercised by
@@ -342,7 +325,7 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	for s := 0; s < n; s++ {
 		go func(sensorID int) {
 			defer sensorWG.Done()
-			stats, err := runFleetSensor(ctx, sensorID, addr, cfg, coreCfg, parts[sensorID])
+			stats, err := runFleetSensor(ctx, sensorID, addr, cfg, parts[sensorID])
 			mu.Lock()
 			res.Sensors[sensorID].DialAttempts = stats.DialAttempts
 			res.Sensors[sensorID].Reconnects = stats.Reconnects
@@ -408,29 +391,15 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	return res, nil
 }
 
-// fleetKey derives a per-sensor key (shared out of band in a real system).
-func fleetKey(sensorID int, cipher seccomm.CipherKind) []byte {
-	n := 32
-	if cipher == seccomm.AES128Block {
-		n = 16
-	}
-	key := make([]byte, n)
-	for i := range key {
-		key[i] = byte(sensorID*31 + i*7 + 5)
-	}
-	return key
-}
-
 // fleetHandler is the base station's application logic behind the ingest
 // server: it validates sensor ids, builds the per-sensor decode pipeline,
 // and records outcomes in the shared FleetResult.
 type fleetHandler struct {
-	cfg     FleetConfig
-	coreCfg core.Config
-	parts   [][]int
-	res     *FleetResult
-	mu      *sync.Mutex
-	accs    []reconstruct.Accumulator
+	cfg   FleetConfig
+	parts [][]int
+	res   *FleetResult
+	mu    *sync.Mutex
+	accs  []reconstruct.Accumulator
 }
 
 func (h *fleetHandler) setServerErr(sensorID int, err error) {
@@ -440,8 +409,7 @@ func (h *fleetHandler) setServerErr(sensorID int, err error) {
 }
 
 // Open implements ingest.Handler: it admits known sensors, builds their
-// decoder and opener, and clears any failure a previous connection left
-// behind — this connection supersedes it.
+// station, and clears any failure a previous connection left behind.
 func (h *fleetHandler) Open(sensorID, delivered int) (ingest.Session, error) {
 	if sensorID < 0 || sensorID >= len(h.parts) {
 		err := fmt.Errorf("unknown sensor %d", sensorID)
@@ -450,12 +418,7 @@ func (h *fleetHandler) Open(sensorID, delivered int) (ingest.Session, error) {
 		h.mu.Unlock()
 		return nil, err
 	}
-	encs, err := buildEncoder(h.cfg.Base.Encoder, h.coreCfg, h.cfg.Base.Cipher)
-	if err != nil {
-		h.setServerErr(sensorID, err)
-		return nil, err
-	}
-	opener, err := seccomm.NewSealer(h.cfg.Base.Cipher, fleetKey(sensorID, h.cfg.Base.Cipher))
+	st, err := newStation(h.cfg.Base, sensorID, h.cfg.Pacing.active())
 	if err != nil {
 		h.setServerErr(sensorID, err)
 		return nil, err
@@ -463,7 +426,7 @@ func (h *fleetHandler) Open(sensorID, delivered int) (ingest.Session, error) {
 	h.mu.Lock()
 	h.res.Sensors[sensorID].ServerErr = ""
 	h.mu.Unlock()
-	return &fleetSession{h: h, sensorID: sensorID, encs: encs, opener: opener}, nil
+	return &fleetSession{h: h, sensorID: sensorID, st: st}, nil
 }
 
 // Rejected implements ingest.Handler. Only duplicates reach it: a sensor
@@ -484,22 +447,19 @@ func (h *fleetHandler) Unattributed(err error) {
 	h.mu.Unlock()
 }
 
-// fleetSession decodes and reconstructs one connection's frames. The
-// ingest server owns the wire; the session owns open → decode →
-// reconstruct → accumulate, plus the server-side fault injection.
+// fleetSession runs one connection's frames through a station, adding the
+// server-side fault injection, the wire tap and the result bookkeeping.
 type fleetSession struct {
 	h          *fleetHandler
 	sensorID   int
-	encs       encoderSet
-	opener     seccomm.Sealer
+	st         *station
 	connFrames int // frames processed on THIS connection (fault accounting)
 }
 
 // Total implements ingest.Session.
 func (s *fleetSession) Total() int { return len(s.h.parts[s.sensorID]) }
 
-// Frame implements ingest.Session: open, decode, reconstruct, score, and
-// fold frame fi into the shared result.
+// Frame implements ingest.Session: score frame fi into the shared result.
 func (s *fleetSession) Frame(fi int, msg []byte) error {
 	h := s.h
 	if h.cfg.Faults != nil {
@@ -518,28 +478,8 @@ func (s *fleetSession) Frame(fi int, msg []byte) error {
 	if obs := h.cfg.Pacing.Observer; obs != nil {
 		obs(s.sensorID, seq.Label)
 	}
-	payload, err := s.opener.Open(msg)
-	if err != nil {
-		return fmt.Errorf("frame %d: %w", fi, err)
-	}
-	if h.cfg.Pacing.active() {
-		data, dummy, err := ingest.Unmark(payload)
-		if err != nil {
-			return fmt.Errorf("frame %d: %w", fi, err)
-		}
-		if dummy {
-			// Cover traffic: only the key holder can tell. The ingest
-			// server discards it without advancing the delivered index.
-			return ingest.ErrDummyFrame
-		}
-		payload = data
-	}
-	batch, err := s.encs.dec.Decode(payload)
-	if err != nil {
-		return fmt.Errorf("frame %d: %w", fi, err)
-	}
-	meta := h.cfg.Base.Dataset.Meta
-	mae, err := reconstruct.LinearMAE(batch.Indices, batch.Values, seq.Values, meta.SeqLen, meta.NumFeatures)
+	// A cover frame's ErrDummyFrame tells the ingest server to discard it.
+	mae, err := s.st.step(msg, seq.Values)
 	if err != nil {
 		return fmt.Errorf("frame %d: %w", fi, err)
 	}
@@ -565,25 +505,16 @@ func (s *fleetSession) Close(err error) {
 // ingest.Client, honoring the configured fault plan. Its transport counts
 // land in the ingest.client.* family of Base.Metrics; it returns the
 // client's full transport accounting.
-func runFleetSensor(ctx context.Context, sensorID int, addr string, cfg FleetConfig, coreCfg core.Config, seqIdx []int) (ingest.ClientStats, error) {
+func runFleetSensor(ctx context.Context, sensorID int, addr string, cfg FleetConfig, seqIdx []int) (ingest.ClientStats, error) {
 	if cfg.Faults != nil && cfg.Faults.NeverDial[sensorID] {
 		return ingest.ClientStats{}, errors.New("fault injection: sensor never dialed")
 	}
-	encs, err := buildEncoder(cfg.Base.Encoder, coreCfg, cfg.Base.Cipher)
+	// ONE sensor, and so one sealer, outlives every redial.
+	sen, err := newSensor(cfg.Base, sensorID, cfg.Pacing.active())
 	if err != nil {
 		return ingest.ClientStats{}, err
 	}
-	// ONE sealer for the sensor's lifetime: the nonce counter advances
-	// monotonically across redials, so resumed streams never reuse a
-	// (key, nonce) pair (seccomm's per-sealer instance prefix is the
-	// structural backstop should a caller ever re-create one). With pacing
-	// active, dummy frames consume nonces from the same counter — they are
-	// ordinary sealed messages as far as the cipher is concerned.
-	sealer, err := seccomm.NewSealer(cfg.Base.Cipher, fleetKey(sensorID, cfg.Base.Cipher))
-	if err != nil {
-		return ingest.ClientStats{}, err
-	}
-	src := &fleetFrameSource{cfg: cfg, sensorID: sensorID, seqIdx: seqIdx, encs: encs, sealer: sealer}
+	src := &fleetFrameSource{cfg: cfg, sensorID: sensorID, seqIdx: seqIdx, sen: sen}
 	ccfg := ingest.ClientConfig{
 		Addr:              addr,
 		SensorID:          sensorID,
@@ -602,29 +533,20 @@ func runFleetSensor(ctx context.Context, sensorID int, addr string, cfg FleetCon
 			Mode:       cfg.Pacing.Mode,
 			Interval:   cfg.Pacing.Interval,
 			JitterFrac: cfg.Pacing.JitterFrac,
-			// A dummy seals a marked filler of the encoder's own payload
-			// length, so real and cover frames are the same size on the
-			// wire.
-			Dummy: func() ([]byte, error) {
-				return sealer.Seal(ingest.MarkDummy(make([]byte, encs.payloadBytes)))
-			},
+			Dummy:      sen.dummy,
 		}
 	}
 	client := ingest.NewClient(ccfg)
 	return client.Run(ctx, src)
 }
 
-// fleetFrameSource produces one sensor's sealed frames for the ingest
-// client: sample under the replayable RNG, encode, seal. Client-side fault
-// injection lives here — a die or stall is a property of the sensor, not
-// of the transport.
+// fleetFrameSource feeds a sensor's frames to the ingest client, adding
+// resume replay and client-side fault injection (a die or stall).
 type fleetFrameSource struct {
 	cfg      FleetConfig
 	sensorID int
 	seqIdx   []int
-	encs     encoderSet
-	sealer   seccomm.Sealer
-	rng      *rand.Rand
+	sen      *sensor
 	next     int
 	lastGap  time.Duration
 }
@@ -637,9 +559,9 @@ func (s *fleetFrameSource) Total() int { return len(s.seqIdx) }
 // uninterrupted run would sample them — resume is invisible in the
 // delivered data.
 func (s *fleetFrameSource) Seek(resume int) error {
-	s.rng = newSeededRand(s.cfg.Base.Seed + int64(s.sensorID))
+	s.sen.rng = newSeededRand(s.sen.seed)
 	for _, si := range s.seqIdx[:resume] {
-		s.cfg.Base.Policy.Sample(s.cfg.Base.Dataset.Sequences[si].Values, s.rng)
+		s.sen.policy.Sample(s.cfg.Base.Dataset.Sequences[si].Values, s.sen.rng)
 	}
 	s.next = resume
 	return nil
@@ -657,30 +579,15 @@ func (s *fleetFrameSource) Next(ctx context.Context) ([]byte, error) {
 			return nil, ingest.Terminal(fmt.Errorf("fault injection: stalled after %d frames", k))
 		}
 	}
-	seq := s.cfg.Base.Dataset.Sequences[s.seqIdx[fi]]
-	idx := s.cfg.Base.Policy.Sample(seq.Values, s.rng)
-	vals := make([][]float64, len(idx))
-	for i, t := range idx {
-		vals[i] = seq.Values[t]
+	msg, collected, err := s.sen.step(s.cfg.Base.Dataset.Sequences[s.seqIdx[fi]].Values)
+	if err != nil {
+		return nil, ingest.Terminal(err)
 	}
 	// The data-driven generation schedule: a batch of k collected samples
 	// keeps the node busy (collecting, recovering energy) for BaseGap +
 	// PerSample×k before the frame can leave. This is the quantity that
 	// leaks: k tracks the event, and PaceLive puts it on the wire.
-	s.lastGap = s.cfg.Pacing.BaseGap + time.Duration(len(idx))*s.cfg.Pacing.PerSample
-	payload, err := s.encs.enc.Encode(core.Batch{Indices: idx, Values: vals})
-	if err != nil {
-		return nil, ingest.Terminal(err)
-	}
-	if s.cfg.Pacing.active() {
-		// The real/dummy marker travels inside the sealed envelope; the
-		// server-side session strips it after unsealing.
-		payload = ingest.MarkReal(payload)
-	}
-	msg, err := s.sealer.Seal(payload)
-	if err != nil {
-		return nil, ingest.Terminal(err)
-	}
+	s.lastGap = s.cfg.Pacing.BaseGap + time.Duration(collected)*s.cfg.Pacing.PerSample
 	s.next++
 	return msg, nil
 }

@@ -2,8 +2,7 @@ package simulator
 
 import "math/rand"
 
-// newSeededRand returns the deterministic sampling RNG a fleet sensor
-// replays from its seed on every (re)connection, so resume is invisible in
-// the sampled data. It is the same source RunContext draws from, which makes
-// a one-sensor fleet sample exactly as the in-process run does.
+// newSeededRand returns a sensor's sampling RNG. Seek rewinds and replays it
+// on every (re)connection, so resume is invisible in the sampled data, and
+// RunContext drives sensor 0, so a one-sensor fleet samples as it does.
 func newSeededRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

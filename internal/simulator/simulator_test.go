@@ -293,12 +293,22 @@ func TestRunOverSocketMatchesInProcess(t *testing.T) {
 	// Under a random policy the sampling stream decides the result, so these
 	// cases pin that the socket sensor draws from the same replayable
 	// stream as RunContext, and builds the same codec (the MinWidth override
-	// included): equal MAE bit for bit and equal attacker views.
+	// included): equal MAE bit for bit and equal attacker views. The AES
+	// cases cover the block cipher, whose AGE target RoundTargetToCipher
+	// rounds to whole blocks, and Standard's varying sizes under it.
 	for _, c := range []struct {
+		enc      EncoderKind
+		cipher   seccomm.CipherKind
 		rate     float64
 		minWidth int
-	}{{0.7, 0}, {0.5, 12}} {
-		rcfg := baseConfig(d, policy.NewRandom(0.6), EncAGE, c.rate)
+	}{
+		{EncAGE, seccomm.ChaCha20Stream, 0.7, 0},
+		{EncAGE, seccomm.ChaCha20Stream, 0.5, 12},
+		{EncAGE, seccomm.AES128Block, 0.7, 0},
+		{EncStandard, seccomm.AES128Block, 0.7, 0},
+	} {
+		rcfg := baseConfig(d, policy.NewRandom(0.6), c.enc, c.rate)
+		rcfg.Cipher = c.cipher
 		rcfg.Mode = ModeMCU
 		rcfg.MinWidth = c.minWidth
 		run, err := RunContext(context.Background(), rcfg)
@@ -306,17 +316,17 @@ func TestRunOverSocketMatchesInProcess(t *testing.T) {
 			t.Fatal(err)
 		}
 		if run.Violations != 0 {
-			t.Fatalf("MinWidth %d: in-process run has %d budget violations; the comparison needs 0", c.minWidth, run.Violations)
+			t.Fatalf("%+v: in-process run has %d budget violations; the comparison needs 0", c, run.Violations)
 		}
 		rsock, err := RunFleetContext(context.Background(), FleetConfig{Base: rcfg, Sensors: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if math.Float64bits(rsock.PerSensorMAE[0]) != math.Float64bits(run.MAE) {
-			t.Errorf("MinWidth %d: socket MAE %.17g, in-process MAE %.17g", c.minWidth, rsock.PerSensorMAE[0], run.MAE)
+			t.Errorf("%+v: socket MAE %.17g, in-process MAE %.17g", c, rsock.PerSensorMAE[0], run.MAE)
 		}
 		if !reflect.DeepEqual(rsock.SizesByLabel, run.SizesByLabel) {
-			t.Errorf("MinWidth %d: socket sizes %v, in-process sizes %v", c.minWidth, rsock.SizesByLabel, run.SizesByLabel)
+			t.Errorf("%+v: socket sizes %v, in-process sizes %v", c, rsock.SizesByLabel, run.SizesByLabel)
 		}
 	}
 }
