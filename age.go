@@ -14,8 +14,9 @@
 //
 // The package re-exports the building blocks a downstream user needs:
 //
-//   - encoders: NewAGEEncoder (the contribution), NewStandardEncoder,
-//     NewPaddedEncoder, and the ablation variants;
+//   - encoders: NewAGEEncoder (the contribution), NewStandardEncoder, and
+//     NewEncoder for any of the six kinds, the Padded defense and the
+//     ablation variants included;
 //   - sampling policies: Uniform, Random, Linear, Deviation, and a
 //     trainable Skip RNN, plus offline threshold fitting;
 //   - the sensing workloads of the paper's Table 3;
@@ -102,16 +103,6 @@ func NewAGEEncoder(cfg EncoderConfig) (*core.AGE, error) { return core.NewAGE(cf
 // NewStandardEncoder returns the baseline variable-length encoder whose
 // message sizes leak the collection rate.
 func NewStandardEncoder(cfg EncoderConfig) (*core.Standard, error) { return core.NewStandard(cfg) }
-
-// NewPaddedEncoder returns the BuFLO-style defense: Standard encoding padded
-// to the largest possible batch.
-func NewPaddedEncoder(cfg EncoderConfig) (*core.Padded, error) { return core.NewPadded(cfg) }
-
-// NewSingleEncoder, NewUnshiftedEncoder, and NewPrunedEncoder are the §5.6
-// ablation variants of AGE.
-func NewSingleEncoder(cfg EncoderConfig) (*core.Single, error)       { return core.NewSingle(cfg) }
-func NewUnshiftedEncoder(cfg EncoderConfig) (*core.Unshifted, error) { return core.NewUnshifted(cfg) }
-func NewPrunedEncoder(cfg EncoderConfig) (*core.Pruned, error)       { return core.NewPruned(cfg) }
 
 // NewEncoder is the unified factory over all six encoder variants: one call
 // site builds the kind's matched encoder/decoder pair. cfg.TargetBytes is
@@ -490,8 +481,8 @@ var ErrDummyFrame = ingest.ErrDummyFrame
 // MarkFrameReal, MarkFrameDummy, and UnmarkFrame implement the pacer's
 // in-payload marker convention: sources seal marked payloads, receiving
 // sessions unmark after unsealing and drop dummies with ErrDummyFrame.
-func MarkFrameReal(payload []byte) []byte { return ingest.MarkReal(payload) }
-func MarkFrameDummy(filler []byte) []byte { return ingest.MarkDummy(filler) }
+func MarkFrameReal(payload []byte) []byte { return ingest.MarkReal(nil, payload) }
+func MarkFrameDummy(filler []byte) []byte { return ingest.MarkDummy(nil, filler) }
 func UnmarkFrame(payload []byte) ([]byte, bool, error) {
 	return ingest.Unmark(payload)
 }

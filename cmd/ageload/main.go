@@ -194,10 +194,11 @@ func (b *burstSource) Next(ctx context.Context) ([]byte, error) {
 // pacedSource adapts a FrameSource for the release pacer: real payloads gain
 // the in-payload marker, and a synthetic generation clock (a fixed gap per
 // frame) gives the pacer's age-of-information accounting a production time
-// to charge against.
+// to charge against. Each frame is marked into one reused buffer.
 type pacedSource struct {
 	ingest.FrameSource
-	gap time.Duration
+	gap    time.Duration
+	marked []byte
 }
 
 func (p *pacedSource) Next(ctx context.Context) ([]byte, error) {
@@ -205,7 +206,8 @@ func (p *pacedSource) Next(ctx context.Context) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ingest.MarkReal(msg), nil
+	p.marked = ingest.MarkReal(p.marked[:0], msg)
+	return p.marked, nil
 }
 
 func (p *pacedSource) LastGap() time.Duration { return p.gap }
@@ -240,22 +242,19 @@ func (g *genSource) Next(ctx context.Context) ([]byte, error) {
 
 // encSource synthesizes measurement batches and encodes them through a real
 // core encoder, exercising the production encode kernels inside the load
-// path. Frames are encoded in blocks with AppendEncodeBatchN so the per-
-// encode setup amortizes; payload storage is reused across blocks. Frame i's
+// path. Each Next fills one reused batch and encodes it with AppendEncode
+// into one reused payload, the simulator sensor's path: ingest.Client copies
+// every frame into its gather buffer before it calls Next again. Frame i's
 // content is a pure function of (sensor, i) — the LCG is reseeded from both
 // every frame — so Seek satisfies the resume contract exactly.
 type encSource struct {
 	sensorID int
 	total    int
 	next     int
-	enc      core.BatchAppendEncoder
+	enc      core.AppendEncoder
 	cfg      core.Config
-
-	block   []core.Batch // reusable batch templates, len = block size
-	dsts    [][]byte     // payload storage, parallel to block
-	start   int          // frame index of dsts[0], -1 when the cache is cold
-	cached  int          // valid frames in dsts
-	lastErr error
+	batch    core.Batch
+	payload  []byte
 }
 
 // frameK is the adaptive-style sample count for one frame: frames in the
@@ -276,23 +275,15 @@ func frameK(sensorID, frame, t int) int {
 	return k
 }
 
-func newEncSource(sensorID, total, block int, enc core.BatchAppendEncoder, cfg core.Config) *encSource {
-	s := &encSource{sensorID: sensorID, total: total, enc: enc, cfg: cfg, start: -1}
-	// Backing arrays sized for the largest per-frame sample count; fillBatch
+func newEncSource(sensorID, total int, enc core.AppendEncoder, cfg core.Config) *encSource {
+	// Backing arrays sized for the largest per-frame sample count; fill
 	// reslices them to each frame's adaptive count.
-	kMax := cfg.T / 2
-	if kMax < 1 {
-		kMax = 1
+	kMax := max(cfg.T/2, 1)
+	b := core.Batch{Indices: make([]int, kMax), Values: make([][]float64, kMax)}
+	for j := range b.Values {
+		b.Values[j] = make([]float64, cfg.D)
 	}
-	s.block = make([]core.Batch, block)
-	for i := range s.block {
-		b := core.Batch{Indices: make([]int, kMax), Values: make([][]float64, kMax)}
-		for j := range b.Indices {
-			b.Values[j] = make([]float64, cfg.D)
-		}
-		s.block[i] = b
-	}
-	return s
+	return &encSource{sensorID: sensorID, total: total, enc: enc, cfg: cfg, batch: b}
 }
 
 func (s *encSource) Total() int { return s.total }
@@ -302,10 +293,10 @@ func (s *encSource) Seek(resume int) error {
 	return nil
 }
 
-// fillBatch overwrites slot's values deterministically from (sensor, frame).
-func (s *encSource) fillBatch(slot, frame int) {
+// fill overwrites the batch deterministically from (sensor, frame).
+func (s *encSource) fill(frame int) {
 	k := frameK(s.sensorID, frame, s.cfg.T)
-	b := &s.block[slot]
+	b := &s.batch
 	b.Indices = b.Indices[:k]
 	b.Values = b.Values[:k]
 	x := uint32(s.sensorID)*2654435761 + uint32(frame)*40503 + 1
@@ -324,24 +315,13 @@ func (s *encSource) Next(ctx context.Context) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if s.start < 0 || s.next < s.start || s.next >= s.start+s.cached {
-		n := s.total - s.next
-		if n > len(s.block) {
-			n = len(s.block)
-		}
-		for i := 0; i < n; i++ {
-			s.fillBatch(i, s.next+i)
-		}
-		var err error
-		s.dsts, err = s.enc.AppendEncodeBatchN(s.dsts, s.block[:n])
-		if err != nil {
-			return nil, ingest.Terminal(fmt.Errorf("encode frame %d: %w", s.next, err))
-		}
-		s.start, s.cached = s.next, n
+	s.fill(s.next)
+	var err error
+	if s.payload, err = s.enc.AppendEncode(s.payload[:0], s.batch); err != nil {
+		return nil, ingest.Terminal(fmt.Errorf("encode frame %d: %w", s.next, err))
 	}
-	msg := s.dsts[s.next-s.start]
 	s.next++
-	return msg, nil
+	return s.payload, nil
 }
 
 // percentiles summarizes a latency distribution in milliseconds.
@@ -620,9 +600,9 @@ func runLoad(opts loadOptions) (*report, error) {
 			TargetBytes: opts.frameBytes,
 		}
 		if opts.encode == "age" {
-			codec.newEncoder = func() (core.BatchAppendEncoder, error) { return core.NewAGE(codec.cfg) }
+			codec.newEncoder = func() (core.AppendEncoder, error) { return core.NewAGE(codec.cfg) }
 		} else {
-			codec.newEncoder = func() (core.BatchAppendEncoder, error) { return core.NewStandard(codec.cfg) }
+			codec.newEncoder = func() (core.AppendEncoder, error) { return core.NewStandard(codec.cfg) }
 		}
 		if _, err := codec.newEncoder(); err != nil {
 			return nil, fmt.Errorf("-encode %s with -frame-bytes %d: %w", opts.encode, opts.frameBytes, err)
@@ -874,7 +854,7 @@ type tally struct{ frames, bytes atomic.Int64 }
 // stamped genSource frames.
 type frameCodec struct {
 	cfg        core.Config
-	newEncoder func() (core.BatchAppendEncoder, error)
+	newEncoder func() (core.AppendEncoder, error)
 }
 
 // driveFleet is the load loop both paths share. It runs opts.sensors real
@@ -914,14 +894,15 @@ func driveFleet(opts loadOptions, codec frameCodec, addr string, reg *metrics.Re
 				Metrics:           reg,
 			}
 			if paced {
+				// The client frames each dummy before it asks for the
+				// next, so one marked filler serves them all.
+				cover := ingest.MarkDummy(nil, make([]byte, opts.frameBytes))
 				ccfg.Seed = int64(id)*2654435761 + 1
 				ccfg.Pacer = ingest.PacerConfig{
 					Mode:       opts.pace,
 					Interval:   opts.paceInterval,
 					JitterFrac: opts.paceJitter,
-					Dummy: func() ([]byte, error) {
-						return ingest.MarkDummy(make([]byte, opts.frameBytes)), nil
-					},
+					Dummy:      func() ([]byte, error) { return cover, nil },
 				}
 			}
 			client := ingest.NewClient(ccfg)
@@ -932,7 +913,7 @@ func driveFleet(opts loadOptions, codec frameCodec, addr string, reg *metrics.Re
 					errs[id] = err
 					return
 				}
-				src = newEncSource(id, opts.frames, max(opts.writeBatch, 1), enc, codec.cfg)
+				src = newEncSource(id, opts.frames, enc, codec.cfg)
 			} else {
 				src = &genSource{sensorID: id, total: opts.frames, buf: make([]byte, opts.frameBytes)}
 			}

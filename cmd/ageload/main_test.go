@@ -69,7 +69,7 @@ func TestEncSourceResumeContract(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return newEncSource(sensor, 12, 5, enc, cfg)
+		return newEncSource(sensor, 12, enc, cfg)
 	}
 	ctx := context.Background()
 	a := mk(3)

@@ -35,7 +35,8 @@ type Config struct {
 }
 
 // DefaultConfig returns the repo's hot-path inventory: every encoder's
-// append/into entry points, the bit-packing and quantization kernels on
+// append/into entry points, the value packer and unpacker they share and
+// the unpacker's dequantize loop, the bit-packing and quantization kernels on
 // their call paths, the reconstruction kernels the projection scores each
 // delivered frame with, the cipher and staging kernels on the server's
 // frame path, the GRU step under the Skip RNN's sampling walk, the
@@ -45,7 +46,7 @@ func DefaultConfig() Config {
 	return Config{
 		Require: map[string][]string{
 			"repro/internal/core": {
-				"AppendEncode", "DecodeInto", "AppendEncodeBatchN", "appendEncode",
+				"AppendEncode", "DecodeInto", "packGroups", "unpackGroups", "dequantize",
 			},
 			"repro/internal/bitio": {
 				"WriteBits", "ReadBits", "Align", "PadTo", "Reset", "ResetTo",

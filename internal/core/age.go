@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"repro/internal/bitio"
 	"repro/internal/fixedpoint"
@@ -17,40 +16,29 @@ import (
 //
 // Wire layout (byte-aligned blocks; see DESIGN.md §5):
 //
-//	[2B collected count k'] [k' x ceil(log2 T) bits of indices]
+//	index block: [1B flag] then either [2B collected count k']
+//	  [k' x ceil(log2 T) bits of indices] or a [T-bit presence mask],
+//	  whichever is smaller
 //	[1B group count G']
 //	G' x ([2B run length] [1B exponent n_i] [1B width w_i])
 //	packed values: group by group, Count(g_i)*d values at w_i bits
 //	zero padding to TargetBytes
 type AGE struct {
-	cfg Config
-	// scratch pools the per-encode working set (prune survivors, groups,
-	// merge boundaries) so steady-state Encode/Decode stops allocating per
-	// batch. A pool rather than a single scratch keeps the encoder safe for
-	// concurrent use across sweep workers.
-	scratch sync.Pool
+	cfg     Config
+	scratch scratchPool
 }
 
 // NewAGE returns an AGE encoder/decoder producing cfg.TargetBytes messages.
 func NewAGE(cfg Config) (*AGE, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	cfg, err := fixedConfig("AGE", cfg, 1)
+	if err != nil {
 		return nil, err
-	}
-	if cfg.TargetBytes < minAGEBytes {
-		return nil, fmt.Errorf("core: AGE target %dB below minimum %dB: %w", cfg.TargetBytes, minAGEBytes, ErrTargetTooSmall)
 	}
 	if cfg.MinWidth < 1 || cfg.MinWidth > cfg.Format.Width {
 		return nil, fmt.Errorf("core: MinWidth %d out of range [1, %d]", cfg.MinWidth, cfg.Format.Width)
 	}
-	a := &AGE{cfg: cfg}
-	a.scratch.New = func() any { return new(ageScratch) }
-	return a, nil
+	return &AGE{cfg: cfg}, nil
 }
-
-// minAGEBytes is the smallest message that can hold the empty-batch header
-// (2-byte count + 1-byte group count).
-const minAGEBytes = 3
 
 // maxRunLen is the largest measurement count one group header can carry in
 // its 16-bit run-length field. rleGroups caps runs here, and mergeGroups
@@ -66,14 +54,6 @@ const maxWireGroups = 255
 // PayloadBytes returns the fixed message size M_B.
 func (a *AGE) PayloadBytes() int { return a.cfg.TargetBytes }
 
-// group is a run of consecutive measurements sharing an exponent, plus the
-// bit width assigned during quantization.
-type group struct {
-	count    int // measurements in the group
-	exponent int // non-fractional bits n_i
-	width    int // assigned bits per value w_i
-}
-
 // boundary scores the gap between adjacent groups for merging.
 type boundary struct{ pos, score int }
 
@@ -86,16 +66,6 @@ type ageScratch struct {
 	groups   []group
 	bounds   []boundary
 	dissolve []bool
-	u64      []uint64 // decode-side mantissa staging for ReadRun
-}
-
-// release returns the scratch to the pool, dropping references to caller
-// data so pooled scratches never pin batch rows against the GC.
-func (a *AGE) release(sc *ageScratch) {
-	vals := sc.vals[:cap(sc.vals)]
-	clear(vals)
-	sc.vals = vals[:0]
-	a.scratch.Put(sc)
 }
 
 // Encode implements Encoder. The result is always exactly TargetBytes long.
@@ -106,43 +76,11 @@ func (a *AGE) Encode(b Batch) ([]byte, error) { return a.AppendEncode(nil, b) }
 //
 //age:hotpath
 func (a *AGE) AppendEncode(dst []byte, b Batch) ([]byte, error) {
-	sc := a.scratch.Get().(*ageScratch)
-	defer a.release(sc)
-	return a.appendEncode(sc, dst, b)
-}
-
-// AppendEncodeBatchN implements BatchAppendEncoder: it encodes batches[i]
-// into dsts[i]'s storage, growing dsts as needed, sharing one scratch
-// checkout across the whole run instead of a pool round-trip per batch. On
-// the first failure it returns the successfully encoded prefix alongside the
-// error.
-//
-//age:hotpath
-func (a *AGE) AppendEncodeBatchN(dsts [][]byte, batches []Batch) ([][]byte, error) {
-	sc := a.scratch.Get().(*ageScratch)
-	defer a.release(sc)
-	for len(dsts) < len(batches) {
-		dsts = append(dsts, nil)
-	}
-	dsts = dsts[:len(batches)]
-	for i, b := range batches {
-		out, err := a.appendEncode(sc, dsts[i], b)
-		if err != nil {
-			return dsts[:i], fmt.Errorf("core: age batch %d: %w", i, err)
-		}
-		dsts[i] = out
-	}
-	return dsts, nil
-}
-
-// appendEncode is the scratch-threaded encode body shared by AppendEncode
-// and AppendEncodeBatchN.
-//
-//age:hotpath
-func (a *AGE) appendEncode(sc *ageScratch, dst []byte, b Batch) ([]byte, error) {
 	if err := b.Validate(a.cfg.T, a.cfg.D); err != nil {
 		return nil, err
 	}
+	sc := a.scratch.get()
+	defer a.scratch.put(sc)
 	idx, vals := sc.prune(b.Indices, b.Values, a.maxKeep())
 	groups := a.formGroups(sc, vals)
 	groups = a.assignWidths(sc, groups, len(idx))
@@ -154,27 +92,8 @@ func (a *AGE) appendEncode(sc *ageScratch, dst []byte, b Batch) ([]byte, error) 
 	w.ResetTo(dst)
 	writeIndexBlock(&w, idx, a.cfg.T)
 	w.Align()
-	w.WriteBits(uint32(len(groups)), 8)
-	for _, g := range groups {
-		w.WriteBits(uint32(g.count), 16)
-		w.WriteBits(uint32(g.exponent), 8)
-		w.WriteBits(uint32(g.width), 8)
-	}
-	row := 0
-	for _, g := range groups {
-		// Fused quantize+pack: one precomputed Quantizer per group and a
-		// RunWriter accumulating whole 64-bit words, instead of a math.Pow
-		// and a bit-by-bit write per value.
-		q := fixedpoint.NewQuantizer(fixedpoint.Format{Width: g.width, NonFrac: g.exponent})
-		rw := w.StartRun(g.width)
-		for i := 0; i < g.count; i++ {
-			for _, v := range vals[row] {
-				rw.Add(uint64(q.Bits(v)))
-			}
-			row++
-		}
-		rw.Flush()
-	}
+	writeGroupTable(&w, groups, 0)
+	packGroups(&w, groups, vals)
 	w.PadTo(a.cfg.TargetBytes)
 	return w.Bytes(), nil
 }
@@ -207,60 +126,16 @@ func (a *AGE) DecodeInto(b *Batch, payload []byte) error {
 		return err
 	}
 	r.Align()
-	gc, err := r.ReadBits(8)
-	if err != nil {
-		return fmt.Errorf("core: age decode group count: %w", err)
-	}
-	sc := a.scratch.Get().(*ageScratch)
-	defer a.release(sc)
-	groups := slices.Grow(sc.groups[:0], int(gc))[:gc]
+	sc := a.scratch.get()
+	defer a.scratch.put(sc)
+	groups, err := readGroupTable(&r, sc.groups[:0], 0, len(idx))
 	sc.groups = groups
-	total := 0
-	for i := range groups {
-		c, err1 := r.ReadBits(16)
-		e, err2 := r.ReadBits(8)
-		wd, err3 := r.ReadBits(8)
-		if err1 != nil || err2 != nil || err3 != nil {
-			return fmt.Errorf("core: age decode group %d header", i)
-		}
-		groups[i] = group{count: int(c), exponent: int(e), width: int(wd)}
-		total += int(c)
+	if err == nil {
+		b.Values, err = unpackGroups(&r, groups, a.cfg.D, b.Values[:0])
 	}
-	if total != len(idx) {
-		return fmt.Errorf("core: age decode: groups cover %d measurements, indices say %d", total, len(idx))
+	if err != nil {
+		return fmt.Errorf("core: age decode: %w", err)
 	}
-	vals := b.Values[:0]
-	for gi, g := range groups {
-		// A corrupt payload can carry any width or exponent byte; both must
-		// land in fixedpoint's representable range or the constructed
-		// Format would be invalid (§4.4 assigns 1..Format.Width and
-		// 1..NonFrac only).
-		if g.width < 1 || g.width > fixedpoint.MaxWidth ||
-			g.exponent < 1 || g.exponent > fixedpoint.MaxWidth {
-			b.Values = vals
-			return fmt.Errorf("core: age decode: group %d has invalid format (w=%d n=%d)", gi, g.width, g.exponent)
-		}
-		// Fused unpack+dequantize: pull the whole group's mantissas out in
-		// one ReadRun pass, then expand with a precomputed Dequantizer.
-		n := g.count * a.cfg.D
-		buf := slices.Grow(sc.u64[:0], n)[:n]
-		sc.u64 = buf
-		if err := r.ReadRun(buf, g.width); err != nil {
-			b.Values = vals
-			return fmt.Errorf("core: age decode values: %w", err)
-		}
-		dq := fixedpoint.NewDequantizer(fixedpoint.Format{Width: g.width, NonFrac: g.exponent})
-		pos := 0
-		for i := 0; i < g.count; i++ {
-			vals = appendRow(vals, a.cfg.D)
-			row := vals[len(vals)-1]
-			for fi := range row {
-				row[fi] = dq.Float(uint32(buf[pos]))
-				pos++
-			}
-		}
-	}
-	b.Values = vals
 	return nil
 }
 
@@ -511,7 +386,7 @@ func mergeGroupsInto(dst, groups []group, g int, sc *ageScratch) []group {
 		// eligible boundaries can chain into an oversized merge.
 		if dissolve[i-1] && cur.count+groups[i].count <= maxRunLen {
 			cur.count += groups[i].count
-			cur.exponent = maxInt(cur.exponent, groups[i].exponent)
+			cur.exponent = max(cur.exponent, groups[i].exponent)
 		} else {
 			out = append(out, cur)
 			cur = groups[i]
@@ -522,9 +397,8 @@ func mergeGroupsInto(dst, groups []group, g int, sc *ageScratch) []group {
 
 // assignWidths implements data quantization (§4.4): choose per-group bit
 // widths so the payload is at most TargetBytes while wasting as little space
-// as possible. All groups start at the uniform floor width; a round-robin
-// pass then grants +1 bit to groups (in order) while spare bits remain,
-// functionally mimicking fractional widths.
+// as possible: every group starts at the uniform floor width, and
+// spreadWidths hands out the spare bits.
 func (a *AGE) assignWidths(sc *ageScratch, groups []group, k int) []group {
 	if len(groups) == 0 {
 		return groups
@@ -547,30 +421,7 @@ func (a *AGE) assignWidths(sc *ageScratch, groups []group, k int) []group {
 		groups = merged
 		avail = 8*a.cfg.TargetBytes - header(len(groups))
 	}
-	base := avail / totalVals
-	if base > a.cfg.Format.Width {
-		base = a.cfg.Format.Width
-	}
-	if base < 1 {
-		base = 1
-	}
-	spare := avail
-	for i := range groups {
-		groups[i].width = base
-		spare -= base * groups[i].count * a.cfg.D
-	}
-	// Round-robin extra bits.
-	for changed := true; changed && spare > 0; {
-		changed = false
-		for i := range groups {
-			need := groups[i].count * a.cfg.D
-			if groups[i].width < a.cfg.Format.Width && spare >= need {
-				groups[i].width++
-				spare -= need
-				changed = true
-			}
-		}
-	}
+	spreadWidths(groups, max(1, min(avail/totalVals, a.cfg.Format.Width)), avail, a.cfg.D, a.cfg.Format.Width)
 	return groups
 }
 
@@ -581,20 +432,6 @@ func roundUp8pad(bitCount int) int {
 		return 0
 	}
 	return 8 - r
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func absInt(a int) int {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -385,11 +387,60 @@ func TestAGEDynamicRangeBeatsStatic(t *testing.T) {
 	}
 }
 
+// TestAGERejectsTinyTarget walks AGE and its three ablations over tiny
+// targets around the empty-batch header (2 bytes of index block for T <= 8,
+// 3 above, plus AGE's, Single's and Unshifted's 1-byte group count or
+// width). Each config must be rejected with ErrTargetTooSmall, or encode an
+// empty and a one-row batch to exactly TargetBytes and decode both; a
+// constructor that accepts a target it cannot pad to panics in PadTo.
 func TestAGERejectsTinyTarget(t *testing.T) {
-	cfg := testConfig(2)
-	if _, err := NewAGE(cfg); err == nil {
-		t.Error("2-byte target accepted")
+	format := fixedpoint.Format{Width: 16, NonFrac: 3}
+	for _, T := range []int{1, 8, 9, 16, 784} {
+		batches := []Batch{{}, {Indices: []int{T - 1}, Values: [][]float64{{0.5, -1.25}}}}
+		for _, kind := range []Kind{KindAGE, KindSingle, KindUnshifted, KindPruned} {
+			for target := 1; target <= 8; target++ {
+				cfg := Config{T: T, D: 2, Format: format, TargetBytes: target}
+				if err := tinyTargetRoundTrip(kind, cfg, batches); err != nil {
+					t.Errorf("%s T=%d target %dB: %v", kind, T, target, err)
+				}
+			}
+		}
 	}
+}
+
+// tinyTargetRoundTrip builds kind at cfg and, unless the constructor
+// rejects the target, round-trips every batch, turning a panic into an
+// error.
+func tinyTargetRoundTrip(kind Kind, cfg Config, batches []Batch) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("accepted, then panicked: %v", r)
+		}
+	}()
+	enc, dec, err := NewEncoder(kind, cfg)
+	if err != nil {
+		if !errors.Is(err, ErrTargetTooSmall) {
+			return fmt.Errorf("rejected without ErrTargetTooSmall: %w", err)
+		}
+		return nil
+	}
+	for _, b := range batches {
+		payload, err := enc.Encode(b)
+		if err != nil {
+			return fmt.Errorf("accepted, then %d-row encode failed: %w", b.Len(), err)
+		}
+		if len(payload) != cfg.TargetBytes {
+			return fmt.Errorf("accepted, then %d-row batch encoded to %dB", b.Len(), len(payload))
+		}
+		got, err := dec.Decode(payload)
+		if err != nil {
+			return fmt.Errorf("accepted, then %d-row payload failed to decode: %w", b.Len(), err)
+		}
+		if got.Len() > b.Len() {
+			return fmt.Errorf("%d-row batch decoded to %d rows", b.Len(), got.Len())
+		}
+	}
+	return nil
 }
 
 func TestAGEDecodeRejectsCorruptHeaders(t *testing.T) {

@@ -20,30 +20,36 @@ func measureAllocs(t *testing.T, f func()) float64 {
 	return testing.AllocsPerRun(50, f)
 }
 
+// requireZeroAllocs fails unless steady-state AppendEncode of batch and
+// DecodeInto of its payload allocate nothing, and returns the payload.
+func requireZeroAllocs(t *testing.T, kind Kind, enc AppendEncoder, dec IntoDecoder, batch Batch) []byte {
+	t.Helper()
+	var payload []byte
+	var out Batch
+	if got := measureAllocs(t, func() {
+		var err error
+		if payload, err = enc.AppendEncode(payload[:0], batch); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+	}); got != 0 {
+		t.Errorf("%s AppendEncode steady state allocates %.1f/op, want 0", kind, got)
+	}
+	if got := measureAllocs(t, func() {
+		if err := dec.DecodeInto(&out, payload); err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+	}); got != 0 {
+		t.Errorf("%s DecodeInto steady state allocates %.1f/op, want 0", kind, got)
+	}
+	return payload
+}
+
 func TestAGEEncodeDecodeAllocs(t *testing.T) {
 	cfg := testConfig(TargetBytesForRate(0.7, 50, 6, 16))
 	a := mustAGE(t, cfg)
 	rng := rand.New(rand.NewSource(21))
 	batch := randomBatch(rng, cfg.T, cfg.D, 40, 3.5)
-	var payload []byte
-	var dec Batch
-
-	if got := measureAllocs(t, func() {
-		var err error
-		payload, err = a.AppendEncode(payload[:0], batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}); got != 0 {
-		t.Errorf("AGE.AppendEncode steady state allocates %.1f/op, want 0", got)
-	}
-	if got := measureAllocs(t, func() {
-		if err := a.DecodeInto(&dec, payload); err != nil {
-			t.Fatal(err)
-		}
-	}); got != 0 {
-		t.Errorf("AGE.DecodeInto steady state allocates %.1f/op, want 0", got)
-	}
+	payload := requireZeroAllocs(t, KindAGE, a, a, batch)
 	// The reuse path must produce the same bytes as the allocating path.
 	direct, err := a.Encode(batch)
 	if err != nil {
@@ -61,25 +67,22 @@ func TestStandardEncodeDecodeAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(22))
-	batch := randomBatch(rng, cfg.T, cfg.D, 40, 3.5)
-	var payload []byte
-	var dec Batch
+	requireZeroAllocs(t, KindStandard, s, s, randomBatch(rng, cfg.T, cfg.D, 40, 3.5))
+}
 
-	if got := measureAllocs(t, func() {
-		var err error
-		payload, err = s.AppendEncode(payload[:0], batch)
+// TestEveryEncoderEncodeDecodeAllocs extends the reuse contract to all six
+// kinds: the ablations and the Padded defense share AGE's and Standard's
+// value codec, so none of them may allocate per batch either.
+func TestEveryEncoderEncodeDecodeAllocs(t *testing.T) {
+	cfg := testConfig(TargetBytesForRate(0.7, 50, 6, 16))
+	rng := rand.New(rand.NewSource(24))
+	batch := randomBatch(rng, cfg.T, cfg.D, 40, 3.5)
+	for _, kind := range Kinds() {
+		enc, dec, err := NewEncoder(kind, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-	}); got != 0 {
-		t.Errorf("Standard.AppendEncode steady state allocates %.1f/op, want 0", got)
-	}
-	if got := measureAllocs(t, func() {
-		if err := s.DecodeInto(&dec, payload); err != nil {
-			t.Fatal(err)
-		}
-	}); got != 0 {
-		t.Errorf("Standard.DecodeInto steady state allocates %.1f/op, want 0", got)
+		requireZeroAllocs(t, kind, enc, dec, batch)
 	}
 }
 

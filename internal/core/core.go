@@ -104,32 +104,23 @@ type Decoder interface {
 	Decode(payload []byte) (Batch, error)
 }
 
-// AppendEncoder is an Encoder with an allocation-free steady-state path:
+// AppendEncoder is an Encoder with an allocation-free steady-state path,
+// and the one encode path every caller runs, one batch per call:
 // AppendEncode writes the payload into dst's storage (growing it only when
 // the capacity is insufficient) and returns the resulting slice. Callers that
-// feed the previous payload back in as dst — like the simulator's per-batch
-// loop — stop paying a buffer allocation per Encode. All encoders in this
-// package implement it; Encode(b) is AppendEncode(nil, b).
+// feed the previous payload back in as dst — the simulator's sensors, the
+// load generator's sources — allocate nothing per batch once warm. All six
+// encoders in this package implement it; Encode(b) is AppendEncode(nil, b).
 type AppendEncoder interface {
 	Encoder
 	AppendEncode(dst []byte, b Batch) ([]byte, error)
 }
 
-// BatchAppendEncoder is an AppendEncoder that can encode a run of
-// consecutive batches in one call, amortizing per-encode setup (scratch pool
-// checkouts, quantizer construction) across the run. dsts[i] provides reused
-// storage for payload i exactly as AppendEncode's dst does; the returned
-// slice has len(batches) entries. On the first failing batch the
-// successfully encoded prefix is returned alongside the error.
-type BatchAppendEncoder interface {
-	AppendEncoder
-	AppendEncodeBatchN(dsts [][]byte, batches []Batch) ([][]byte, error)
-}
-
 // IntoDecoder is a Decoder with a reuse path: DecodeInto overwrites *b,
 // reusing its index and value storage (including the per-row slices) when
-// capacities allow. All decoders in this package implement it; Decode is
-// DecodeInto on a zero Batch.
+// capacities allow, so steady-state decodes allocate nothing. All six
+// decoders in this package implement it; Decode is DecodeInto on a zero
+// Batch. On error *b's contents are unspecified.
 type IntoDecoder interface {
 	Decoder
 	DecodeInto(b *Batch, payload []byte) error

@@ -106,12 +106,7 @@ func (a *AGE) EncodeRaw(indices []int, raw [][]int32) ([]byte, error) {
 	w := bitio.NewWriter(a.cfg.TargetBytes)
 	writeIndexBlock(w, idx, a.cfg.T)
 	w.Align()
-	w.WriteBits(uint32(len(groups)), 8)
-	for _, g := range groups {
-		w.WriteBits(uint32(g.count), 16)
-		w.WriteBits(uint32(g.exponent), 8)
-		w.WriteBits(uint32(g.width), 8)
-	}
+	writeGroupTable(w, groups, 0)
 	row := 0
 	for _, g := range groups {
 		rw := w.StartRun(g.width)

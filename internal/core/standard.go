@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"repro/internal/bitio"
-	"repro/internal/fixedpoint"
 )
 
 // Standard is the paper's baseline encoder: it packs the collected count,
@@ -39,44 +38,14 @@ func (s *Standard) Encode(b Batch) ([]byte, error) { return s.AppendEncode(nil, 
 //
 //age:hotpath
 func (s *Standard) AppendEncode(dst []byte, b Batch) ([]byte, error) {
-	return s.appendEncode(fixedpoint.NewQuantizer(s.cfg.Format), dst, b)
-}
-
-// AppendEncodeBatchN implements BatchAppendEncoder, constructing the
-// quantizer once for the whole run.
-//
-//age:hotpath
-func (s *Standard) AppendEncodeBatchN(dsts [][]byte, batches []Batch) ([][]byte, error) {
-	q := fixedpoint.NewQuantizer(s.cfg.Format)
-	for len(dsts) < len(batches) {
-		dsts = append(dsts, nil)
-	}
-	dsts = dsts[:len(batches)]
-	for i, b := range batches {
-		out, err := s.appendEncode(q, dsts[i], b)
-		if err != nil {
-			return dsts[:i], fmt.Errorf("core: standard batch %d: %w", i, err)
-		}
-		dsts[i] = out
-	}
-	return dsts, nil
-}
-
-//age:hotpath
-func (s *Standard) appendEncode(q fixedpoint.Quantizer, dst []byte, b Batch) ([]byte, error) {
 	if err := b.Validate(s.cfg.T, s.cfg.D); err != nil {
 		return nil, err
 	}
 	var w bitio.Writer
 	w.ResetTo(dst)
 	writeIndexBlock(&w, b.Indices, s.cfg.T)
-	rw := w.StartRun(s.cfg.Format.Width)
-	for _, row := range b.Values {
-		for _, v := range row {
-			rw.Add(uint64(q.Bits(v)))
-		}
-	}
-	rw.Flush()
+	g := oneGroup(len(b.Indices), s.cfg.Format)
+	packGroups(&w, g[:], b.Values)
 	w.Align()
 	return w.Bytes(), nil
 }
@@ -101,24 +70,10 @@ func (s *Standard) DecodeInto(b *Batch, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	vals := b.Values[:0]
-	dq := fixedpoint.NewDequantizer(s.cfg.Format)
-	var tmp [64]uint64
-	for range idx {
-		vals = appendRow(vals, s.cfg.D)
-		row := vals[len(vals)-1]
-		for off := 0; off < len(row); off += len(tmp) {
-			n := minInt(len(row)-off, len(tmp))
-			if err := r.ReadRun(tmp[:n], s.cfg.Format.Width); err != nil {
-				b.Values = vals
-				return fmt.Errorf("core: standard decode: %w", err)
-			}
-			for i := 0; i < n; i++ {
-				row[off+i] = dq.Float(uint32(tmp[i]))
-			}
-		}
+	g := oneGroup(len(idx), s.cfg.Format)
+	if b.Values, err = unpackGroups(&r, g[:], s.cfg.D, b.Values[:0]); err != nil {
+		return fmt.Errorf("core: standard decode: %w", err)
 	}
-	b.Values = vals
 	return nil
 }
 
@@ -152,7 +107,7 @@ func writeIndexBlock(w *bitio.Writer, indices []int, T int) {
 		w.WriteBits(indexEncodingBitmask, 8)
 		pos := 0
 		for t := 0; t < T; t += 64 {
-			n := minInt(T-t, 64)
+			n := min(T-t, 64)
 			var word uint64
 			for pos < len(indices) && indices[pos] < t+n {
 				word |= 1 << uint(n-1-(indices[pos]-t)) // MSB-first within the field
@@ -187,7 +142,7 @@ func readIndexBlockInto(r *bitio.Reader, T int, dst []int) ([]int, error) {
 	switch flag {
 	case indexEncodingBitmask:
 		for t := 0; t < T; t += 64 {
-			n := minInt(T-t, 64)
+			n := min(T-t, 64)
 			word, err := r.ReadBits64(n)
 			if err != nil {
 				return dst, fmt.Errorf("core: reading index bitmask: %w", err)
@@ -211,7 +166,7 @@ func readIndexBlockInto(r *bitio.Reader, T int, dst []int) ([]int, error) {
 		ib := indexBits(T)
 		var tmp [64]uint64
 		for i := 0; i < int(k); i += len(tmp) {
-			n := minInt(int(k)-i, len(tmp))
+			n := min(int(k)-i, len(tmp))
 			if err := r.ReadRun(tmp[:n], ib); err != nil {
 				return dst, fmt.Errorf("core: reading index %d: %w", i, err)
 			}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/bitio"
 	"repro/internal/fixedpoint"
@@ -26,12 +25,9 @@ type Single struct {
 
 // NewSingle returns the single-width quantization variant.
 func NewSingle(cfg Config) (*Single, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	cfg, err := fixedConfig("Single", cfg, 1)
+	if err != nil {
 		return nil, err
-	}
-	if cfg.TargetBytes < minAGEBytes {
-		return nil, fmt.Errorf("core: Single target %dB below minimum %dB: %w", cfg.TargetBytes, minAGEBytes, ErrTargetTooSmall)
 	}
 	return &Single{cfg: cfg}, nil
 }
@@ -61,14 +57,10 @@ func (s *Single) AppendEncode(dst []byte, b Batch) ([]byte, error) {
 	k := len(idx)
 	width := 0
 	if k > 0 {
-		width = (8*s.cfg.TargetBytes - singleHeaderBits(k, s.cfg.T)) / (k * s.cfg.D)
+		width = min((8*s.cfg.TargetBytes-singleHeaderBits(k, s.cfg.T))/(k*s.cfg.D), s.cfg.Format.Width)
 	}
 	if width < 1 {
-		idx, vals = nil, nil
-		width = 0
-	}
-	if width > s.cfg.Format.Width {
-		width = s.cfg.Format.Width
+		idx, vals, width = nil, nil, 0
 	}
 	var w bitio.Writer
 	w.ResetTo(dst)
@@ -76,14 +68,8 @@ func (s *Single) AppendEncode(dst []byte, b Batch) ([]byte, error) {
 	w.Align()
 	w.WriteBits(uint32(width), 8)
 	if width > 0 {
-		q := fixedpoint.NewQuantizer(fixedpoint.Format{Width: width, NonFrac: s.cfg.Format.NonFrac})
-		rw := w.StartRun(width)
-		for _, row := range vals {
-			for _, v := range row {
-				rw.Add(uint64(q.Bits(v)))
-			}
-		}
-		rw.Flush()
+		g := oneGroup(k, fixedpoint.Format{Width: width, NonFrac: s.cfg.Format.NonFrac})
+		packGroups(&w, g[:], vals)
 	}
 	w.PadTo(s.cfg.TargetBytes)
 	return w.Bytes(), nil
@@ -119,32 +105,17 @@ func (s *Single) DecodeInto(b *Batch, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("core: single decode width: %w", err)
 	}
-	width := int(wd)
-	if width == 0 {
+	if wd == 0 {
+		// A dropped batch: no values, so no indices either.
 		if len(idx) != 0 {
 			return fmt.Errorf("core: single decode: zero width with %d indices", len(idx))
 		}
-		b.Indices = nil
 		return nil
 	}
-	if width > fixedpoint.MaxWidth {
-		return fmt.Errorf("core: single decode: width %d out of range", width)
+	g := oneGroup(len(idx), fixedpoint.Format{Width: int(wd), NonFrac: s.cfg.Format.NonFrac})
+	if b.Values, err = unpackGroups(&r, g[:], s.cfg.D, b.Values); err != nil {
+		return fmt.Errorf("core: single decode: %w", err)
 	}
-	dq := fixedpoint.NewDequantizer(fixedpoint.Format{Width: width, NonFrac: s.cfg.Format.NonFrac})
-	vals := b.Values
-	for range idx {
-		vals = appendRow(vals, s.cfg.D)
-		row := vals[len(vals)-1]
-		for fi := range row {
-			bitsv, err := r.ReadBits(width)
-			if err != nil {
-				b.Values = vals
-				return fmt.Errorf("core: single decode values: %w", err)
-			}
-			row[fi] = dq.Float(bitsv)
-		}
-	}
-	b.Values = vals
 	return nil
 }
 
@@ -152,17 +123,15 @@ func (s *Single) DecodeInto(b *Batch, payload []byte) error {
 // even-sized groups with round-robin widths — but fixes every group's
 // exponent at the native n0, forgoing dynamic ranges (§5.6).
 type Unshifted struct {
-	cfg Config
+	cfg     Config
+	scratch scratchPool // for the group table
 }
 
 // NewUnshifted returns the fixed-exponent grouped variant.
 func NewUnshifted(cfg Config) (*Unshifted, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	cfg, err := fixedConfig("Unshifted", cfg, 1)
+	if err != nil {
 		return nil, err
-	}
-	if cfg.TargetBytes < minAGEBytes {
-		return nil, fmt.Errorf("core: Unshifted target %dB below minimum %dB: %w", cfg.TargetBytes, minAGEBytes, ErrTargetTooSmall)
 	}
 	return &Unshifted{cfg: cfg}, nil
 }
@@ -170,29 +139,26 @@ func NewUnshifted(cfg Config) (*Unshifted, error) {
 // PayloadBytes returns the fixed message size M_B.
 func (u *Unshifted) PayloadBytes() int { return u.cfg.TargetBytes }
 
-// unshiftedGroups splits k measurements into at most MinGroups even groups.
-func (u *Unshifted) unshiftedGroups(k int) []group {
+// unshiftedGroups splits k measurements into at most MinGroups even groups
+// at the native exponent, appending them to dst.
+func (u *Unshifted) unshiftedGroups(dst []group, k int) []group {
 	if k == 0 {
-		return nil
+		return dst
 	}
-	n := u.cfg.MinGroups
-	if n > k {
-		n = k
-	}
+	n := min(u.cfg.MinGroups, k)
 	base, rem := k/n, k%n
-	groups := make([]group, n)
-	for i := range groups {
+	for i := 0; i < n; i++ {
 		c := base
 		if i < rem {
 			c++
 		}
-		groups[i] = group{count: c, exponent: u.cfg.Format.NonFrac}
+		dst = append(dst, group{count: c, exponent: u.cfg.Format.NonFrac})
 	}
-	return groups
+	return dst
 }
 
-// unshiftedHeaderBits: 2B count + indices + 1B group count + 3B per group
-// (2B run length + 1B width; no exponent field since it is static).
+// headerBits is the index block, byte-aligned, + 1B group count + 3B per
+// group (2B run length + 1B width; no exponent field since it is static).
 func (u *Unshifted) headerBits(k, g int) int {
 	h := indexBlockBits(k, u.cfg.T)
 	return h + roundUp8pad(h) + 8 + 24*g
@@ -208,9 +174,12 @@ func (u *Unshifted) AppendEncode(dst []byte, b Batch) ([]byte, error) {
 	if err := b.Validate(u.cfg.T, u.cfg.D); err != nil {
 		return nil, err
 	}
+	sc := u.scratch.get()
+	defer u.scratch.put(sc)
 	idx, vals := b.Indices, b.Values
 	k := len(idx)
-	groups := u.unshiftedGroups(k)
+	groups := u.unshiftedGroups(sc.groups[:0], k)
+	sc.groups = groups
 	if k > 0 {
 		avail := 8*u.cfg.TargetBytes - u.headerBits(k, len(groups))
 		base := 0
@@ -221,48 +190,15 @@ func (u *Unshifted) AppendEncode(dst []byte, b Batch) ([]byte, error) {
 			// No room for even one bit per value: drop the batch.
 			idx, vals, groups = nil, nil, nil
 		} else {
-			if base > u.cfg.Format.Width {
-				base = u.cfg.Format.Width
-			}
-			spare := avail
-			for i := range groups {
-				groups[i].width = base
-				spare -= base * groups[i].count * u.cfg.D
-			}
-			for changed := true; changed && spare > 0; {
-				changed = false
-				for i := range groups {
-					need := groups[i].count * u.cfg.D
-					if groups[i].width < u.cfg.Format.Width && spare >= need {
-						groups[i].width++
-						spare -= need
-						changed = true
-					}
-				}
-			}
+			spreadWidths(groups, min(base, u.cfg.Format.Width), avail, u.cfg.D, u.cfg.Format.Width)
 		}
 	}
 	var w bitio.Writer
 	w.ResetTo(dst)
 	writeIndexBlock(&w, idx, u.cfg.T)
 	w.Align()
-	w.WriteBits(uint32(len(groups)), 8)
-	for _, g := range groups {
-		w.WriteBits(uint32(g.count), 16)
-		w.WriteBits(uint32(g.width), 8)
-	}
-	row := 0
-	for _, g := range groups {
-		q := fixedpoint.NewQuantizer(fixedpoint.Format{Width: g.width, NonFrac: u.cfg.Format.NonFrac})
-		rw := w.StartRun(g.width)
-		for i := 0; i < g.count; i++ {
-			for _, v := range vals[row] {
-				rw.Add(uint64(q.Bits(v)))
-			}
-			row++
-		}
-		rw.Flush()
-	}
+	writeGroupTable(&w, groups, u.cfg.Format.NonFrac)
+	packGroups(&w, groups, vals)
 	w.PadTo(u.cfg.TargetBytes)
 	return w.Bytes(), nil
 }
@@ -293,46 +229,16 @@ func (u *Unshifted) DecodeInto(b *Batch, payload []byte) error {
 		return err
 	}
 	r.Align()
-	gc, err := r.ReadBits(8)
+	sc := u.scratch.get()
+	defer u.scratch.put(sc)
+	groups, err := readGroupTable(&r, sc.groups[:0], u.cfg.Format.NonFrac, len(idx))
+	sc.groups = groups
+	if err == nil {
+		b.Values, err = unpackGroups(&r, groups, u.cfg.D, b.Values)
+	}
 	if err != nil {
-		return fmt.Errorf("core: unshifted decode group count: %w", err)
+		return fmt.Errorf("core: unshifted decode: %w", err)
 	}
-	//age:allow hotpathalloc ablation decoder, outside the zero-alloc pin (alloc_test covers AGE/Standard); pooling here would only complicate the §6.2 comparison
-	groups := make([]group, gc)
-	total := 0
-	for i := range groups {
-		c, err1 := r.ReadBits(16)
-		wd, err2 := r.ReadBits(8)
-		if err1 != nil || err2 != nil {
-			return fmt.Errorf("core: unshifted decode group %d", i)
-		}
-		groups[i] = group{count: int(c), width: int(wd)}
-		total += int(c)
-	}
-	if total != len(idx) {
-		return fmt.Errorf("core: unshifted decode: groups cover %d, indices say %d", total, len(idx))
-	}
-	vals := b.Values
-	for _, g := range groups {
-		if g.width < 1 || g.width > fixedpoint.MaxWidth {
-			b.Values = vals
-			return fmt.Errorf("core: unshifted decode: bad width %d", g.width)
-		}
-		dq := fixedpoint.NewDequantizer(fixedpoint.Format{Width: g.width, NonFrac: u.cfg.Format.NonFrac})
-		for i := 0; i < g.count; i++ {
-			vals = appendRow(vals, u.cfg.D)
-			row := vals[len(vals)-1]
-			for fi := range row {
-				bitsv, err := r.ReadBits(g.width)
-				if err != nil {
-					b.Values = vals
-					return fmt.Errorf("core: unshifted decode values: %w", err)
-				}
-				row[fi] = dq.Float(bitsv)
-			}
-		}
-	}
-	b.Values = vals
 	return nil
 }
 
@@ -342,21 +248,16 @@ func (u *Unshifted) DecodeInto(b *Batch, payload []byte) error {
 // must discard most of the batch, which Table 8 shows costs ~58% extra error.
 type Pruned struct {
 	cfg     Config
-	scratch sync.Pool // *ageScratch, for the shared prune step
+	scratch scratchPool // for the shared prune step
 }
 
 // NewPruned returns the pruning-only variant.
 func NewPruned(cfg Config) (*Pruned, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	cfg, err := fixedConfig("Pruned", cfg, 0)
+	if err != nil {
 		return nil, err
 	}
-	if cfg.TargetBytes < minAGEBytes {
-		return nil, fmt.Errorf("core: Pruned target %dB below minimum %dB: %w", cfg.TargetBytes, minAGEBytes, ErrTargetTooSmall)
-	}
-	p := &Pruned{cfg: cfg}
-	p.scratch.New = func() any { return new(ageScratch) }
-	return p, nil
+	return &Pruned{cfg: cfg}, nil
 }
 
 // PayloadBytes returns the fixed message size M_B.
@@ -392,26 +293,14 @@ func (p *Pruned) AppendEncode(dst []byte, b Batch) ([]byte, error) {
 	if err := b.Validate(p.cfg.T, p.cfg.D); err != nil {
 		return nil, err
 	}
-	sc := p.scratch.Get().(*ageScratch)
-	//age:allow hotpathalloc open-coded defer keeps this non-escaping closure off the heap; Pruned is an ablation outside the zero-alloc pin regardless
-	defer func() {
-		vals := sc.vals[:cap(sc.vals)]
-		clear(vals)
-		sc.vals = vals[:0]
-		p.scratch.Put(sc)
-	}()
+	sc := p.scratch.get()
+	defer p.scratch.put(sc)
 	idx, vals := sc.prune(b.Indices, b.Values, p.maxKeep())
 	var w bitio.Writer
 	w.ResetTo(dst)
 	writeIndexBlock(&w, idx, p.cfg.T)
-	q := fixedpoint.NewQuantizer(p.cfg.Format)
-	rw := w.StartRun(p.cfg.Format.Width)
-	for _, row := range vals {
-		for _, v := range row {
-			rw.Add(uint64(q.Bits(v)))
-		}
-	}
-	rw.Flush()
+	g := oneGroup(len(idx), p.cfg.Format)
+	packGroups(&w, g[:], vals)
 	w.PadTo(p.cfg.TargetBytes)
 	return w.Bytes(), nil
 }
@@ -440,21 +329,10 @@ func (p *Pruned) DecodeInto(b *Batch, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	vals := b.Values[:0]
-	dq := fixedpoint.NewDequantizer(p.cfg.Format)
-	for range idx {
-		vals = appendRow(vals, p.cfg.D)
-		row := vals[len(vals)-1]
-		for fi := range row {
-			bitsv, err := r.ReadBits(p.cfg.Format.Width)
-			if err != nil {
-				b.Values = vals
-				return fmt.Errorf("core: pruned decode values: %w", err)
-			}
-			row[fi] = dq.Float(bitsv)
-		}
+	g := oneGroup(len(idx), p.cfg.Format)
+	if b.Values, err = unpackGroups(&r, g[:], p.cfg.D, b.Values[:0]); err != nil {
+		return fmt.Errorf("core: pruned decode: %w", err)
 	}
-	b.Values = vals
 	return nil
 }
 

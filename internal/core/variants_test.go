@@ -154,7 +154,7 @@ func TestUnshiftedEvenGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := u.unshiftedGroups(50)
+	groups := u.unshiftedGroups(nil, 50)
 	if len(groups) != 6 {
 		t.Fatalf("got %d groups, want 6", len(groups))
 	}
@@ -172,10 +172,10 @@ func TestUnshiftedEvenGroups(t *testing.T) {
 		t.Errorf("groups cover %d, want 50", total)
 	}
 	// Fewer measurements than groups: one group per measurement.
-	if got := u.unshiftedGroups(4); len(got) != 4 {
+	if got := u.unshiftedGroups(nil, 4); len(got) != 4 {
 		t.Errorf("k=4 gave %d groups", len(got))
 	}
-	if got := u.unshiftedGroups(0); got != nil {
+	if got := u.unshiftedGroups(nil, 0); got != nil {
 		t.Errorf("k=0 gave %v", got)
 	}
 }
@@ -270,6 +270,8 @@ func TestPrunedKeepsFullWidth(t *testing.T) {
 	}
 }
 
+// TestVariantsRejectTinyTargets checks that each ablation refuses a 2-byte
+// target, which cannot hold even the empty-batch header at T=50.
 func TestVariantsRejectTinyTargets(t *testing.T) {
 	cfg := testConfig(2)
 	if _, err := NewSingle(cfg); err == nil {

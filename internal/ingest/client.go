@@ -142,7 +142,11 @@ type FrameSource interface {
 	// frame content depends on history (sampling RNG, nonce counters)
 	// must reproduce it exactly, so resume stays invisible in the data.
 	Seek(resume int) error
-	// Next returns the next sealed frame.
+	// Next returns the next sealed frame. The client copies it before it
+	// calls Next again, so a source may reuse the frame's storage from one
+	// Next to the next. A paced client may call the pacer's Dummy while it
+	// still holds that frame, so Dummy must not write into storage Next
+	// returned.
 	Next(ctx context.Context) ([]byte, error)
 }
 

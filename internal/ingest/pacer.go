@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 )
 
@@ -108,7 +109,9 @@ type PacerConfig struct {
 	// Dummy produces one sealed cover frame, required for PaceConstant and
 	// PaceJitter. The result must be indistinguishable from a real sealed
 	// frame on the wire (same size distribution, fresh nonce) and must
-	// unseal to a payload Unmark reports as a dummy.
+	// unseal to a payload Unmark reports as a dummy. It must not write into
+	// storage the FrameSource's Next returned: the client may still hold
+	// that frame.
 	Dummy func() ([]byte, error)
 }
 
@@ -144,22 +147,20 @@ const (
 // resume contract — are identical with pacing on or off.
 var ErrDummyFrame = errors.New("ingest: dummy frame")
 
-// MarkReal returns payload prefixed with the real-frame marker. Sources
-// seal the marked payload; the receiving session unmarks after unsealing.
-func MarkReal(payload []byte) []byte {
-	out := make([]byte, len(payload)+1)
-	out[0] = markerReal
-	copy(out[1:], payload)
-	return out
-}
+// MarkReal appends payload, prefixed with the real-frame marker, to dst and
+// returns the extended slice; a reused dst[:0] marks without allocating.
+// dst's storage must not overlap payload. Sources seal the marked payload;
+// the receiving session unmarks after unsealing.
+func MarkReal(dst, payload []byte) []byte { return mark(dst, markerReal, payload) }
 
-// MarkDummy returns filler prefixed with the dummy marker. The filler's
-// length should match a real payload's so sealed sizes are identical.
-func MarkDummy(filler []byte) []byte {
-	out := make([]byte, len(filler)+1)
-	out[0] = markerDummy
-	copy(out[1:], filler)
-	return out
+// MarkDummy appends filler, prefixed with the dummy marker, to dst and
+// returns the extended slice. The filler's length should match a real
+// payload's so sealed sizes are identical.
+func MarkDummy(dst, filler []byte) []byte { return mark(dst, markerDummy, filler) }
+
+func mark(dst []byte, marker byte, payload []byte) []byte {
+	dst = slices.Grow(dst, 1+len(payload))
+	return append(append(dst, marker), payload...)
 }
 
 // Unmark splits a marked payload into its content and its dummy verdict.

@@ -30,14 +30,14 @@ func TestPaceModeParseAndString(t *testing.T) {
 
 func TestMarkUnmarkRoundTrip(t *testing.T) {
 	payload := []byte("quantized batch")
-	data, dummy, err := Unmark(MarkReal(payload))
+	data, dummy, err := Unmark(MarkReal(nil, payload))
 	if err != nil || dummy {
 		t.Fatalf("Unmark(MarkReal) = (dummy=%v, err=%v)", dummy, err)
 	}
 	if !bytes.Equal(data, payload) {
 		t.Errorf("real payload corrupted: %q", data)
 	}
-	data, dummy, err = Unmark(MarkDummy(make([]byte, len(payload))))
+	data, dummy, err = Unmark(MarkDummy(nil, make([]byte, len(payload))))
 	if err != nil || !dummy {
 		t.Fatalf("Unmark(MarkDummy) = (dummy=%v, err=%v)", dummy, err)
 	}
@@ -46,7 +46,7 @@ func TestMarkUnmarkRoundTrip(t *testing.T) {
 	}
 	// Marked real and dummy payloads of equal content length have equal
 	// total length — the precondition for sealed-size indistinguishability.
-	if lr, ld := len(MarkReal(payload)), len(MarkDummy(make([]byte, len(payload)))); lr != ld {
+	if lr, ld := len(MarkReal(nil, payload)), len(MarkDummy(nil, make([]byte, len(payload)))); lr != ld {
 		t.Errorf("marked lengths differ: real %d, dummy %d", lr, ld)
 	}
 	var pe *ProtocolError
@@ -174,13 +174,13 @@ func (s *unmarkSession) Close(err error) { s.inner.Close(err) }
 func markedFrames(frames [][]byte) [][]byte {
 	out := make([][]byte, len(frames))
 	for i, f := range frames {
-		out[i] = MarkReal(f)
+		out[i] = MarkReal(nil, f)
 	}
 	return out
 }
 
 func testDummy(size int) func() ([]byte, error) {
-	return func() ([]byte, error) { return MarkDummy(make([]byte, size)), nil }
+	return func() ([]byte, error) { return MarkDummy(nil, make([]byte, size)), nil }
 }
 
 // pacedRun is what one paced client/server round trip observed.
@@ -267,7 +267,7 @@ func TestPacedReleasePattern(t *testing.T) {
 	for i := range gaps {
 		gaps[i] = time.Duration(1+i%3) * time.Millisecond
 	}
-	dummySize := len(MarkReal(frames[0])) - 1
+	dummySize := len(MarkReal(nil, frames[0])) - 1
 	// A 1.5 ms constant interval is off the gaps' 1 ms grid, so some real
 	// frames wait for their slot and the AoI total is not zero.
 	for _, p := range []PacerConfig{
@@ -341,7 +341,7 @@ func TestPacedDeliveryIdentity(t *testing.T) {
 	baseline := append([][]byte(nil), h.frames[5]...)
 	h.mu.Unlock()
 
-	dummySize := len(MarkReal(frames[0])) - 1
+	dummySize := len(MarkReal(nil, frames[0])) - 1
 	cases := []struct {
 		name        string
 		pacer       PacerConfig
@@ -415,7 +415,7 @@ func TestPacedResumeAfterReconnect(t *testing.T) {
 		Pacer: PacerConfig{
 			Mode:     PaceConstant,
 			Interval: time.Millisecond,
-			Dummy:    testDummy(len(MarkReal(frames[0])) - 1),
+			Dummy:    testDummy(len(MarkReal(nil, frames[0])) - 1),
 		},
 	})
 	src := &timedSource{sliceSource: sliceSource{frames: markedFrames(frames)}, gaps: gaps}
@@ -535,7 +535,7 @@ func TestPacerStatsConcurrencySafety(t *testing.T) {
 					Mode:       PaceJitter,
 					Interval:   time.Millisecond,
 					JitterFrac: 0.3,
-					Dummy:      testDummy(len(MarkReal(frames[0])) - 1),
+					Dummy:      testDummy(len(MarkReal(nil, frames[0])) - 1),
 				},
 			})
 			src := &timedSource{sliceSource: sliceSource{frames: markedFrames(frames)}, gaps: gaps}
@@ -555,7 +555,7 @@ func TestPacerStatsConcurrencySafety(t *testing.T) {
 }
 
 func BenchmarkUnmark(b *testing.B) {
-	marked := MarkReal(make([]byte, 64))
+	marked := MarkReal(nil, make([]byte, 64))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/reconstruct"
 	"repro/internal/seccomm"
@@ -16,15 +17,29 @@ type fixedPolicy []int
 
 func (p fixedPolicy) Sample([][]float64, *rand.Rand) []int { return p }
 
-// TestFleetFrameAllocs: the fleet reuses its payload, row and decoded-batch
-// scratch from frame to frame. Under PaceOff one fleetFrameSource.Next
-// allocates only what its Seal call allocates, and one fleetSession.Frame
-// only what Open on the same message allocates.
+// TestFleetFrameAllocs: the fleet reuses its payload, mark, row and
+// decoded-batch scratch from frame to frame. Paced or not, one
+// fleetFrameSource.Next allocates only what its Seal call allocates, and
+// one fleetSession.Frame only what Open on the same message allocates; a
+// paced sensor's cover frame costs one Seal too.
 func TestFleetFrameAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
+	for _, paced := range []bool{false, true} {
+		name := "unpaced"
+		if paced {
+			name = "paced"
+		}
+		t.Run(name, func(t *testing.T) { testFleetFrameAllocs(t, paced) })
+	}
+}
+
+func testFleetFrameAllocs(t *testing.T, paced bool) {
 	cfg := fleetConfig(t, EncAGE, 1)
+	if paced {
+		cfg.Pacing = FleetPacing{Mode: PaceConstant, Interval: time.Millisecond}
+	}
 	var rows fixedPolicy
 	for i := 0; i < cfg.Base.Dataset.Meta.SeqLen; i += 3 {
 		rows = append(rows, i)
@@ -34,7 +49,7 @@ func TestFleetFrameAllocs(t *testing.T) {
 	for i := range seqIdx {
 		seqIdx[i] = i
 	}
-	sen, err := newSensor(cfg.Base, 0, false)
+	sen, err := newSensor(cfg.Base, 0, paced)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +71,7 @@ func TestFleetFrameAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := make([]byte, sen.fillerBytes)
+	plain := make([]byte, len(sen.payload))
 	seal := testing.AllocsPerRun(100, func() {
 		if _, err := sealer.Seal(plain); err != nil {
 			t.Fatal(err)
@@ -64,6 +79,16 @@ func TestFleetFrameAllocs(t *testing.T) {
 	})
 	if next != seal {
 		t.Errorf("fleetFrameSource.Next: %v allocs/frame, Seal alone %v", next, seal)
+	}
+	if paced {
+		dummy := testing.AllocsPerRun(100, func() {
+			if _, err := sen.dummy(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if dummy != seal {
+			t.Errorf("sensor.dummy: %v allocs/frame, Seal alone %v", dummy, seal)
+		}
 	}
 
 	var mu sync.Mutex

@@ -33,18 +33,20 @@ func fleetKey(sensorID int, cipher seccomm.CipherKind) []byte {
 // stays monotonic across redials and a resumed stream never reuses a (key,
 // nonce) pair. When paced, the real/dummy mark rides inside the envelope.
 type sensor struct {
-	policy      policy.Policy
-	seed        int64 // Seek rewinds rng to it
-	rng         *rand.Rand
-	enc         core.AppendEncoder
-	sealer      seccomm.Sealer
-	paced       bool
-	fillerBytes int
-	// payload and rows are reused from step to step: every sealer copies
-	// the payload into a fresh message, and ingest.Client copies each
-	// message into its gather buffer before it calls Next again.
-	payload []byte
-	rows    [][]float64
+	policy policy.Policy
+	seed   int64 // Seek rewinds rng to it
+	rng    *rand.Rand
+	enc    core.AppendEncoder
+	sealer seccomm.Sealer
+	paced  bool
+	// cover is the pacer's marked filler, the size of a marked payload;
+	// every dummy seals it afresh.
+	cover []byte
+	// payload, marked and rows are reused from step to step: every sealer
+	// copies its plaintext into a fresh message, and ingest.Client copies
+	// each message into its gather buffer before it calls Next again.
+	payload, marked []byte
+	rows            [][]float64
 }
 
 // newSensor builds sensor sensorID, sampling from the run seed plus its id.
@@ -58,8 +60,12 @@ func newSensor(base RunConfig, sensorID int, paced bool) (*sensor, error) {
 		return nil, err
 	}
 	seed := base.Seed + int64(sensorID)
-	return &sensor{policy: base.Policy, seed: seed, rng: newSeededRand(seed), enc: encs.enc,
-		sealer: sealer, paced: paced, fillerBytes: encs.payloadBytes}, nil
+	s := &sensor{policy: base.Policy, seed: seed, rng: newSeededRand(seed), enc: encs.enc,
+		sealer: sealer, paced: paced}
+	if paced {
+		s.cover = ingest.MarkDummy(nil, make([]byte, encs.payloadBytes))
+	}
+	return s, nil
 }
 
 // step samples seq, encodes the collected rows and seals the payload. It
@@ -73,21 +79,17 @@ func (s *sensor) step(seq [][]float64) (msg []byte, collected int, err error) {
 	if s.payload, err = s.enc.AppendEncode(s.payload[:0], core.Batch{Indices: idx, Values: s.rows}); err != nil {
 		return nil, 0, err
 	}
-	msg, err = s.seal(s.payload, ingest.MarkReal)
+	plain := s.payload
+	if s.paced {
+		s.marked = ingest.MarkReal(s.marked[:0], s.payload)
+		plain = s.marked
+	}
+	msg, err = s.sealer.Seal(plain)
 	return msg, len(idx), err
 }
 
 // dummy seals one pacer cover frame.
-func (s *sensor) dummy() ([]byte, error) {
-	return s.seal(make([]byte, s.fillerBytes), ingest.MarkDummy)
-}
-
-func (s *sensor) seal(payload []byte, mark func([]byte) []byte) ([]byte, error) {
-	if s.paced {
-		payload = mark(payload)
-	}
-	return s.sealer.Seal(payload)
-}
+func (s *sensor) dummy() ([]byte, error) { return s.sealer.Seal(s.cover) }
 
 // station is the base station's half for one sensor.
 type station struct {
